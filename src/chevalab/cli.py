@@ -63,12 +63,16 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
+def _parse_ints(text: str, sep: str, flag: str) -> List[int]:
+    try:
+        return [int(c) for c in text.split(sep)]
+    except ValueError as exc:
+        raise BadConfig(f"{flag} {text!r}: expected integers separated by {sep!r}") from exc
+
+
 def _parse_coeffs(text: str, ctx) -> tuple:
     # "0;1|1;0" -> one series per c_i, coefficients of t^j separated by ';'
-    out = []
-    for part in text.split("|"):
-        out.append(ctx.make([int(c) for c in part.split(";")]))
-    return tuple(out)
+    return tuple(ctx.make(_parse_ints(part, ";", "--x")) for part in text.split("|"))
 
 
 def _frac_str(f: Fraction) -> str:
@@ -220,7 +224,7 @@ def _run_val_int(cfg: RunConfig) -> Report:
     M = cfg.level if cfg.level is not None else 2
     field = field_make(cfg.ell, cfg.k)
     ctx = trunc_make(field, M)
-    coeffs = [ctx.make([int(c)]) for c in cfg.poly.split(",")]
+    coeffs = [ctx.make([c]) for c in _parse_ints(cfg.poly, ",", "--poly")]
     value = subreg.val_integral(coeffs, field, M)
     deg = len(coeffs) - 1
     bound = subreg.val_integral_bound(deg, field, M)

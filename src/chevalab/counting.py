@@ -4,6 +4,14 @@ and a shardable, checkpointed enumeration kernel.
 
 All counts are exhaustive enumerations (no lifting shortcuts); counts are
 Python ints of unbounded size and serialize as decimal strings.
+
+Engines: every sweep and shard decodes its index range in blocks of at most
+BLOCK matrices into arrays of ring indices and runs them through the batched
+Samuelson-Berkowitz kernel ``matrices.charpoly_batch``; the encoded
+characteristic polynomials then give the counts.  The n = 2 fiber table for
+q^(m+1) <= 512 runs on ``_fiber_table_np``, which hoists b*c out of its loop.
+The scalar ``matrices.charpoly`` is the reference the kernel is tested
+against; it also takes the n = 1 sweeps over rings too large for dense tables.
 """
 
 from __future__ import annotations
@@ -15,20 +23,22 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import FieldCtx, TruncCtx, field_make, trunc_make
-from .matrices import CharCoeffs, JetMatrix, charpoly, is_nilpotent_jet
+from .field import (RING_TABLE_LIMIT, FieldCtx, TruncCtx, field_make,
+                    ring_tables, trunc_make)
+from .matrices import CharCoeffs, JetMatrix, charpoly, charpoly_batch
 
 SCHEMA_VERSION = 1
 ENGINE_VERSION = "chevalab-0.1.0"
 SHARD_GUARD = 1 << 40
 SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
 _NP_RING_LIMIT = 512  # max q^(m+1) for the vectorized n=2 engine
+BLOCK = 1 << 11  # matrices per charpoly_batch call; larger blocks add peak memory, not speed
 
 FiberKey = Tuple[tuple, ...]  # (c_1, ..., c_n), each a series tuple
 
@@ -86,11 +96,14 @@ class CountRecord:
 
     @staticmethod
     def from_json(line: str) -> "CountRecord":
-        d = json.loads(line)
-        if "schema_version" not in d:
-            raise BadConfig("record missing schema_version")
-        d["count"] = int(d["count"])
-        return CountRecord(**d)
+        try:
+            d = json.loads(line)
+            if "schema_version" not in d:
+                raise BadConfig("record missing schema_version")
+            d["count"] = int(d["count"])
+            return CountRecord(**d)
+        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad JSON
+            raise BadConfig(f"malformed count record: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -127,41 +140,156 @@ def matrix_from_index(n: int, ctx: TruncCtx, idx: int) -> JetMatrix:
 
 
 # --------------------------------------------------------------------------
+# block decoders: index ranges -> entry arrays for charpoly_batch
+# --------------------------------------------------------------------------
+
+def _blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The indices lo..hi-1 as int64 arrays of at most BLOCK entries."""
+    for start in range(lo, hi, BLOCK):
+        yield np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
+
+
+def _rows(n: int, cells: list) -> list:
+    return [cells[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _full_entries(n: int, P: int, idx: np.ndarray) -> list:
+    """Entry arrays of the matrices with sweep indices idx, in the order of
+    matrix_from_index: entry (0,0) is the most significant base-P digit."""
+    cells = []
+    for _ in range(n * n):
+        cells.append(idx % P)
+        idx = idx // P
+    cells.reverse()
+    return _rows(n, cells)
+
+
+def _nilcone_entries(n: int, ctx: TruncCtx, bases: np.ndarray, idx: np.ndarray) -> list:
+    """Entry arrays of the pruned nilcone layout.  Index idx takes the m = 0
+    nilpotent base matrix bases[idx // q^(m n^2)] and reads the higher
+    t-coefficients of every entry from the base-q digits of idx % q^(m n^2),
+    entry (0,0) and t^1 most significant."""
+    Q = ctx.field.q ** ctx.m  # choices of the higher coefficients of one entry
+    base = bases[idx // Q ** (n * n)]
+    h = idx % Q ** (n * n)
+    cells = []
+    for e in range(n * n - 1, -1, -1):
+        cells.append(base[:, e] * Q + h % Q)
+        h = h // Q
+    cells.reverse()
+    return _rows(n, cells)
+
+
+def _encode_key(ctx: TruncCtx, key: FiberKey) -> int:
+    """(c_1, ..., c_n) -> sum_i index(c_i) P^(n-i), the key _charpoly_keys gives."""
+    code = 0
+    for ci in key:
+        code = code * ctx.size + ctx.index(ci)
+    return code
+
+
+def _decode_key(n: int, ctx: TruncCtx, code: int) -> FiberKey:
+    cs = []
+    for _ in range(n):
+        cs.append(ctx.from_index(code % ctx.size))
+        code //= ctx.size
+    return tuple(reversed(cs))
+
+
+def _charpoly_keys(n: int, ctx: TruncCtx, entries) -> np.ndarray:
+    """Encoded characteristic polynomials (see _encode_key) of a block."""
+    P = ctx.size
+    if P > RING_TABLE_LIMIT:
+        # Too large for dense tables; under the sweep and shard guards only
+        # n = 1 gets here, so the scalar engine takes these matrices one by one.
+        flat = np.broadcast_arrays(*(x for row in entries for x in row))
+        keys = []
+        for b in range(flat[0].size):
+            A = JetMatrix(ctx, n, tuple(tuple(ctx.from_index(int(flat[i * n + j][b]))
+                                              for j in range(n)) for i in range(n)))
+            keys.append(_encode_key(ctx, charpoly(A).c))
+        return np.array(keys, dtype=np.int64)
+    cs = charpoly_batch(n, ring_tables(ctx), entries)
+    key = cs[0]
+    for c in cs[1:]:
+        key = key * P + c
+    return key
+
+
+def _table_from_counts(n: int, ctx: TruncCtx, counts: np.ndarray) -> Dict[FiberKey, int]:
+    return {_decode_key(n, ctx, code): int(counts[code]) for code in np.nonzero(counts)[0].tolist()}
+
+
+def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
+    """m = 0 nilpotent matrices in sweep order, one row of n^2 field codes each."""
+    ctx0 = trunc_make(field, 0)
+    q = field.q
+    found = []
+    for idx in _blocks(0, q ** (n * n)):
+        entries = _full_entries(n, q, idx)
+        cells = np.stack([x for row in entries for x in row], axis=1)
+        found.append(cells[_charpoly_keys(n, ctx0, entries) == 0])
+    return np.concatenate(found)
+
+
+def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
+    """(index count, hit) of a count target; hit maps a block of indices to
+    the mask of those the target counts.
+
+    The enumeration orders fix shard boundaries and checkpoints:
+    nilcone: the pruned layout of _nilcone_entries;
+    fiber: the full matrix space in matrix_from_index order;
+    gi: i-tuples of matrices, matrix j in base-|Mat_n(R_m)| digit j, least
+    significant first.
+    """
+    P = ctx.size
+    if kind == "nilcone":
+        bases = _nilpotent_bases(n, ctx.field)
+        total = len(bases) * ctx.field.q ** (ctx.m * n * n)
+        return total, lambda idx: _charpoly_keys(n, ctx, _nilcone_entries(n, ctx, bases, idx)) == 0
+    if kind == "fiber":
+        target = _encode_key(ctx, _fiber_key(n, ctx, x))
+        return (matrix_space_size(n, ctx),
+                lambda idx: _charpoly_keys(n, ctx, _full_entries(n, P, idx)) == target)
+    if kind == "gi":
+        S = matrix_space_size(n, ctx)
+
+        def hit(idx: np.ndarray) -> np.ndarray:
+            first = _charpoly_keys(n, ctx, _full_entries(n, P, idx % S))
+            same = np.ones(idx.shape, dtype=bool)
+            for _ in range(i - 1):
+                idx = idx // S
+                same &= _charpoly_keys(n, ctx, _full_entries(n, P, idx % S)) == first
+            return same
+
+        return S ** i, hit
+    raise BadConfig("fibertable target is not shardable")
+
+
+def _count_hits(hit, lo: int, hi: int) -> int:
+    return sum(int(np.count_nonzero(hit(idx))) for idx in _blocks(lo, hi))
+
+
+# --------------------------------------------------------------------------
 # fiber tables
 # --------------------------------------------------------------------------
 
 def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
     """count_jet_fiber(x) for every x in c(R_m), by one exhaustive sweep."""
     _check_sweep(n, ctx)
-    if n == 2 and ctx.field.k == 1 and ctx.size <= _NP_RING_LIMIT:
+    if n == 2 and ctx.size <= _NP_RING_LIMIT:
         return _fiber_table_np(ctx)
-    table: Dict[FiberKey, int] = {}
-    for A in enumerate_matrices(n, ctx):
-        key = charpoly(A).c
-        table[key] = table.get(key, 0) + 1
-    return table
-
-
-def _ring_tables(ctx: TruncCtx):
-    """Dense add/mul/neg tables on ring indices for the vectorized engine."""
     P = ctx.size
-    sers = [ctx.from_index(i) for i in range(P)]
-    add = np.zeros((P, P), dtype=np.int64)
-    mul = np.zeros((P, P), dtype=np.int64)
-    neg = np.zeros(P, dtype=np.int64)
-    for i, a in enumerate(sers):
-        neg[i] = ctx.index(ctx.neg(a))
-        for j in range(i, P):
-            b = sers[j]
-            s = ctx.index(ctx.add(a, b))
-            p = ctx.index(ctx.mul(a, b))
-            add[i, j] = add[j, i] = s
-            mul[i, j] = mul[j, i] = p
-    return P, add, mul, neg
+    counts = np.zeros(P ** n, dtype=np.int64)
+    for idx in _blocks(0, matrix_space_size(n, ctx)):
+        counts += np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
+    return _table_from_counts(n, ctx, counts)
 
 
 def _fiber_table_np(ctx: TruncCtx) -> Dict[FiberKey, int]:
-    P, add, mul, neg = _ring_tables(ctx)
+    """n = 2 sweep that hoists b*c out of the loop over the (0,0) entry a."""
+    P, add, mul, neg = ring_tables(ctx)
+    add, mul = add.reshape(P, P), mul.reshape(P, P)
     counts = np.zeros(P * P, dtype=np.int64)
     idx = np.arange(P ** 3, dtype=np.int64)
     b = idx // (P * P)
@@ -172,26 +300,14 @@ def _fiber_table_np(ctx: TruncCtx) -> Dict[FiberKey, int]:
         c1 = neg[add[a, d]]
         c2 = add[mul[a, d], neg[bc]]
         counts += np.bincount(c1 * P + c2, minlength=P * P)
-    table: Dict[FiberKey, int] = {}
-    nz = np.nonzero(counts)[0]
-    for key in nz.tolist():
-        x = (ctx.from_index(key // P), ctx.from_index(key % P))
-        table[x] = int(counts[key])
-    return table
+    return _table_from_counts(2, ctx, counts)
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
     """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}."""
-    key = _fiber_key(n, ctx, x)
-    if n == 2 and ctx.field.k == 1 and ctx.size <= _NP_RING_LIMIT:
-        _check_sweep(n, ctx)
-        return fiber_table(n, ctx).get(key, 0)
+    total, hit = _target_space(n, ctx, "fiber", x=x)
     _check_sweep(n, ctx)
-    total = 0
-    for A in enumerate_matrices(n, ctx):
-        if charpoly(A).c == key:
-            total += 1
-    return total
+    return _count_hits(hit, 0, total)
 
 
 def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
@@ -208,60 +324,11 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
-    """#J_m(N)(F_q): the fiber over x = 0, with base-layer pruning."""
-    zero = tuple(ctx.zero for _ in range(n))
-    if n == 2 and ctx.field.k == 1 and ctx.size <= _NP_RING_LIMIT:
-        _check_sweep(n, ctx)
-        return fiber_table(n, ctx).get(zero, 0)
-    total = 0
-    for base, hi_total, decode in _nilcone_space(n, ctx):
-        for h in range(hi_total):
-            if is_nilpotent_jet(decode(base, h)):
-                total += 1
-    return total
-
-
-def nilpotent_base_matrices(n: int, ctx0: TruncCtx) -> List[tuple]:
-    """m=0 nilpotent matrices (flat entry tuples of field codes), in sweep order."""
-    field = ctx0.field
-    out = []
-    for flat in itertools.product(range(field.q), repeat=n * n):
-        rows = tuple(tuple((flat[i * n + j],) for j in range(n)) for i in range(n))
-        if is_nilpotent_jet(JetMatrix(ctx0, n, rows)):
-            out.append(flat)
-    return out
-
-
-def _nilcone_space(n: int, ctx: TruncCtx):
-    """Pruned enumeration: nilpotent base layer outermost, then the free
-    higher t-coefficients of every entry (reduction J_m(N) -> J_0(N))."""
+    """#J_m(N)(F_q): the fiber over x = 0, swept over the jets of the m = 0
+    nilpotent matrices only (J_m(N) lies over J_0(N))."""
     _check_sweep(n, ctx)
-    field = ctx.field
-    m = ctx.m
-    ctx0 = trunc_make(field, 0)
-    bases = nilpotent_base_matrices(n, ctx0)
-    q = field.q
-    hi_total = q ** (m * n * n)
-
-    def decode(base_flat: tuple, h: int) -> JetMatrix:
-        # per-entry higher coefficients, entry (0,0) outermost, t^1 outermost
-        digits = []
-        for _ in range(m * n * n):
-            digits.append(h % q)
-            h //= q
-        digits.reverse()
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = i * n + j
-                hi = digits[e * m:(e + 1) * m]
-                row.append((base_flat[e],) + tuple(hi))
-            rows.append(tuple(row))
-        return JetMatrix(ctx, n, tuple(rows))
-
-    for base in bases:
-        yield base, hi_total, decode
+    total, hit = _target_space(n, ctx, "nilcone")
+    return _count_hits(hit, 0, total)
 
 
 def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
@@ -297,52 +364,6 @@ def run_query(query: CountQuery) -> CountRecord:
 # sharded, checkpointed counting
 # --------------------------------------------------------------------------
 
-def _shard_space(query: CountQuery, ctx: TruncCtx):
-    """(total index count, decode, predicate) for the pure counting fold."""
-    n = query.n
-    if query.kind == "nilcone":
-        field = ctx.field
-        ctx0 = trunc_make(field, 0)
-        bases = nilpotent_base_matrices(n, ctx0)
-        hi_total = field.q ** (ctx.m * n * n)
-        gen = _nilcone_space(n, ctx)
-        decode_inner = None
-        for _b, _t, dec in gen:
-            decode_inner = dec
-            break
-
-        def decode(idx: int) -> JetMatrix:
-            return decode_inner(bases[idx // hi_total], idx % hi_total)
-
-        return len(bases) * hi_total, decode, is_nilpotent_jet
-    if query.kind == "fiber":
-        key = _fiber_key(n, ctx, query.x)
-        total = matrix_space_size(n, ctx)
-
-        def decode(idx: int) -> JetMatrix:
-            return matrix_from_index(n, ctx, idx)
-
-        return total, decode, lambda A: charpoly(A).c == key
-    if query.kind == "gi":
-        i = query.i
-        total = matrix_space_size(n, ctx) ** i
-
-        def decode(idx: int):
-            P = matrix_space_size(n, ctx)
-            mats = []
-            for _ in range(i):
-                mats.append(matrix_from_index(n, ctx, idx % P))
-                idx //= P
-            return mats
-
-        def pred(mats) -> bool:
-            first = charpoly(mats[0]).c
-            return all(charpoly(A).c == first for A in mats[1:])
-
-        return total, decode, pred
-    raise BadConfig("fibertable target is not shardable")
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -363,9 +384,11 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     if not (0 <= shard_id < shards):
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")
     ctx = query.ctx()
-    if matrix_space_size(query.n, ctx) > SHARD_GUARD:
+    if matrix_space_size(query.n, ctx) > SHARD_GUARD:  # before the nilcone base sweep
         raise TooLarge("query exceeds the per-shard-set guard 2^40")
-    total, decode, pred = _shard_space(query, ctx)
+    total, hit = _target_space(query.n, ctx, query.kind, query.x, query.i)
+    if total > SHARD_GUARD:  # gi enumerates i-tuples of matrices
+        raise TooLarge(f"{total} shard indices exceed the per-shard-set guard 2^40")
     lo = shard_id * total // shards
     hi = (shard_id + 1) * total // shards
     pos, subtotal, lines = lo, 0, []
@@ -374,9 +397,7 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     t0 = time.monotonic()
     while pos < hi:
         end = min(pos + chunk, hi)
-        for idx in range(pos, end):
-            if pred(decode(idx)):
-                subtotal += 1
+        subtotal += _count_hits(hit, pos, end)
         pos = end
         if checkpoint_path:
             lines.append(json.dumps({

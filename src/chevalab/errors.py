@@ -51,3 +51,7 @@ class BadConfig(ChevalabError):
 
 class IoError(ChevalabError):
     pass
+
+
+class TheoremCheckFailed(ChevalabError):
+    """A computed value contradicts the closed form or bound it must satisfy."""

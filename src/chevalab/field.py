@@ -11,8 +11,11 @@ lexicographically with the t^0 coefficient outermost.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import CtxMismatch, NoModulusInTable, NonPrime, TooLarge
 
@@ -27,6 +30,8 @@ MAX_K = 16
 
 # Multiplication tables are only materialized for small fields.
 _TABLE_LIMIT = 512
+# Largest ring q^(m+1) with dense add/mul tables: two P*P int64 arrays, 16 MB at the limit.
+RING_TABLE_LIMIT = 1 << 10
 
 
 def _is_prime(p: int) -> bool:
@@ -400,6 +405,41 @@ class TruncCtx:
 
 def trunc_make(field: FieldCtx, m: int) -> TruncCtx:
     return TruncCtx(field, m)
+
+
+class RingTables(NamedTuple):
+    """Dense arithmetic of R_m on ring indices (``TruncCtx.index``): the sum
+    of elements x and y has index ``add[x * P + y]``, the product
+    ``mul[x * P + y]``, the negative of x ``neg[x]``.  Arrays are read-only."""
+
+    P: int
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def ring_tables(ctx: TruncCtx) -> RingTables:
+    """The tables of ``ctx``, built once per ``ctx.key()``; valid for any k and m."""
+    P = ctx.size
+    if P > RING_TABLE_LIMIT:
+        raise TooLarge(f"ring of size {P} exceeds the dense-table limit {RING_TABLE_LIMIT}")
+    sers = [ctx.from_index(i) for i in range(P)]
+    add = np.zeros((P, P), dtype=np.int64)
+    mul = np.zeros((P, P), dtype=np.int64)
+    neg = np.zeros(P, dtype=np.int64)
+    for i, a in enumerate(sers):
+        neg[i] = ctx.index(ctx.neg(a))
+        for j in range(i, P):
+            b = sers[j]
+            s = ctx.index(ctx.add(a, b))
+            p = ctx.index(ctx.mul(a, b))
+            add[i, j] = add[j, i] = s
+            mul[i, j] = mul[j, i] = p
+    tabs = RingTables(P, add.ravel(), mul.ravel(), neg)
+    for arr in tabs[1:]:
+        arr.flags.writeable = False
+    return tabs
 
 
 def ts_mul(ctx: TruncCtx, a: tuple, b: tuple) -> tuple:

@@ -5,17 +5,27 @@ The sign convention for the characteristic polynomial is fixed everywhere as
 
     charpoly(A)(z) = det(zI - A) = z^n + c_1 z^(n-1) + ... + c_n.
 
-R_m has nilpotents, so all polynomial computations are division-free: small n
-uses direct minor expansion, the general case the Samuelson-Berkowitz scheme.
+R_m has nilpotents, so all polynomial computations are division-free.  Two
+engines compute the characteristic polynomial:
+
+* ``charpoly_batch``: Samuelson-Berkowitz over arrays of ring indices with
+  the dense tables of ``field.ring_tables``, one matrix per array element.
+  Every exhaustive sweep and shard in ``counting`` and the exhaustive slice
+  audit run on it.
+* ``charpoly``: one ``JetMatrix`` at a time, by direct minor expansion for
+  n <= 3 and Samuelson-Berkowitz above.  It is the readable reference that
+  the batched engine is tested against, and serves single matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .errors import CtxMismatch, SizeTooSmall
-from .field import FieldCtx, TruncCtx
+from .field import FieldCtx, RingTables, TruncCtx
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,45 @@ def _dot(ctx: TruncCtx, xs, ys) -> tuple:
     for x, y in zip(xs, ys):
         acc = ctx.add(acc, ctx.mul(x, y))
     return acc
+
+
+def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
+    """Samuelson-Berkowitz on ring indices, elementwise across a batch.
+
+    ``entries[i][j]`` is an int64 array of ring indices or a scalar broadcast
+    against the others; ``tabs`` is ``field.ring_tables(ctx)``.  Returns
+    ``[c_1, ..., c_n]`` as ring-index arrays of the broadcast shape, the
+    same coefficients as ``charpoly_berkowitz`` on each matrix.
+    """
+    P, add, mul, neg = tabs
+
+    def dot(xs, ys):
+        acc = mul[xs[0] * P + ys[0]]
+        for x, y in zip(xs[1:], ys[1:]):
+            acc = add[acc * P + mul[x * P + y]]
+        return acc
+
+    e = entries
+    coeffs: list = []  # c_1..c_i of the leading i x i block; c_0 = 1 is implicit
+    for i in range(n):
+        row = [e[i][j] for j in range(i)]
+        # toep[j] for j >= 1: -a, -row.col, -row.A.col, ...; toep[0] = 1 is implicit
+        toep = [None, neg[e[i][i]]]
+        w = [e[j][i] for j in range(i)]
+        for j in range(2, i + 2):
+            toep.append(neg[dot(row, w)])
+            if j <= i:
+                w = [dot([e[r][s] for s in range(i)], w) for r in range(i)]
+        new = []
+        for r in range(1, i + 2):
+            acc = toep[r]
+            for s in range(1, min(r, i) + 1):
+                term = coeffs[s - 1] if s == r else mul[toep[r - s] * P + coeffs[s - 1]]
+                acc = add[acc * P + term]
+            new.append(acc)
+        coeffs = new
+    shape = np.broadcast_shapes(*(np.shape(x) for r in e for x in r))
+    return [np.broadcast_to(c, shape) for c in coeffs]
 
 
 def is_nilpotent_jet(A: JetMatrix) -> bool:

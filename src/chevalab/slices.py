@@ -16,11 +16,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadConfig, TooLarge
-from .field import FieldCtx, TruncCtx, trunc_make
+from .errors import BadConfig, TheoremCheckFailed, TooLarge
+from .field import FieldCtx, TruncCtx, ring_tables, trunc_make
 from .matrices import (CharCoeffs, JetMatrix, bracket_rank, charpoly,
-                       is_nilpotent_jet, mat_zero, rank_over_field,
-                       scale_coeffs)
+                       charpoly_batch, is_nilpotent_jet, mat_zero,
+                       rank_over_field, scale_coeffs)
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,16 @@ def exponent_sum(partition: Partition, kind: str = "L") -> int:
     basis = slice_basis(partition, kind)
     total = sum(basis.exponents())
     if kind == "L":
-        assert total == exponent_sum_formula(partition)
+        expected = exponent_sum_formula(partition)
     else:
         # M drops x_nn (weight-1 coordinate, present iff the last part is 1)
         # and adjoins the weight-1 center line.
         l_total = exponent_sum(partition, "L")
         dropped = 1 if partition.parts[-1] == 1 else 0
-        assert total == l_total - dropped + 1
+        expected = l_total - dropped + 1
+    if total != expected:
+        raise TheoremCheckFailed(
+            f"kind-{kind} exponent sum {total} of {partition.parts} != closed form {expected}")
     return total
 
 
@@ -270,7 +273,7 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     dim = basis.dim
     sweep = (q - 1) * q ** dim
     if sweep <= exhaustive_limit:
-        if field.k == 1 and q ** dim > 1 << 10:
+        if q ** dim > 1 << 10:
             return _equivariance_exhaustive_np(basis, field)
         return _equivariance_exhaustive(basis, field)
     return _equivariance_sampled(basis, field, samples, seed)
@@ -317,84 +320,37 @@ def _equivariance_sampled(basis: SliceBasis, field: FieldCtx,
 
 
 def _equivariance_exhaustive_np(basis: SliceBasis, field: FieldCtx) -> bool:
-    """Vectorized m=0 exhaustive sweep for prime fields."""
-    p = field.ell
+    """Vectorized m=0 exhaustive sweep through charpoly_batch."""
+    P, add, mul, _ = tabs = ring_tables(trunc_make(field, 0))
     n = basis.n
     dim = basis.dim
-    B = p ** dim
-    idx = np.arange(B, dtype=np.int64)
-    coords = []
-    for d in range(dim):
-        coords.append((idx // p ** (dim - 1 - d)) % p)
+    idx = np.arange(P ** dim, dtype=np.int64)
+    coords = [(idx // P ** (dim - 1 - d)) % P for d in range(dim)]
     x = jordan_matrix(basis.partition, field)
-    base_entries = [[np.full(B, x.entries[i][j][0], dtype=np.int64) for j in range(n)]
-                    for i in range(n)]
 
-    def build(scale_by=None):
-        ent = [[arr.copy() for arr in row] for row in base_entries]
-        for d, e in enumerate(basis.entries):
-            c = coords[d]
-            if scale_by is not None:
-                c = (c * pow(scale_by, e.exponent, p)) % p
-            ent[e.row][e.col] = (ent[e.row][e.col] + c) % p
+    def build(lam=None):
+        ent = [[x.entries[i][j][0] for j in range(n)] for i in range(n)]
+        for c, e in zip(coords, basis.entries):
+            if lam is not None:
+                c = mul[c * P + field.pow(lam, e.exponent)]
+            ent[e.row][e.col] = add[ent[e.row][e.col] * P + c]
         if basis.has_center:
             zc = coords[len(basis.entries)]
-            if scale_by is not None:
-                zc = (zc * scale_by) % p
+            if lam is not None:
+                zc = mul[zc * P + lam]
             for i in range(n):
-                ent[i][i] = (ent[i][i] + zc) % p
+                ent[i][i] = add[ent[i][i] * P + zc]
         return ent
 
-    base_cp = charpoly_batch_m0(n, p, build())
-    for lam in range(1, p):
-        cp = charpoly_batch_m0(n, p, build(lam))
+    base_cp = charpoly_batch(n, tabs, build())
+    for lam in range(1, P):
+        cp = charpoly_batch(n, tabs, build(lam))
         w = 1
         for i in range(n):
-            w = (w * lam) % p
-            if not np.array_equal(cp[i], (base_cp[i] * w) % p):
+            w = field.mul(w, lam)
+            if not np.array_equal(cp[i], mul[base_cp[i] * P + w]):
                 return False
     return True
-
-
-def charpoly_batch_m0(n: int, p: int, entries) -> List[np.ndarray]:
-    """Samuelson-Berkowitz over Z/p, elementwise across a batch of matrices.
-
-    entries[i][j] are int64 arrays of equal shape; returns [c_1, ..., c_n].
-    """
-    one = np.ones_like(entries[0][0])
-    zero = np.zeros_like(entries[0][0])
-    coeffs = [one]
-    for i in range(n):
-        a = entries[i][i]
-        row = [entries[i][j] for j in range(i)]
-        col = [entries[j][i] for j in range(i)]
-        toep = [one, (-a) % p]
-        w = col
-        for j in range(2, i + 2):
-            acc = zero.copy()
-            for r, wr in zip(row, w):
-                acc = (acc + r * wr) % p
-            toep.append((-acc) % p)
-            if j <= i:
-                w = [
-                    _np_dot([entries[r][s] for s in range(i)], w, p) for r in range(i)
-                ]
-        new = []
-        for r in range(i + 2):
-            acc = zero.copy()
-            for s in range(min(r, i) + 1):
-                if r - s < len(toep):
-                    acc = (acc + toep[r - s] * coeffs[s]) % p
-            new.append(acc)
-        coeffs = new
-    return coeffs[1:]
-
-
-def _np_dot(xs, ys, p):
-    acc = np.zeros_like(xs[0]) if xs else 0
-    for x, y in zip(xs, ys):
-        acc = (acc + x * y) % p
-    return acc
 
 
 def audit_orbit_jump(partition: Partition, field: FieldCtx,

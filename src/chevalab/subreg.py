@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .counting import FiberKey
-from .errors import TooLarge, WrongCharacteristic
+from .errors import TheoremCheckFailed, TooLarge, WrongCharacteristic
 from .field import FieldCtx, TruncCtx, trunc_make
 from .matrices import CharCoeffs, JetMatrix, charpoly, companion, shift_scalar
 
@@ -101,7 +101,9 @@ def h_formula(g: CharCoeffs, field: FieldCtx, M: int) -> Fraction:
     coeffs = _monic_low_coeffs(g, ctx)
     integral = val_integral(coeffs, field, M)
     h = Fraction(q - 1, q) * (integral + 1)
-    assert h <= Fraction(g.n, field.ell) + 1
+    bound = Fraction(g.n, field.ell) + 1
+    if h > bound:
+        raise TheoremCheckFailed(f"h(g) = {h} exceeds the bound n/ell + 1 = {bound}")
     return h
 
 

@@ -121,6 +121,28 @@ def test_bad_config_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--target", "fiber", "--m", "0", "--x", "a|b"],
+    ["val-int", "--poly", "1,x"],
+])
+def test_malformed_number_exit_2(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+
+
+def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
+    rec = json.loads(run_query(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone")).to_json())
+    rec["bogus"] = 1
+    path = tmp_path / "recs.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    code = main(["fit-dim", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

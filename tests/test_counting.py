@@ -16,6 +16,7 @@ from chevalab.counting import (
     expected_dimension_rate,
     fiber_table,
     fit_dimension,
+    matrix_from_index,
     matrix_space_size,
     run_query,
 )
@@ -24,8 +25,10 @@ from chevalab.errors import (
     CorruptCheckpoint,
     InsufficientData,
     ShardOutOfRange,
+    TooLarge,
 )
-from chevalab.field import field_make, trunc_make
+from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
+from chevalab.matrices import charpoly
 
 from oracles import fiber_counts_oracle
 
@@ -93,6 +96,26 @@ def test_nilcone_counts():
     assert count_nilcone_jets(2, trunc_make(F3, 0)) == 9
 
 
+@pytest.mark.parametrize("n,ell,k", [(3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2)])
+def test_nilcone_m0_fine_herstein(n, ell, k):
+    # the nilpotent n x n matrices over F_q number q^(n^2 - n)
+    q = ell ** k
+    assert count_nilcone_jets(n, trunc_make(field_make(ell, k), 0)) == q ** (n * n - n)
+
+
+def test_ring_past_table_limit_n1():
+    # no dense tables past the limit: n = 1 sweeps run on the scalar engine
+    ctx = trunc_make(F2, 10)
+    assert ctx.size > RING_TABLE_LIMIT
+    assert count_nilcone_jets(1, ctx) == 1
+    t = fiber_table(1, ctx)
+    assert len(t) == ctx.size and set(t.values()) == {1}
+    x = (ctx.t_power(3),)
+    assert count_jet_fiber(1, ctx, x) == 1
+    q = CountQuery(n=1, ell=2, k=1, m=10, kind="fiber", x=x)
+    assert sum(count_sharded(q, 3, s).count for s in range(3)) == 1
+
+
 def test_nilcone_matches_zero_fiber():
     for ell, m in [(2, 0), (2, 1), (3, 0), (3, 1)]:
         ctx = trunc_make(field_make(ell), m)
@@ -154,6 +177,40 @@ def test_sharding_gi(tmp_path):
     q = CountQuery(n=2, ell=2, k=1, m=0, kind="gi", i=2)
     parts = [count_sharded(q, 3, s, str(tmp_path / f"g{s}.jsonl")) for s in range(3)]
     assert sum(p.count for p in parts) == 72
+
+
+def test_gi_shard_guard_counts_tuples():
+    # i-tuples: (2^8)^6 = 2^48 indices, past the 2^40 guard
+    q = CountQuery(2, 2, 1, 1, "gi", i=6)
+    with pytest.raises(TooLarge):
+        count_sharded(q, 1, 0)
+
+
+def _shard_range(total, shards, s):
+    return s * total // shards, (s + 1) * total // shards
+
+
+def test_shard_subtotals_match_scalar_engine():
+    ctx = trunc_make(F3, 0)
+    x = charpoly(matrix_from_index(3, ctx, 12345)).c
+    q = CountQuery(n=3, ell=3, k=1, m=0, kind="fiber", x=x)
+    total = matrix_space_size(3, ctx)
+    for s in range(4):
+        lo, hi = _shard_range(total, 4, s)
+        scalar = sum(1 for idx in range(lo, hi) if charpoly(matrix_from_index(3, ctx, idx)).c == x)
+        assert count_sharded(q, 4, s).count == scalar
+
+
+def test_checkpoint_journal_steps_by_chunk(tmp_path):
+    x = charpoly(matrix_from_index(3, trunc_make(F3, 0), 777)).c
+    q = CountQuery(n=3, ell=3, k=1, m=0, kind="fiber", x=x)
+    path = str(tmp_path / "steps.jsonl")
+    rec = count_sharded(q, 4, 1, path, chunk=128)
+    lo, hi = _shard_range(3 ** 9, 4, 1)
+    with open(path) as fh:
+        journal = [json.loads(line) for line in fh]
+    assert [j["next_index"] for j in journal] == list(range(lo + 128, hi, 128)) + [hi]
+    assert int(journal[-1]["subtotal"]) == rec.count
 
 
 def test_shard_out_of_range(tmp_path):

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevalab.errors import CtxMismatch, SizeTooSmall
-from chevalab.field import field_make, trunc_make
+from chevalab.field import field_make, ring_tables, trunc_make
 from chevalab.matrices import (
     CharCoeffs,
     bracket_rank,
     charpoly,
+    charpoly_batch,
     charpoly_berkowitz,
     charpoly_shift,
     companion,
@@ -206,3 +209,26 @@ def test_bracket_rank_values():
     assert bracket_rank(j3) == 6
     with pytest.raises(CtxMismatch):
         bracket_rank(mat_zero(trunc_make(F2, 1), 2))
+
+
+@given(n=st.integers(1, 4), ell_k=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+       m=st.integers(0, 2), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_charpoly_batch_matches_scalar_and_oracle(n, ell_k, m, data):
+    ctx = trunc_make(field_make(*ell_k), m)
+    batch = 3
+    ring_index = st.integers(0, ctx.size - 1)
+    cols = data.draw(st.lists(st.lists(ring_index, min_size=batch, max_size=batch),
+                              min_size=n * n, max_size=n * n))
+    entries = [[np.array(cols[i * n + j], dtype=np.int64) for j in range(n)] for i in range(n)]
+    if n > 1:  # one entry passed as a scalar, broadcast over the batch
+        i0, j0 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        entries[i0][j0] = cols[i0 * n + j0][0]
+    got = charpoly_batch(n, ring_tables(ctx), entries)
+    assert [c.shape for c in got] == [(batch,)] * n
+    for b in range(batch):
+        rows = [[ctx.from_index(int(np.broadcast_to(entries[i][j], (batch,))[b])) for j in range(n)]
+                for i in range(n)]
+        expect = charpoly(mat_make(ctx, rows)).c
+        assert tuple(ctx.from_index(int(c[b])) for c in got) == expect
+        assert expect == charpoly_oracle(ctx, rows)

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import chevalab
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +159,35 @@ def test_equivariance_sampled_larger():
 def test_equivariance_numpy_batch_path():
     # forces the vectorized exhaustive branch: 2^13 > 2^10 points
     assert audit_equivariance(Partition((1, 1, 1, 1)), "L", F2)
+
+
+def test_equivariance_batch_path_extension_field():
+    from chevalab.slices import _equivariance_exhaustive, _equivariance_exhaustive_np
+    F4 = field_make(2, 2)
+    for parts, kind in [((1, 1), "L"), ((1, 1), "M"), ((2,), "L")]:
+        basis = slice_basis(Partition(parts), kind)
+        assert _equivariance_exhaustive_np(basis, F4) == _equivariance_exhaustive(basis, F4)
+
+
+def test_theorem_check_survives_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from chevalab import slices
+        from chevalab.errors import TheoremCheckFailed
+        assert False, "asserts must be stripped: run under python -O"
+        formula = slices.exponent_sum_formula
+        slices.exponent_sum_formula = lambda p: formula(p) + 1
+        try:
+            slices.exponent_sum(slices.Partition((2, 1)))
+        except TheoremCheckFailed:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = str(Path(chevalab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_orbit_jump():
