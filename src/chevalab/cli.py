@@ -1,27 +1,26 @@
 """Command-line driver.
 
 Exit codes: 0 on success/pass, 1 on any audit failure, 2 on config errors.
-Thread count comes from --threads or JETFORGE_THREADS; results are
-independent of it because shard subtotals combine by exact addition.
+``count --shards S`` runs the S shards one after another and adds their
+subtotals; to run shards in parallel, start one process per ``--shard-id``
+and add the subtotals they print.  ``--threads`` is still accepted and
+selects nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import counting, measure, slices, subreg
-from .counting import CountQuery, CountRecord, combine_records, count_sharded, fit_dimension, run_query
+from . import measure, slices, subreg
+from .counting import CountQuery, combine_records, count_sharded, fit_dimension, run_query
 from .errors import BadConfig, ChevalabError
 from .field import field_make, trunc_make
-from .matrices import CharCoeffs
 from .reporting import Report, atomic_write_text, emit, load_jsonl
 
 
@@ -48,19 +47,8 @@ class RunConfig:
     samples: int = 1000
     limit: int = 3
     poly: Optional[str] = None
-    threads: int = 0
+    threads: int = 0  # parsed for old command lines; selects nothing
     inputs: Optional[str] = None
-
-    def thread_count(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("JETFORGE_THREADS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise BadConfig(f"bad JETFORGE_THREADS value {env!r}")
-        return os.cpu_count() or 1
 
 
 def _parse_ints(text: str, sep: str, flag: str) -> List[int]:
@@ -90,13 +78,11 @@ def _run_count(cfg: RunConfig) -> Report:
     x = _parse_coeffs(cfg.x, ctx) if cfg.x else None
     query = CountQuery(cfg.n, cfg.ell, cfg.k, cfg.m, cfg.target, x=x, i=cfg.i)
     t0 = time.monotonic()
-    if cfg.shards > 1 and cfg.shard_id is None:
-        with ThreadPoolExecutor(max_workers=cfg.thread_count()) as pool:
-            futures = [pool.submit(count_sharded, query, cfg.shards, j, cfg.checkpoint and f"{cfg.checkpoint}.{j}")
-                       for j in range(cfg.shards)]
-            record = combine_records([f.result() for f in futures])
-    elif cfg.shard_id is not None:
+    if cfg.shard_id is not None:
         record = count_sharded(query, cfg.shards, cfg.shard_id, cfg.checkpoint)
+    elif cfg.shards > 1:
+        record = combine_records([count_sharded(query, cfg.shards, j, cfg.checkpoint and f"{cfg.checkpoint}.{j}")
+                                  for j in range(cfg.shards)])
     else:
         record = run_query(query)
     if cfg.out:
@@ -266,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--threads", type=int, default=0)
+        p.add_argument("--threads", type=int, default=0,
+                       help="ignored: shards run one after another; run one process "
+                            "per --shard-id to use more cores")
         p.add_argument("--out", default=None)
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
 

@@ -12,15 +12,21 @@ characteristic polynomials then give the counts.  The n = 2 fiber table for
 q^(m+1) <= 512 runs on ``_fiber_table_np``, which hoists b*c out of its loop.
 The scalar ``matrices.charpoly`` is the reference the kernel is tested
 against; it also takes the n = 1 sweeps over rings too large for dense tables.
+
+Sharding: ``count_sharded`` counts one contiguous slice of a target's
+enumeration order, so subtotals add up to the full count.  Shards run one
+after another in one process; separate processes, one per shard id, are the
+way to run them in parallel.  A shard's checkpoint is one JSON line holding
+its latest state, replaced atomically after every chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -32,9 +38,8 @@ from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
 from .field import (RING_TABLE_LIMIT, FieldCtx, TruncCtx, field_make,
                     ring_tables, trunc_make)
 from .matrices import CharCoeffs, JetMatrix, charpoly, charpoly_batch
+from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
-SCHEMA_VERSION = 1
-ENGINE_VERSION = "chevalab-0.1.0"
 SHARD_GUARD = 1 << 40
 SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
 _NP_RING_LIMIT = 512  # max q^(m+1) for the vectorized n=2 engine
@@ -73,37 +78,6 @@ class CountQuery:
         if self.i is not None:
             d["i"] = self.i
         return d
-
-
-@dataclass
-class CountRecord:
-    schema_version: int
-    n: int
-    ell: int
-    k: int
-    m: int
-    target: dict
-    count: int
-    shards: int = 1
-    shard_id: Optional[int] = None
-    elapsed_ms: int = 0
-    engine_version: str = ENGINE_VERSION
-
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["count"] = str(self.count)
-        return json.dumps(d, sort_keys=True)
-
-    @staticmethod
-    def from_json(line: str) -> "CountRecord":
-        try:
-            d = json.loads(line)
-            if "schema_version" not in d:
-                raise BadConfig("record missing schema_version")
-            d["count"] = int(d["count"])
-            return CountRecord(**d)
-        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad JSON
-            raise BadConfig(f"malformed count record: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +194,11 @@ def _table_from_counts(n: int, ctx: TruncCtx, counts: np.ndarray) -> Dict[FiberK
     return {_decode_key(n, ctx, code): int(counts[code]) for code in np.nonzero(counts)[0].tolist()}
 
 
+@functools.lru_cache(maxsize=4)
 def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
-    """m = 0 nilpotent matrices in sweep order, one row of n^2 field codes each."""
+    """m = 0 nilpotent matrices in sweep order, one row of n^2 field codes each;
+    built once per (n, field.key()) and read-only, since every nilcone shard
+    of a run starts from the same bases."""
     ctx0 = trunc_make(field, 0)
     q = field.q
     found = []
@@ -229,7 +206,9 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
         entries = _full_entries(n, q, idx)
         cells = np.stack([x for row in entries for x in row], axis=1)
         found.append(cells[_charpoly_keys(n, ctx0, entries) == 0])
-    return np.concatenate(found)
+    bases = np.concatenate(found)
+    bases.flags.writeable = False
+    return bases
 
 
 def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
@@ -346,7 +325,6 @@ def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
 
 def run_query(query: CountQuery) -> CountRecord:
     ctx = query.ctx()
-    t0 = time.monotonic()
     if query.kind == "nilcone":
         count = count_nilcone_jets(query.n, ctx)
     elif query.kind == "fiber":
@@ -355,31 +333,23 @@ def run_query(query: CountQuery) -> CountRecord:
         count = count_gi_jets(query.n, ctx, query.i)
     else:
         raise BadConfig("fibertable target has no single count; use fiber_table()")
-    ms = int((time.monotonic() - t0) * 1000)
     return CountRecord(SCHEMA_VERSION, query.n, query.ell, query.k, query.m,
-                       query.target_dict(), count, elapsed_ms=ms)
+                       query.target_dict(), count)
 
 
 # --------------------------------------------------------------------------
 # sharded, checkpointed counting
 # --------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def count_sharded(query: CountQuery, shards: int, shard_id: int,
                   checkpoint_path: Optional[str] = None,
                   chunk: int = 65536) -> CountRecord:
     """Subtotal for one shard of the enumeration; resumable from checkpoint.
 
-    Shards are contiguous prefixes of the fixed enumeration order, so the
-    split is reproducible across machines; subtotals add up to the full count.
+    Shards are contiguous slices of the fixed enumeration order, so the split
+    is reproducible across machines; subtotals add up to the full count.
+    After every chunk the checkpoint is replaced by one line holding the
+    latest state: the query, the shard, the next index and the subtotal.
     """
     if not (0 <= shard_id < shards):
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")
@@ -391,26 +361,22 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
         raise TooLarge(f"{total} shard indices exceed the per-shard-set guard 2^40")
     lo = shard_id * total // shards
     hi = (shard_id + 1) * total // shards
-    pos, subtotal, lines = lo, 0, []
+    pos, subtotal = lo, 0
     if checkpoint_path and os.path.exists(checkpoint_path):
-        pos, subtotal, lines = _read_checkpoint(checkpoint_path, query, shards, shard_id, lo, hi)
-    t0 = time.monotonic()
+        pos, subtotal = _read_checkpoint(checkpoint_path, query, shards, shard_id, lo, hi)
     while pos < hi:
         end = min(pos + chunk, hi)
         subtotal += _count_hits(hit, pos, end)
         pos = end
         if checkpoint_path:
-            lines.append(json.dumps({
+            atomic_write_text(checkpoint_path, json.dumps({
                 "schema_version": SCHEMA_VERSION,
                 "query": _query_sig(query),
                 "shards": shards, "shard_id": shard_id,
                 "next_index": pos, "subtotal": str(subtotal),
-            }, sort_keys=True))
-            _atomic_write(checkpoint_path, "\n".join(lines) + "\n")
-    ms = int((time.monotonic() - t0) * 1000)
+            }, sort_keys=True) + "\n")
     return CountRecord(SCHEMA_VERSION, query.n, query.ell, query.k, query.m,
-                       query.target_dict(), subtotal, shards=shards,
-                       shard_id=shard_id, elapsed_ms=ms)
+                       query.target_dict(), subtotal, shards=shards, shard_id=shard_id)
 
 
 def _query_sig(query: CountQuery) -> dict:
@@ -419,12 +385,14 @@ def _query_sig(query: CountQuery) -> dict:
 
 
 def _read_checkpoint(path: str, query: CountQuery, shards: int, shard_id: int,
-                     lo: int, hi: int):
+                     lo: int, hi: int) -> Tuple[int, int]:
+    """(next index, subtotal) from the last non-empty line, so that a
+    multi-line journal of an older version resumes as well."""
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = [ln for ln in fh if ln.strip()]
         if not lines:
-            return lo, 0, []
+            return lo, 0
         last = json.loads(lines[-1])
         if (last.get("schema_version") != SCHEMA_VERSION
                 or last.get("query") != _query_sig(query)
@@ -435,7 +403,7 @@ def _read_checkpoint(path: str, query: CountQuery, shards: int, shard_id: int,
         subtotal = int(last["subtotal"])
         if not (lo <= pos <= hi):
             raise CorruptCheckpoint(f"checkpoint position {pos} outside shard range")
-        return pos, subtotal, lines
+        return pos, subtotal
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint {path}: {exc}") from exc
 
@@ -449,8 +417,7 @@ def combine_records(partials: Sequence[CountRecord]) -> CountRecord:
             raise BadConfig("cannot combine records of different queries")
     total = sum(r.count for r in partials)
     return CountRecord(SCHEMA_VERSION, head.n, head.ell, head.k, head.m,
-                       head.target, total, shards=head.shards, shard_id=None,
-                       elapsed_ms=sum(r.elapsed_ms for r in partials))
+                       head.target, total, shards=head.shards, shard_id=None)
 
 
 # --------------------------------------------------------------------------

@@ -341,11 +341,11 @@ def rank_over_field(rows: Sequence[Sequence[int]], field: FieldCtx) -> int:
     return rank
 
 
-def bracket_rank(x: JetMatrix) -> int:
-    """Rank of ad_x : gl_n(F_q) -> gl_n(F_q); requires m = 0."""
+def ad_rows(x: JetMatrix) -> List[List[int]]:
+    """The vectors of [x, E_ab] over F_q, one row per (a, b); requires m = 0."""
     ctx = x.ctx
     if ctx.m != 0:
-        raise CtxMismatch("bracket_rank is defined at jet order m = 0")
+        raise CtxMismatch("ad_x is taken at jet order m = 0")
     field = ctx.field
     n = x.n
     xm = [[x.entries[i][j][0] for j in range(n)] for i in range(n)]
@@ -359,4 +359,9 @@ def bracket_rank(x: JetMatrix) -> int:
             for j in range(n):
                 out[a][j] = field.sub(out[a][j], xm[b][j])
             rows.append([out[i][j] for i in range(n) for j in range(n)])
-    return rank_over_field(rows, field)
+    return rows
+
+
+def bracket_rank(x: JetMatrix) -> int:
+    """Rank of ad_x : gl_n(F_q) -> gl_n(F_q); requires m = 0."""
+    return rank_over_field(ad_rows(x), x.ctx.field)

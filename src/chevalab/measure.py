@@ -9,15 +9,15 @@ unweighted boxes x + t^M O^n (density profiles) and weighted ellipsoids
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .counting import FiberKey, count_jet_fiber, fiber_table
 from .errors import LevelTooLow, TooLarge, WrongCharacteristic
-from .field import FieldCtx, TruncCtx, trunc_make
+from .field import FieldCtx, trunc_make
+from .reporting import atomic_write_text, emit_csv
 
 
 @dataclass
@@ -160,13 +160,8 @@ def _q_exponent(denom: int, q: int) -> int:
 
 
 def profile_to_csv(profile: DensityProfile, path: str) -> None:
-    rows = profile_rows(profile)
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["box", "fiber_count", "f_numerator",
-                                           "f_denominator_exp"])
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    emit_csv(profile_rows(profile), ["box", "fiber_count", "f_numerator", "f_denominator_exp"],
+             path, lineterminator="\r\n")
 
 
 def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
@@ -184,6 +179,4 @@ def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
 
 
 def summary_to_json(summary: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")

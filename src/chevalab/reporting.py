@@ -1,7 +1,7 @@
-"""Persistence and report plumbing: JSON-lines journals, CSV tables, and the
-per-run report object.  All writes are atomic (write to temp, rename) and
-byte-reproducible for identical inputs; wall time lives in a separate field
-excluded from the determinism contract.
+"""Persistence and report plumbing: count records, JSON-lines journals, CSV
+tables, and the per-run report object.  All writes are atomic (write to
+temp, rename) and byte-reproducible for identical inputs; wall time lives in
+``Report.wall_ms``, excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -13,8 +13,41 @@ import os
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence
 
-from .counting import SCHEMA_VERSION, CountRecord
-from .errors import IoError
+from .errors import BadConfig, IoError
+
+SCHEMA_VERSION = 1
+ENGINE_VERSION = "chevalab-0.1.0"
+
+
+@dataclass
+class CountRecord:
+    schema_version: int
+    n: int
+    ell: int
+    k: int
+    m: int
+    target: dict
+    count: int
+    shards: int = 1
+    shard_id: Optional[int] = None
+    engine_version: str = ENGINE_VERSION
+
+    def to_json(self) -> str:
+        d = dict(self.__dict__)
+        d["count"] = str(self.count)
+        return json.dumps(d, sort_keys=True)
+
+    @staticmethod
+    def from_json(line: str) -> "CountRecord":
+        try:
+            d = json.loads(line)
+            if "schema_version" not in d:
+                raise BadConfig("record missing schema_version")
+            d["count"] = int(d["count"])
+            d.pop("elapsed_ms", None)  # wall time that older records carried
+            return CountRecord(**d)
+        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad JSON
+            raise BadConfig(f"malformed count record: {exc}") from exc
 
 
 @dataclass
@@ -42,9 +75,10 @@ class Report:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path verbatim: temp file, fsync, rename."""
     try:
         tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
@@ -65,9 +99,10 @@ def load_jsonl(path: str) -> List[CountRecord]:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def emit_csv(rows: Sequence[dict], fieldnames: Sequence[str], path: str) -> None:
+def emit_csv(rows: Sequence[dict], fieldnames: Sequence[str], path: str,
+             lineterminator: str = "\n") -> None:
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
+    w = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator=lineterminator)
     w.writeheader()
     for row in rows:
         w.writerow(row)

@@ -12,15 +12,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
 from .field import FieldCtx, TruncCtx, ring_tables, trunc_make
-from .matrices import (CharCoeffs, JetMatrix, bracket_rank, charpoly,
-                       charpoly_batch, is_nilpotent_jet, mat_zero,
-                       rank_over_field, scale_coeffs)
+from .matrices import (JetMatrix, ad_rows, bracket_rank, charpoly,
+                       charpoly_batch, is_nilpotent_jet, rank_over_field,
+                       scale_coeffs)
 
 
 @dataclass(frozen=True)
@@ -240,22 +240,13 @@ def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
     x = jordan_matrix(partition, field)
     basis = slice_basis(partition, "L")
     n = partition.n
-    xm = [[x.entries[i][j][0] for j in range(n)] for i in range(n)]
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            out = [[0] * n for _ in range(n)]
-            for i in range(n):
-                out[i][b] = field.add(out[i][b], xm[i][a])
-            for j in range(n):
-                out[a][j] = field.sub(out[a][j], xm[b][j])
-            rows.append([out[i][j] for i in range(n) for j in range(n)])
+    rows = ad_rows(x)
+    expected = (rank_over_field(rows, field) + len(basis.entries)) == n * n
     for e in basis.entries:
         vec = [0] * (n * n)
         vec[e.row * n + e.col] = 1
         rows.append(vec)
     full = rank_over_field(rows, field) == n * n
-    expected = (bracket_rank(x) + len(basis.entries)) == n * n
     return full and expected
 
 
@@ -265,25 +256,19 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     """charpoly(lambda * (x + A)) = lambda . charpoly(x + A), with lambda
     acting on coefficients by weights (1, ..., n).
 
-    Exhaustive at m=0 when the sweep fits the limit, else seeded samples
-    with series coordinates at m = 1.
+    Exhaustive at m=0 through charpoly_batch when the sweep fits the limit,
+    else seeded samples with series coordinates at m = 1.
     """
     basis = slice_basis(partition, kind)
-    q = field.q
-    dim = basis.dim
-    sweep = (q - 1) * q ** dim
-    if sweep <= exhaustive_limit:
-        if q ** dim > 1 << 10:
-            return _equivariance_exhaustive_np(basis, field)
-        return _equivariance_exhaustive(basis, field)
+    if (field.q - 1) * field.q ** basis.dim <= exhaustive_limit:
+        return _equivariance_exhaustive_np(basis, field)
     return _equivariance_sampled(basis, field, samples, seed)
 
 
-def _lam_action(f: CharCoeffs, lam: int) -> CharCoeffs:
-    return scale_coeffs(f, lam)
-
-
 def _equivariance_exhaustive(basis: SliceBasis, field: FieldCtx) -> bool:
+    """The m=0 exhaustive audit one point at a time through the scalar
+    charpoly.  Not used by audit_equivariance: it is the reference that the
+    tests compare _equivariance_exhaustive_np against."""
     ctx = trunc_make(field, 0)
     ncoords = len(basis.entries)
     for raw in itertools.product(range(field.q), repeat=basis.dim):
@@ -295,7 +280,7 @@ def _equivariance_exhaustive(basis: SliceBasis, field: FieldCtx) -> bool:
             sc = _scaled_coords(basis, field, ctx, coords, lam)
             sz = ctx.smul(lam, z) if z is not None else None
             As = slice_point(basis, field, sc, 0, sz)
-            if charpoly(As).c != _lam_action(base, lam).c:
+            if charpoly(As).c != scale_coeffs(base, lam).c:
                 return False
     return True
 
@@ -314,7 +299,7 @@ def _equivariance_sampled(basis: SliceBasis, field: FieldCtx,
         sc = _scaled_coords(basis, field, ctx, coords, lam)
         sz = ctx.smul(lam, z) if z is not None else None
         As = slice_point(basis, field, sc, 1, sz)
-        if charpoly(As).c != _lam_action(charpoly(A), lam).c:
+        if charpoly(As).c != scale_coeffs(charpoly(A), lam).c:
             return False
     return True
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from chevalab import counting
 from chevalab.cli import RunConfig, build_parser, main, run
 from chevalab.counting import CountQuery, run_query
 from chevalab.errors import BadConfig
+from chevalab.field import field_make
 from chevalab.reporting import Report, emit, load_jsonl
 
 
@@ -36,12 +38,49 @@ def test_count_gi(capsys):
 
 
 def test_count_sharded_threads(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("JETFORGE_THREADS", "2")
+    # --threads still parses and changes nothing
+    _, single = _main_out(capsys, ["count", "--target", "nilcone", "--m", "1", "--shards", "1"])
     code, doc = _main_out(capsys, ["count", "--target", "nilcone", "--m", "1",
-                                   "--shards", "4",
+                                   "--shards", "4", "--threads", "2",
                                    "--checkpoint", str(tmp_path / "ck")])
     assert code == 0
+    assert doc["outputs"]["count"] == single["outputs"]["count"] == "20"
+    monkeypatch.setenv("JETFORGE_THREADS", "bogus")
+    code, doc = _main_out(capsys, ["count", "--target", "nilcone", "--m", "1", "--shards", "4"])
+    assert code == 0
     assert doc["outputs"]["count"] == "20"
+
+
+def test_nilcone_shards_build_bases_once(capsys):
+    counting._nilpotent_bases.cache_clear()
+    code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "1",
+                                   "--shards", "4"])
+    assert code == 0
+    assert doc["outputs"]["count"] == "5632"
+    info = counting._nilpotent_bases.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert not counting._nilpotent_bases(3, field_make(2)).flags.writeable
+
+
+@pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
+def test_count_out_byte_reproducible(capsys, tmp_path, shards):
+    argv = ["count", "--n", "3", "--target", "nilcone", "--m", "1"] + shards
+    outs = []
+    for run_id in range(2):
+        out = tmp_path / f"rec{run_id}.jsonl"
+        code, doc = _main_out(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        assert doc["wall_ms"] >= 1  # long enough for a wall-time field to differ
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_checkpoint_write_failure_exit_2(capsys, tmp_path):
+    code = main(["count", "--target", "nilcone", "--m", "1", "--shards", "2",
+                 "--checkpoint", str(tmp_path / "missing" / "ck")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write")
 
 
 def test_count_emit_and_fit_dim(capsys, tmp_path):

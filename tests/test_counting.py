@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from chevalab import counting
 from chevalab.counting import (
     CountQuery,
     CountRecord,
@@ -150,6 +151,17 @@ def test_run_query_record():
     assert back.count == 20
     assert json.loads(line)["count"] == "20"
     assert json.loads(line)["schema_version"] == 1
+    assert "elapsed_ms" not in json.loads(line)
+
+
+def test_record_with_elapsed_ms_loads():
+    # records written before the field was dropped carry wall time
+    d = json.loads(run_query(CountQuery(n=2, ell=2, k=1, m=1, kind="nilcone")).to_json())
+    back = CountRecord.from_json(json.dumps(dict(d, elapsed_ms=7)))
+    assert back.count == 20
+    assert back.to_json() == json.dumps(d, sort_keys=True)
+    with pytest.raises(BadConfig):
+        CountRecord.from_json(json.dumps(dict(d, wall_ms=7)))
 
 
 def test_query_validation():
@@ -201,16 +213,47 @@ def test_shard_subtotals_match_scalar_engine():
         assert count_sharded(q, 4, s).count == scalar
 
 
-def test_checkpoint_journal_steps_by_chunk(tmp_path):
+def _fiber_query_n3():
     x = charpoly(matrix_from_index(3, trunc_make(F3, 0), 777)).c
-    q = CountQuery(n=3, ell=3, k=1, m=0, kind="fiber", x=x)
-    path = str(tmp_path / "steps.jsonl")
-    rec = count_sharded(q, 4, 1, path, chunk=128)
-    lo, hi = _shard_range(3 ** 9, 4, 1)
+    return CountQuery(n=3, ell=3, k=1, m=0, kind="fiber", x=x)
+
+
+def _checkpoint_lines(path):
     with open(path) as fh:
-        journal = [json.loads(line) for line in fh]
-    assert [j["next_index"] for j in journal] == list(range(lo + 128, hi, 128)) + [hi]
-    assert int(journal[-1]["subtotal"]) == rec.count
+        return [json.loads(line) for line in fh]
+
+
+class _Killed(Exception):
+    pass
+
+
+def _interrupted(monkeypatch, q, path, chunks_done, chunk=128):
+    """Run shard 1 of 4, killing it when chunk number chunks_done + 1 starts."""
+    real = counting._count_hits
+    calls = []
+
+    def count_hits(hit, lo, hi):
+        if len(calls) == chunks_done:
+            raise _Killed
+        calls.append(lo)
+        return real(hit, lo, hi)
+
+    monkeypatch.setattr(counting, "_count_hits", count_hits)
+    with pytest.raises(_Killed):
+        count_sharded(q, 4, 1, path, chunk=chunk)
+    monkeypatch.setattr(counting, "_count_hits", real)
+
+
+def test_checkpoint_journal_steps_by_chunk(tmp_path, monkeypatch):
+    q = _fiber_query_n3()
+    full = count_sharded(q, 4, 1, chunk=128).count
+    lo, _ = _shard_range(3 ** 9, 4, 1)
+    for k in (1, 3):
+        path = str(tmp_path / f"steps{k}.jsonl")
+        _interrupted(monkeypatch, q, path, k)
+        (state,) = _checkpoint_lines(path)
+        assert state["next_index"] == lo + k * 128
+        assert count_sharded(q, 4, 1, path, chunk=128).count == full
 
 
 def test_shard_out_of_range(tmp_path):
@@ -229,14 +272,31 @@ def test_checkpoint_resume(tmp_path):
     q = CountQuery(n=2, ell=2, k=1, m=1, kind="nilcone")
     path = str(tmp_path / "resume.jsonl")
     full = count_sharded(q, 1, 0, path, chunk=4)
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()
-    assert len(lines) >= 3
-    # simulate a kill after the first chunk and restart from the checkpoint
-    with open(path, "w") as fh:
-        fh.write(lines[0] + "\n")
-    resumed = count_sharded(q, 1, 0, path, chunk=4)
-    assert resumed.count == full.count == 20
+    (state,) = _checkpoint_lines(path)  # one line after many chunks
+    assert state["next_index"] == 4 * 2 ** 4  # 4 nilpotent bases, 2^4 lifts each
+    assert int(state["subtotal"]) == full.count == 20
+    assert count_sharded(q, 1, 0, path, chunk=4).count == 20
+
+
+def test_checkpoint_resumes_multiline_journal(tmp_path, monkeypatch):
+    # Older versions appended one state line per chunk; the last line counts.
+    q = _fiber_query_n3()
+    full = count_sharded(q, 4, 1, chunk=128).count
+    states = []
+    for k in (1, 2, 3):
+        path = tmp_path / f"part{k}.jsonl"
+        _interrupted(monkeypatch, q, str(path), k)
+        states.append(path.read_text())
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text("".join(states))
+    journal = str(journal)
+    calls = []
+    real = counting._count_hits
+    monkeypatch.setattr(counting, "_count_hits",
+                        lambda hit, lo, hi: calls.append(lo) or real(hit, lo, hi))
+    assert count_sharded(q, 4, 1, journal, chunk=128).count == full
+    assert calls[0] == _shard_range(3 ** 9, 4, 1)[0] + 3 * 128
+    assert len(_checkpoint_lines(journal)) == 1
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):

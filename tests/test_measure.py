@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,19 @@ def test_csv_export_round_trip(tmp_path):
     # 6/4 as numerator over q^exp: 6 / 2^2
     q = 2
     assert Fraction(int(r["f_numerator"]), q ** int(r["f_denominator_exp"])) == Fraction(3, 2)
+
+
+def test_export_bytes(tmp_path):
+    p = density_profile(2, F2, 1)
+    path = tmp_path / "profile.csv"
+    profile_to_csv(p, str(path))
+    data = path.read_bytes()
+    assert data.startswith(b"box,fiber_count,f_numerator,f_denominator_exp\r\n")
+    assert data.count(b"\r\n") == data.count(b"\n") == 5
+    s = profile_summary(p)
+    summary_to_json(s, str(path))
+    assert path.read_text() == json.dumps(s, indent=2, sort_keys=True) + "\n"
+    assert not os.path.exists(str(path) + ".tmp")
 
 
 def test_csv_export_deterministic(tmp_path):

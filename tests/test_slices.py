@@ -157,16 +157,18 @@ def test_equivariance_sampled_larger():
 
 
 def test_equivariance_numpy_batch_path():
-    # forces the vectorized exhaustive branch: 2^13 > 2^10 points
+    # the largest exhaustive sweep here: 2^16 points, dim 16 at q = 2
     assert audit_equivariance(Partition((1, 1, 1, 1)), "L", F2)
 
 
 def test_equivariance_batch_path_extension_field():
+    # the scalar sweep is the reference for the batched one
     from chevalab.slices import _equivariance_exhaustive, _equivariance_exhaustive_np
     F4 = field_make(2, 2)
-    for parts, kind in [((1, 1), "L"), ((1, 1), "M"), ((2,), "L")]:
+    for F, parts, kind in [(F4, (1, 1), "L"), (F4, (1, 1), "M"), (F4, (2,), "L"),
+                           (F2, (2, 1), "M"), (F3, (2, 1), "L"), (F3, (3,), "M")]:
         basis = slice_basis(Partition(parts), kind)
-        assert _equivariance_exhaustive_np(basis, F4) == _equivariance_exhaustive(basis, F4)
+        assert _equivariance_exhaustive_np(basis, F) == _equivariance_exhaustive(basis, F)
 
 
 def test_theorem_check_survives_python_O():
