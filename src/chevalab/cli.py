@@ -3,7 +3,7 @@
 Exit codes: 0 on success/pass, 1 on any audit failure, 2 on config errors.
 ``count --shards S`` runs the S shards one after another and adds their
 subtotals; to run shards in parallel, start one process per ``--shard-id``
-and add the subtotals they print.  ``--threads`` is still accepted and
+and add the subtotals they print.  ``count --threads`` is still accepted and
 selects nothing.
 """
 
@@ -72,11 +72,11 @@ def _frac_str(f: Fraction) -> str:
 # --------------------------------------------------------------------------
 
 def _run_count(cfg: RunConfig) -> Report:
-    if cfg.m is None or cfg.target is None:
-        raise BadConfig("count needs --m and --target")
     ctx = trunc_make(field_make(cfg.ell, cfg.k), cfg.m)
     x = _parse_coeffs(cfg.x, ctx) if cfg.x else None
     query = CountQuery(cfg.n, cfg.ell, cfg.k, cfg.m, cfg.target, x=x, i=cfg.i)
+    if cfg.checkpoint and cfg.shards <= 1 and cfg.shard_id is None:
+        raise BadConfig("--checkpoint needs --shards > 1 or --shard-id")
     t0 = time.monotonic()
     if cfg.shard_id is not None:
         record = count_sharded(query, cfg.shards, cfg.shard_id, cfg.checkpoint)
@@ -87,7 +87,7 @@ def _run_count(cfg: RunConfig) -> Report:
         record = run_query(query)
     if cfg.out:
         emit([record], cfg.fmt, cfg.out)
-    anchors = {"nilcone": "Thm A", "fiber": "Thm B", "gi": "Thm C", "fibertable": "Thm B"}
+    anchors = {"nilcone": "Thm A", "fiber": "Thm B", "gi": "Thm C"}
     return Report("count", anchors[cfg.target],
                   inputs=query.target_dict() | {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "m": cfg.m},
                   outputs={"count": str(record.count)},
@@ -95,8 +95,6 @@ def _run_count(cfg: RunConfig) -> Report:
 
 
 def _run_fit_dim(cfg: RunConfig) -> Report:
-    if not cfg.inputs:
-        raise BadConfig("fit-dim needs --in records.jsonl")
     records = load_jsonl(cfg.inputs)
     fit = fit_dimension(records)
     outputs = {
@@ -109,9 +107,8 @@ def _run_fit_dim(cfg: RunConfig) -> Report:
 
 
 def _run_density(cfg: RunConfig) -> Report:
-    M = cfg.level or 1
     field = field_make(cfg.ell, cfg.k)
-    profile = measure.density_profile(cfg.n, field, M)
+    profile = measure.density_profile(cfg.n, field, cfg.level)
     summary = measure.profile_summary(profile)
     if cfg.out:
         if cfg.fmt == "csv":
@@ -119,13 +116,11 @@ def _run_density(cfg: RunConfig) -> Report:
         else:
             measure.summary_to_json(summary, cfg.out)
     verdict = {"mass_is_one": profile.mass() == 1}
-    return Report("density", "Thm E", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": M},
+    return Report("density", "Thm E", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": cfg.level},
                   summary, verdict)
 
 
 def _run_anfrs(cfg: RunConfig) -> Report:
-    if cfg.a is None:
-        raise BadConfig("anfrs needs --a")
     field = field_make(cfg.ell, cfg.k)
     ratio = measure.anfrs_ratio(cfg.n, field, cfg.a, cfg.level)
     return Report("anfrs", "Thm 6.3",
@@ -134,8 +129,6 @@ def _run_anfrs(cfg: RunConfig) -> Report:
 
 
 def _run_slice_audit(cfg: RunConfig) -> Report:
-    if not cfg.partition:
-        raise BadConfig("slice-audit needs --partition")
     partition = slices.Partition.parse(cfg.partition)
     if partition.n != cfg.n:
         raise BadConfig(f"partition sums to {partition.n}, not n={cfg.n}")
@@ -159,9 +152,8 @@ def _run_slice_audit(cfg: RunConfig) -> Report:
 
 
 def _run_subreg(cfg: RunConfig) -> Report:
-    M = cfg.level or 2
     field = field_make(cfg.ell, cfg.k)
-    den = subreg.subreg_slice_density(cfg.n, field, M)
+    den = subreg.subreg_slice_density(cfg.n, field, cfg.level)
     bound = Fraction(cfg.n, cfg.ell) + 1
     verdicts = {
         "mass_is_one": den.mass() == 1,
@@ -170,7 +162,7 @@ def _run_subreg(cfg: RunConfig) -> Report:
         "m1_identity": subreg.m1_identity_check(cfg.n, field, cfg.samples, cfg.seed),
     }
     outputs = {"mass": str(den.mass()), "sup": _frac_str(den.sup()), "bound": str(bound)}
-    return Report("subreg", "Thm E step 4", {"n": cfg.n, "ell": cfg.ell, "M": M},
+    return Report("subreg", "Thm E step 4", {"n": cfg.n, "ell": cfg.ell, "M": cfg.level},
                   outputs, verdicts)
 
 
@@ -205,8 +197,6 @@ def _run_hist_mult(cfg: RunConfig) -> Report:
 
 
 def _run_val_int(cfg: RunConfig) -> Report:
-    if not cfg.poly:
-        raise BadConfig("val-int needs --poly (low-degree-first field coefficients)")
     M = cfg.level if cfg.level is not None else 2
     field = field_make(cfg.ell, cfg.k)
     ctx = trunc_make(field, M)
@@ -239,6 +229,19 @@ def run(cfg: RunConfig) -> Report:
     return _HANDLERS[cfg.subcommand](cfg)
 
 
+# options shared by several subcommands; each subcommand names the ones its
+# handler reads, so any other option exits 2 through argparse
+_SHARED = {
+    "--n": dict(type=int, default=2),
+    "--ell": dict(type=int, default=2),
+    "--k": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=1000),
+    "--out": dict(default=None),
+    "--format": dict(dest="fmt", choices=["json", "csv"], default="json"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chevalab",
@@ -246,20 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "characteristic-polynomial map over truncated local rings.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--ell", type=int, default=2)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--threads", type=int, default=0,
-                       help="ignored: shards run one after another; run one process "
-                            "per --shard-id to use more cores")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    def add(name: str, text: str, shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        for flag in shared.split():
+            p.add_argument(flag, **_SHARED[flag])
+        return p
 
-    p = sub.add_parser("count", help="exact jet-scheme point counts")
-    common(p)
+    p = add("count", "exact jet-scheme point counts", "--n --ell --k --out --format")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--target", choices=["nilcone", "fiber", "gi"], required=True)
     p.add_argument("--x", help="fiber coefficients, e.g. '0;1|1;0'")
@@ -267,39 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--shard-id", type=int, dest="shard_id", default=None)
     p.add_argument("--checkpoint", default=None)
+    p.add_argument("--threads", type=int, default=0,
+                   help="ignored: shards run one after another; run one process "
+                        "per --shard-id to use more cores")
 
-    p = sub.add_parser("fit-dim", help="Lang-Weil dimension fit from saved records")
-    common(p)
+    p = add("fit-dim", "Lang-Weil dimension fit from saved records", "--out")
     p.add_argument("--in", dest="inputs", required=True)
 
-    p = sub.add_parser("density", help="pushforward density profile at resolution M")
-    common(p)
+    p = add("density", "pushforward density profile at resolution M", "--n --ell --k --out --format")
     p.add_argument("--M", type=int, dest="level", required=True)
 
-    p = sub.add_parser("anfrs", help="shrinking-ellipsoid density ratio")
-    common(p)
+    p = add("anfrs", "shrinking-ellipsoid density ratio", "--n --ell --k")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--level", type=int, default=None)
 
-    p = sub.add_parser("slice-audit", help="slice weight table and audits")
-    common(p)
+    p = add("slice-audit", "slice weight table and audits", "--n --ell --k --seed --samples --out")
     p.add_argument("--partition", required=True)
     p.add_argument("--kind", choices=["L", "M"], default="L")
 
-    p = sub.add_parser("subreg", help="subregular slice density, dual-path checked")
-    common(p)
+    p = add("subreg", "subregular slice density, dual-path checked", "--n --ell --k --seed --samples")
     p.add_argument("--M", type=int, dest="level", default=2)
 
-    p = sub.add_parser("insep-probe", help="char-2 inseparable-locus density trace")
-    common(p)
+    p = add("insep-probe", "char-2 inseparable-locus density trace", "--ell --k --out")
     p.add_argument("--limit", type=int, default=3)
 
-    p = sub.add_parser("hist-mult", help="valuation histogram of a product of Haar variables")
-    common(p)
+    p = add("hist-mult", "valuation histogram of a product of Haar variables", "--ell --k")
     p.add_argument("--M", type=int, dest="level", default=3)
 
-    p = sub.add_parser("val-int", help="truncated valuation integral of a polynomial")
-    common(p)
+    p = add("val-int", "truncated valuation integral of a polynomial", "--ell --k")
     p.add_argument("--M", type=int, dest="level", default=2)
     p.add_argument("--poly", required=True,
                    help="comma-separated field coefficients, low degree first")

@@ -8,8 +8,9 @@ Python ints of unbounded size and serialize as decimal strings.
 Engines: every sweep and shard decodes its index range in blocks of at most
 BLOCK matrices into arrays of ring indices and runs them through the batched
 Samuelson-Berkowitz kernel ``matrices.charpoly_batch``; the encoded
-characteristic polynomials then give the counts.  The n = 2 fiber table for
-q^(m+1) <= 512 runs on ``_fiber_table_np``, which hoists b*c out of its loop.
+characteristic polynomials then give the counts.  The n = 2 fiber table is
+one integer matrix product (``_fiber_table_np``); it still counts every
+matrix (a, b, c, d), only grouped by the pairs (a, d) and (b, c).
 The scalar ``matrices.charpoly`` is the reference the kernel is tested
 against; it also takes the n = 1 sweeps over rings too large for dense tables.
 
@@ -42,7 +43,6 @@ from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
 SHARD_GUARD = 1 << 40
 SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
-_NP_RING_LIMIT = 512  # max q^(m+1) for the vectorized n=2 engine
 BLOCK = 1 << 11  # matrices per charpoly_batch call; larger blocks add peak memory, not speed
 
 FiberKey = Tuple[tuple, ...]  # (c_1, ..., c_n), each a series tuple
@@ -54,14 +54,14 @@ class CountQuery:
     ell: int
     k: int
     m: int
-    kind: str  # "nilcone" | "fiber" | "gi" | "fibertable"
+    kind: str  # "nilcone" | "fiber" | "gi"
     x: Optional[FiberKey] = None
     i: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 1 or self.ell < 2 or self.k < 1 or self.m < 0:
             raise BadConfig("need n >= 1, ell >= 2, k >= 1, m >= 0")
-        if self.kind not in ("nilcone", "fiber", "gi", "fibertable"):
+        if self.kind not in ("nilcone", "fiber", "gi"):
             raise BadConfig(f"unknown target kind {self.kind!r}")
         if self.kind == "fiber" and self.x is None:
             raise BadConfig("fiber target needs coefficients x")
@@ -198,15 +198,24 @@ def _table_from_counts(n: int, ctx: TruncCtx, counts: np.ndarray) -> Dict[FiberK
 def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
     """m = 0 nilpotent matrices in sweep order, one row of n^2 field codes each;
     built once per (n, field.key()) and read-only, since every nilcone shard
-    of a run starts from the same bases."""
-    ctx0 = trunc_make(field, 0)
-    q = field.q
-    found = []
-    for idx in _blocks(0, q ** (n * n)):
-        entries = _full_entries(n, q, idx)
-        cells = np.stack([x for row in entries for x in row], axis=1)
-        found.append(cells[_charpoly_keys(n, ctx0, entries) == 0])
-    bases = np.concatenate(found)
+    of a run starts from the same bases.  Nilpotent matrices have trace 0, so
+    the sweep runs over the other n^2 - 1 entries and sets entry (n-1, n-1),
+    the least significant digit, to minus the rest of the diagonal."""
+    if n == 1:  # the single base 0; q may be too large for dense tables
+        bases = np.zeros((1, 1), dtype=np.int64)
+    else:
+        ctx0 = trunc_make(field, 0)
+        q, add, _, neg = ring_tables(ctx0)
+        found = []
+        for idx in _blocks(0, q ** (n * n - 1)):
+            cells = [x for row in _full_entries(n, q, idx * q) for x in row]
+            trace = cells[0]
+            for i in range(1, n - 1):
+                trace = add[trace * q + cells[i * (n + 1)]]
+            cells[-1] = neg[trace]
+            keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == 0
+            found.append(np.stack(cells, axis=1)[keep])
+        bases = np.concatenate(found)
     bases.flags.writeable = False
     return bases
 
@@ -221,28 +230,24 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
     gi: i-tuples of matrices, matrix j in base-|Mat_n(R_m)| digit j, least
     significant first.
     """
-    P = ctx.size
+    P, S = ctx.size, matrix_space_size(n, ctx)
     if kind == "nilcone":
         bases = _nilpotent_bases(n, ctx.field)
         total = len(bases) * ctx.field.q ** (ctx.m * n * n)
         return total, lambda idx: _charpoly_keys(n, ctx, _nilcone_entries(n, ctx, bases, idx)) == 0
     if kind == "fiber":
         target = _encode_key(ctx, _fiber_key(n, ctx, x))
-        return (matrix_space_size(n, ctx),
-                lambda idx: _charpoly_keys(n, ctx, _full_entries(n, P, idx)) == target)
-    if kind == "gi":
-        S = matrix_space_size(n, ctx)
+        return S, lambda idx: _charpoly_keys(n, ctx, _full_entries(n, P, idx)) == target
 
-        def hit(idx: np.ndarray) -> np.ndarray:
-            first = _charpoly_keys(n, ctx, _full_entries(n, P, idx % S))
-            same = np.ones(idx.shape, dtype=bool)
-            for _ in range(i - 1):
-                idx = idx // S
-                same &= _charpoly_keys(n, ctx, _full_entries(n, P, idx % S)) == first
-            return same
+    def hit(idx: np.ndarray) -> np.ndarray:  # kind == "gi"
+        first = _charpoly_keys(n, ctx, _full_entries(n, P, idx % S))
+        same = np.ones(idx.shape, dtype=bool)
+        for _ in range(i - 1):
+            idx = idx // S
+            same &= _charpoly_keys(n, ctx, _full_entries(n, P, idx % S)) == first
+        return same
 
-        return S ** i, hit
-    raise BadConfig("fibertable target is not shardable")
+    return S ** i, hit
 
 
 def _count_hits(hit, lo: int, hi: int) -> int:
@@ -254,9 +259,10 @@ def _count_hits(hit, lo: int, hi: int) -> int:
 # --------------------------------------------------------------------------
 
 def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
-    """count_jet_fiber(x) for every x in c(R_m), by one exhaustive sweep."""
+    """count_jet_fiber(x) for every x in c(R_m).  n = 2 counts all P^4
+    matrices through _fiber_table_np; larger n sweeps them in blocks."""
     _check_sweep(n, ctx)
-    if n == 2 and ctx.size <= _NP_RING_LIMIT:
+    if n == 2:
         return _fiber_table_np(ctx)
     P = ctx.size
     counts = np.zeros(P ** n, dtype=np.int64)
@@ -266,20 +272,14 @@ def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
 
 
 def _fiber_table_np(ctx: TruncCtx) -> Dict[FiberKey, int]:
-    """n = 2 sweep that hoists b*c out of the loop over the (0,0) entry a."""
+    """The n = 2 table as one integer matrix product.  charpoly([[a, b], [c, d]])
+    is (-(a+d), ad - bc), so H[c1, p] = #{(a, d) : -(a+d) = c1, ad = p} and
+    B[p, c2] = #{(b, c) : bc = p - c2} give the table H @ B.  Every entry is
+    a count <= P^4 <= 2^30 under the sweep guard, so int64 is exact."""
     P, add, mul, neg = ring_tables(ctx)
-    add, mul = add.reshape(P, P), mul.reshape(P, P)
-    counts = np.zeros(P * P, dtype=np.int64)
-    idx = np.arange(P ** 3, dtype=np.int64)
-    b = idx // (P * P)
-    c = (idx // P) % P
-    d = idx % P
-    bc = mul[b, c]
-    for a in range(P):
-        c1 = neg[add[a, d]]
-        c2 = add[mul[a, d], neg[bc]]
-        counts += np.bincount(c1 * P + c2, minlength=P * P)
-    return _table_from_counts(2, ctx, counts)
+    H = np.bincount(neg[add] * P + mul, minlength=P * P).reshape(P, P)
+    B = np.bincount(mul, minlength=P)[add.reshape(P, P)[:, neg]]
+    return _table_from_counts(2, ctx, (H @ B).ravel())
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
@@ -329,10 +329,8 @@ def run_query(query: CountQuery) -> CountRecord:
         count = count_nilcone_jets(query.n, ctx)
     elif query.kind == "fiber":
         count = count_jet_fiber(query.n, ctx, query.x)
-    elif query.kind == "gi":
-        count = count_gi_jets(query.n, ctx, query.i)
     else:
-        raise BadConfig("fibertable target has no single count; use fiber_table()")
+        count = count_gi_jets(query.n, ctx, query.i)
     return CountRecord(SCHEMA_VERSION, query.n, query.ell, query.k, query.m,
                        query.target_dict(), count)
 

@@ -35,7 +35,7 @@ class DensityProfile:
 
 def density_profile(n: int, field: FieldCtx, M: int) -> DensityProfile:
     if M < 1:
-        raise TooLarge("resolution M must be >= 1")
+        raise LevelTooLow("resolution M must be >= 1")
     ctx = trunc_make(field, M - 1)
     counts = fiber_table(n, ctx)
     denom = field.q ** (M * (n * n - n))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .counting import FiberKey
-from .errors import TheoremCheckFailed, TooLarge, WrongCharacteristic
+from .errors import LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
 from .field import FieldCtx, TruncCtx, trunc_make
 from .matrices import CharCoeffs, JetMatrix, charpoly, companion, shift_scalar
 
@@ -154,6 +154,8 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     if n < 3:
         raise TooLarge("the subregular slice shape degenerates below n = 3; "
                        "use density_profile for n = 2")
+    if M < 1:
+        raise LevelTooLow("resolution M must be >= 1")
     q = field.q
     if q ** ((n + 2) * M) > SLICE_GUARD:
         raise TooLarge("subregular slice sweep exceeds its guard")

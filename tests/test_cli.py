@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,71 @@ def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--target", "nilcone", "--m", "0", "--seed", "1"],
+    ["count", "--target", "nilcone", "--m", "0", "--samples", "5"],
+    ["fit-dim", "--in", "r.jsonl", "--n", "3"],
+    ["fit-dim", "--in", "r.jsonl", "--format", "csv"],
+    ["density", "--M", "1", "--threads", "2"],
+    ["density", "--M", "1", "--seed", "1"],
+    ["anfrs", "--a", "1", "--out", "f"],
+    ["anfrs", "--a", "1", "--format", "csv"],
+    ["slice-audit", "--partition", "2", "--format", "csv", "--out", "s.csv"],
+    ["slice-audit", "--partition", "2", "--threads", "2"],
+    ["subreg", "--n", "3", "--out", "f"],
+    ["insep-probe", "--n", "2"],
+    ["insep-probe", "--samples", "5"],
+    ["hist-mult", "--out", "f"],
+    ["hist-mult", "--n", "2"],
+    ["val-int", "--poly", "0,1", "--n", "2"],
+    ["val-int", "--poly", "0,1", "--seed", "1"],
+])
+def test_unread_option_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--target", "nilcone"], ["count", "--m", "0"], ["fit-dim"], ["density"],
+    ["anfrs"], ["slice-audit"], ["val-int"],
+])
+def test_missing_required_option_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part", ["enum-scalar", "shard-checkpoint", "small-ring", "tiny"])
+def test_bench_job_argvs_parse(tmp_path, monkeypatch, part):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    jobs = workloads.build_part(part, 0, str(tmp_path))
+    for job in jobs:
+        if job.argv:  # the resume job calls count_sharded directly
+            build_parser().parse_args(job.argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--M", "0"],
+    ["subreg", "--n", "3", "--M", "0"],
+    ["count", "--target", "nilcone", "--m", "1", "--checkpoint", "ck"],
+    ["count", "--target", "nilcone", "--m", "1", "--shards", "1", "--checkpoint", "ck"],
+])
+def test_explicit_input_not_replaced_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "ck").exists()
 
 
 def test_unknown_subcommand_rejected():

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 
+import numpy as np
 import pytest
 
 from chevalab import counting
@@ -53,6 +54,21 @@ def test_count_jet_fiber_single():
 def test_fiber_table_matches_oracle(n, ell, m):
     ctx = trunc_make(field_make(ell), m)
     assert fiber_table(n, ctx) == fiber_counts_oracle(ctx, n)
+
+
+@pytest.mark.parametrize("ell,k,m", [(2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 0),
+                                     (3, 1, 1), (3, 1, 2), (2, 2, 0), (2, 2, 1), (2, 3, 0),
+                                     (5, 1, 1)])
+def test_fiber_table_n2_matches_block_sweep(ell, k, m):
+    # the factorised n = 2 table against the generic block sweep that n >= 3 runs
+    ctx = trunc_make(field_make(ell, k), m)
+    P = ctx.size
+    counts = sum(np.bincount(counting._charpoly_keys(2, ctx, counting._full_entries(2, P, idx)),
+                             minlength=P * P) for idx in counting._blocks(0, P ** 4))
+    swept = counting._table_from_counts(2, ctx, counts)
+    table = fiber_table(2, ctx)
+    assert table == swept
+    assert sum(table.values()) == P ** 4
 
 
 def test_fiber_table_extension_field():
@@ -115,6 +131,22 @@ def test_ring_past_table_limit_n1():
     assert count_jet_fiber(1, ctx, x) == 1
     q = CountQuery(n=1, ell=2, k=1, m=10, kind="fiber", x=x)
     assert sum(count_sharded(q, 3, s).count for s in range(3)) == 1
+
+
+def test_nilcone_n1_builds_no_tables():
+    # q = 2^11 is past RING_TABLE_LIMIT, so building m = 0 tables would raise
+    assert count_nilcone_jets(1, trunc_make(field_make(2, 11), 0)) == 1
+
+
+@pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
+def test_nilpotent_bases_match_full_sweep(n, ell, k):
+    # the trace-zero sweep keeps the bases, and their order, of a full m = 0 sweep
+    field = field_make(ell, k)
+    ctx = trunc_make(field, 0)
+    zero = (ctx.zero,) * n
+    expected = [[ctx.index(e) for row in A.entries for e in row]
+                for A in enumerate_matrices(n, ctx) if charpoly(A).c == zero]
+    assert counting._nilpotent_bases(n, field).tolist() == expected
 
 
 def test_nilcone_matches_zero_fiber():
@@ -262,10 +294,10 @@ def test_shard_out_of_range(tmp_path):
         count_sharded(q, 4, 4, str(tmp_path / "x.jsonl"))
 
 
-def test_fibertable_not_shardable(tmp_path):
-    q = CountQuery(n=2, ell=2, k=1, m=0, kind="fibertable")
+def test_fibertable_not_shardable():
+    # fiber tables come from fiber_table(); no count query asks for one
     with pytest.raises(BadConfig):
-        count_sharded(q, 2, 0, str(tmp_path / "x.jsonl"))
+        CountQuery(n=2, ell=2, k=1, m=0, kind="fibertable")
 
 
 def test_checkpoint_resume(tmp_path):
