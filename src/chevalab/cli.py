@@ -72,6 +72,8 @@ def _frac_str(f: Fraction) -> str:
 # --------------------------------------------------------------------------
 
 def _run_count(cfg: RunConfig) -> Report:
+    if cfg.shards < 1:
+        raise BadConfig(f"--shards {cfg.shards}: need at least 1 shard")
     ctx = trunc_make(field_make(cfg.ell, cfg.k), cfg.m)
     x = _parse_coeffs(cfg.x, ctx) if cfg.x else None
     query = CountQuery(cfg.n, cfg.ell, cfg.k, cfg.m, cfg.target, x=x, i=cfg.i)

@@ -14,11 +14,14 @@ matrix (a, b, c, d), only grouped by the pairs (a, d) and (b, c).
 The scalar ``matrices.charpoly`` is the reference the kernel is tested
 against; it also takes the n = 1 sweeps over rings too large for dense tables.
 
-Sharding: ``count_sharded`` counts one contiguous slice of a target's
-enumeration order, so subtotals add up to the full count.  Shards run one
-after another in one process; separate processes, one per shard id, are the
-way to run them in parallel.  A shard's checkpoint is one JSON line holding
-its latest state, replaced atomically after every chunk.
+Sharding: every target has one index space and one ``subtotal(lo, hi)``
+(``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
+counts one contiguous slice, so subtotals add up to the full count.  nilcone
+and fiber index matrices; gi indexes the characteristic polynomials x, each
+adding N(x)^i read from the one fiber table.  Shards run one after another
+in one process; separate processes, one per shard id, are the way to run
+nilcone and fiber shards in parallel.  A shard's checkpoint is one JSON line
+holding its latest state, replaced atomically after every chunk.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ class CountQuery:
             raise BadConfig("fiber target needs coefficients x")
         if self.kind == "gi" and (self.i is None or self.i < 1):
             raise BadConfig("gi target needs power i >= 1")
+        if self.kind != "fiber" and self.x is not None:
+            raise BadConfig(f"{self.kind} target takes no coefficients x")
+        if self.kind != "gi" and self.i is not None:
+            raise BadConfig(f"{self.kind} target takes no power i")
 
     def ctx(self) -> TruncCtx:
         return trunc_make(field_make(self.ell, self.k), self.m)
@@ -88,11 +95,10 @@ def matrix_space_size(n: int, ctx: TruncCtx) -> int:
     return ctx.size ** (n * n)
 
 
-def _check_sweep(n: int, ctx: TruncCtx, guard: int = SWEEP_GUARD) -> None:
-    if matrix_space_size(n, ctx) > guard:
-        raise TooLarge(
-            f"q^((m+1)n^2) = {matrix_space_size(n, ctx)} exceeds the sweep guard; shard the run"
-        )
+def _check_sweep(n: int, ctx: TruncCtx, shardable: bool = False) -> None:
+    if matrix_space_size(n, ctx) > SWEEP_GUARD:
+        raise TooLarge(f"q^((m+1)n^2) = {matrix_space_size(n, ctx)} exceeds the sweep guard 2^30"
+                       + ("; shard the run" if shardable else ""))
 
 
 def enumerate_matrices(n: int, ctx: TruncCtx) -> Iterable[JetMatrix]:
@@ -221,37 +227,37 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
 
 
 def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
-    """(index count, hit) of a count target; hit maps a block of indices to
-    the mask of those the target counts.
+    """(index count, subtotal) of a count target; subtotal(lo, hi) counts what
+    the target finds at indices lo..hi-1, so the subtotals of a split add up.
 
-    The enumeration orders fix shard boundaries and checkpoints:
+    The index spaces fix shard boundaries and checkpoints:
     nilcone: the pruned layout of _nilcone_entries;
     fiber: the full matrix space in matrix_from_index order;
-    gi: i-tuples of matrices, matrix j in base-|Mat_n(R_m)| digit j, least
-    significant first.
+    gi: the encoded characteristic polynomials x in _encode_key order, index x
+    adding N(x)^i with N(x) read from _fiber_counts.
     """
-    P, S = ctx.size, matrix_space_size(n, ctx)
+    if kind == "gi":
+        counts = _fiber_counts(n, ctx)
+        return len(counts), lambda lo, hi: sum(v ** i for v in counts[lo:hi].tolist())
     if kind == "nilcone":
         bases = _nilpotent_bases(n, ctx.field)
         total = len(bases) * ctx.field.q ** (ctx.m * n * n)
-        return total, lambda idx: _charpoly_keys(n, ctx, _nilcone_entries(n, ctx, bases, idx)) == 0
-    if kind == "fiber":
-        target = _encode_key(ctx, _fiber_key(n, ctx, x))
-        return S, lambda idx: _charpoly_keys(n, ctx, _full_entries(n, P, idx)) == target
-
-    def hit(idx: np.ndarray) -> np.ndarray:  # kind == "gi"
-        first = _charpoly_keys(n, ctx, _full_entries(n, P, idx % S))
-        same = np.ones(idx.shape, dtype=bool)
-        for _ in range(i - 1):
-            idx = idx // S
-            same &= _charpoly_keys(n, ctx, _full_entries(n, P, idx % S)) == first
-        return same
-
-    return S ** i, hit
+        hit = lambda idx: _charpoly_keys(n, ctx, _nilcone_entries(n, ctx, bases, idx)) == 0
+    else:
+        total, target = matrix_space_size(n, ctx), _encode_key(ctx, _fiber_key(n, ctx, x))
+        hit = lambda idx: _charpoly_keys(n, ctx, _full_entries(n, ctx.size, idx)) == target
+    return total, lambda lo, hi: _count_hits(hit, lo, hi)
 
 
 def _count_hits(hit, lo: int, hi: int) -> int:
     return sum(int(np.count_nonzero(hit(idx))) for idx in _blocks(lo, hi))
+
+
+def _count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None) -> int:
+    """The whole count of a target, subtotal(0, total) under the sweep guard."""
+    _check_sweep(n, ctx, shardable=kind != "gi")
+    total, subtotal = _target_space(n, ctx, kind, x, i)
+    return subtotal(0, total)
 
 
 # --------------------------------------------------------------------------
@@ -259,34 +265,38 @@ def _count_hits(hit, lo: int, hi: int) -> int:
 # --------------------------------------------------------------------------
 
 def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
-    """count_jet_fiber(x) for every x in c(R_m).  n = 2 counts all P^4
-    matrices through _fiber_table_np; larger n sweeps them in blocks."""
+    """count_jet_fiber(x) for every x in c(R_m) with a nonempty fiber."""
+    return _table_from_counts(n, ctx, _fiber_counts(n, ctx))
+
+
+@functools.lru_cache(maxsize=4)
+def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
+    """The fiber sizes N(x) of every encoded x (_encode_key), one dense array of
+    P^n counts; cached per (n, ctx.key()) and read-only, since density levels
+    and every gi shard of a run read the same table."""
     _check_sweep(n, ctx)
-    if n == 2:
-        return _fiber_table_np(ctx)
     P = ctx.size
-    counts = np.zeros(P ** n, dtype=np.int64)
-    for idx in _blocks(0, matrix_space_size(n, ctx)):
-        counts += np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
-    return _table_from_counts(n, ctx, counts)
+    counts = _fiber_table_np(ctx) if n == 2 else sum(
+        np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
+        for idx in _blocks(0, matrix_space_size(n, ctx)))
+    counts.flags.writeable = False
+    return counts
 
 
-def _fiber_table_np(ctx: TruncCtx) -> Dict[FiberKey, int]:
-    """The n = 2 table as one integer matrix product.  charpoly([[a, b], [c, d]])
+def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
+    """The n = 2 fiber counts as one integer matrix product.  charpoly([[a, b], [c, d]])
     is (-(a+d), ad - bc), so H[c1, p] = #{(a, d) : -(a+d) = c1, ad = p} and
-    B[p, c2] = #{(b, c) : bc = p - c2} give the table H @ B.  Every entry is
+    B[p, c2] = #{(b, c) : bc = p - c2} give the counts H @ B.  Every entry is
     a count <= P^4 <= 2^30 under the sweep guard, so int64 is exact."""
     P, add, mul, neg = ring_tables(ctx)
     H = np.bincount(neg[add] * P + mul, minlength=P * P).reshape(P, P)
     B = np.bincount(mul, minlength=P)[add.reshape(P, P)[:, neg]]
-    return _table_from_counts(2, ctx, (H @ B).ravel())
+    return (H @ B).ravel()
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
     """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}."""
-    total, hit = _target_space(n, ctx, "fiber", x=x)
-    _check_sweep(n, ctx)
-    return _count_hits(hit, 0, total)
+    return _count(n, ctx, "fiber", x=x)
 
 
 def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
@@ -305,9 +315,7 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
     """#J_m(N)(F_q): the fiber over x = 0, swept over the jets of the m = 0
     nilpotent matrices only (J_m(N) lies over J_0(N))."""
-    _check_sweep(n, ctx)
-    total, hit = _target_space(n, ctx, "nilcone")
-    return _count_hits(hit, 0, total)
+    return _count(n, ctx, "nilcone")
 
 
 def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
@@ -315,8 +323,7 @@ def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
     characteristic polynomial)."""
     if i < 1:
         raise BadConfig("power i must be >= 1")
-    table = fiber_table(n, ctx)
-    return sum(v ** i for v in table.values())
+    return _count(n, ctx, "gi", i=i)
 
 
 # --------------------------------------------------------------------------
@@ -342,21 +349,24 @@ def run_query(query: CountQuery) -> CountRecord:
 def count_sharded(query: CountQuery, shards: int, shard_id: int,
                   checkpoint_path: Optional[str] = None,
                   chunk: int = 65536) -> CountRecord:
-    """Subtotal for one shard of the enumeration; resumable from checkpoint.
+    """Subtotal for one shard of the target's index space (_target_space);
+    resumable from checkpoint.
 
-    Shards are contiguous slices of the fixed enumeration order, so the split
-    is reproducible across machines; subtotals add up to the full count.
+    Shards are contiguous slices of the fixed index order, so the split is
+    reproducible across machines; subtotals add up to the full count.  A gi
+    shard builds the whole fiber table and sums N(x)^i over its slice of the
+    codes x, so gi shards gain nothing from running as parallel processes.
     After every chunk the checkpoint is replaced by one line holding the
     latest state: the query, the shard, the next index and the subtotal.
     """
     if not (0 <= shard_id < shards):
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")
+    if chunk < 1:
+        raise BadConfig(f"chunk {chunk} must be >= 1")
     ctx = query.ctx()
     if matrix_space_size(query.n, ctx) > SHARD_GUARD:  # before the nilcone base sweep
         raise TooLarge("query exceeds the per-shard-set guard 2^40")
-    total, hit = _target_space(query.n, ctx, query.kind, query.x, query.i)
-    if total > SHARD_GUARD:  # gi enumerates i-tuples of matrices
-        raise TooLarge(f"{total} shard indices exceed the per-shard-set guard 2^40")
+    total, subtotal_of = _target_space(query.n, ctx, query.kind, query.x, query.i)
     lo = shard_id * total // shards
     hi = (shard_id + 1) * total // shards
     pos, subtotal = lo, 0
@@ -364,7 +374,7 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
         pos, subtotal = _read_checkpoint(checkpoint_path, query, shards, shard_id, lo, hi)
     while pos < hi:
         end = min(pos + chunk, hi)
-        subtotal += _count_hits(hit, pos, end)
+        subtotal += subtotal_of(pos, end)
         pos = end
         if checkpoint_path:
             atomic_write_text(checkpoint_path, json.dumps({
@@ -378,8 +388,10 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 
 def _query_sig(query: CountQuery) -> dict:
+    # gi checkpoints name their index space; older ones counted i-tuples of matrices
+    index = {"index": "charpoly codes"} if query.kind == "gi" else {}
     return {"n": query.n, "ell": query.ell, "k": query.k, "m": query.m,
-            "target": query.target_dict()}
+            "target": query.target_dict(), **index}
 
 
 def _read_checkpoint(path: str, query: CountQuery, shards: int, shard_id: int,
@@ -413,6 +425,9 @@ def combine_records(partials: Sequence[CountRecord]) -> CountRecord:
     for r in partials[1:]:
         if (r.n, r.ell, r.k, r.m, r.target) != (head.n, head.ell, head.k, head.m, head.target):
             raise BadConfig("cannot combine records of different queries")
+    ids = {(r.shards, r.shard_id) for r in partials}
+    if len(partials) != head.shards or ids != {(head.shards, j) for j in range(head.shards)}:
+        raise BadConfig(f"partials are not the shard ids 0..{head.shards - 1} of one split")
     total = sum(r.count for r in partials)
     return CountRecord(SCHEMA_VERSION, head.n, head.ell, head.k, head.m,
                        head.target, total, shards=head.shards, shard_id=None)

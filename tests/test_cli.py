@@ -9,7 +9,7 @@ from chevalab import counting
 from chevalab.cli import RunConfig, build_parser, main, run
 from chevalab.counting import CountQuery, run_query
 from chevalab.errors import BadConfig
-from chevalab.field import field_make
+from chevalab.field import field_make, trunc_make
 from chevalab.reporting import Report, emit, load_jsonl
 
 
@@ -63,6 +63,17 @@ def test_nilcone_shards_build_bases_once(capsys):
     info = counting._nilpotent_bases.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert not counting._nilpotent_bases(3, field_make(2)).flags.writeable
+
+
+def test_gi_shards_build_table_once(capsys):
+    counting._fiber_counts.cache_clear()
+    code, doc = _main_out(capsys, ["count", "--ell", "3", "--target", "gi", "--m", "0",
+                                   "--i", "2", "--shards", "4"])
+    assert code == 0
+    assert doc["outputs"]["count"] == "783"
+    info = counting._fiber_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert not counting._fiber_counts(2, trunc_make(field_make(3), 0)).flags.writeable
 
 
 @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
@@ -172,6 +183,20 @@ def test_malformed_number_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--target", "nilcone", "--m", "1", "--shards", "-2"],
+    ["count", "--target", "nilcone", "--m", "1", "--shards", "0"],
+    ["count", "--target", "nilcone", "--m", "1", "--i", "3"],
+    ["count", "--target", "gi", "--m", "0", "--i", "2", "--x", "0|0"],
+    ["count", "--target", "fiber", "--m", "0", "--x", "0|0", "--i", "2"],
+])
+def test_bad_count_option_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
 
 
 def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):

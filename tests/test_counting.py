@@ -165,13 +165,25 @@ def test_gi_matches_tuple_oracle():
     # brute force: pairs and triples sharing a characteristic polynomial
     ctx = trunc_make(F2, 0)
     t = fiber_table(2, ctx)
+    keys = [charpoly(a).c for a in enumerate_matrices(2, ctx)]
     for i in (2, 3):
-        assert count_gi_jets(2, ctx, i) == sum(v ** i for v in t.values())
-    mats = list(enumerate_matrices(2, ctx))
-    from chevalab.matrices import charpoly
-    keys = [charpoly(a).c for a in mats]
-    pairs = sum(1 for x, y in itertools.product(keys, repeat=2) if x == y)
-    assert pairs == count_gi_jets(2, ctx, 2)
+        tuples = sum(1 for xs in itertools.product(keys, repeat=i) if len(set(xs)) == 1)
+        assert count_gi_jets(2, ctx, i) == sum(v ** i for v in t.values()) == tuples
+        q = CountQuery(2, 2, 1, 0, "gi", i=i)
+        assert sum(count_sharded(q, 3, s).count for s in range(3)) == tuples
+
+
+@pytest.mark.parametrize("n,ell,k,m,i,shards,expected", [
+    (2, 3, 1, 0, 2, 2, 783), (3, 2, 1, 0, 3, 4, 3_713_024), (2, 2, 2, 1, 2, 5, None),
+    (1, 3, 1, 1, 2, 2, None),
+    (1, 2, 1, 0, 2, 3, None),  # more shards than the 2 codes: some shards are empty
+])
+def test_gi_shards_split_fiber_codes(n, ell, k, m, i, shards, expected):
+    full = count_gi_jets(n, trunc_make(field_make(ell, k), m), i)
+    q = CountQuery(n, ell, k, m, "gi", i=i)
+    parts = [count_sharded(q, shards, s).count for s in range(shards)]
+    assert sum(parts) == full == (expected or full)
+    assert combine_records([count_sharded(q, shards, s) for s in range(shards)]).count == full
 
 
 def test_run_query_record():
@@ -205,6 +217,11 @@ def test_query_validation():
         CountQuery(n=2, ell=2, k=1, m=0, kind="gi")  # missing i
     with pytest.raises(BadConfig):
         CountQuery(n=2, ell=2, k=1, m=0, kind="fiber")  # missing x
+    x = ((0,), (0,))
+    for kind, extra in [("nilcone", {"i": 3}), ("nilcone", {"x": x}), ("gi", {"i": 2, "x": x}),
+                        ("fiber", {"x": x, "i": 2})]:
+        with pytest.raises(BadConfig):  # an option the target does not read
+            CountQuery(n=2, ell=2, k=1, m=0, kind=kind, **extra)
 
 
 def test_sharding_matches_full(tmp_path):
@@ -223,11 +240,27 @@ def test_sharding_gi(tmp_path):
     assert sum(p.count for p in parts) == 72
 
 
-def test_gi_shard_guard_counts_tuples():
-    # i-tuples: (2^8)^6 = 2^48 indices, past the 2^40 guard
+def test_gi_shard_guard_counts_matrices():
+    # 2^48 i-tuples, once past the tuple guard; each shard now sums codes of 2^8 matrices
     q = CountQuery(2, 2, 1, 1, "gi", i=6)
-    with pytest.raises(TooLarge):
-        count_sharded(q, 1, 0)
+    assert sum(count_sharded(q, 3, s).count for s in range(3)) == \
+        count_gi_jets(2, trunc_make(F2, 1), 6)
+    # every gi shard builds the whole table: 2^36 matrices exceed SWEEP_GUARD
+    with pytest.raises(TooLarge) as exc:
+        count_sharded(CountQuery(3, 2, 1, 3, "gi", i=1), 64, 5)
+    assert "shard the run" not in str(exc.value)
+
+
+def test_gi_fiber_counts_cached_read_only():
+    counting._fiber_counts.cache_clear()
+    ctx = trunc_make(F3, 0)
+    fiber_table(2, ctx)
+    count_gi_jets(2, ctx, 2)
+    info = counting._fiber_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    counts = counting._fiber_counts(2, ctx)
+    assert not counts.flags.writeable
+    assert counts.sum() == 3 ** 4
 
 
 def _shard_range(total, shards, s):
@@ -340,6 +373,38 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         count_sharded(other, 1, 0, path, chunk=4)
 
 
+def test_gi_checkpoint_resumes_over_codes(tmp_path):
+    q = CountQuery(2, 3, 1, 0, "gi", i=2)
+    path = tmp_path / "gi.jsonl"
+    full = count_sharded(q, 2, 1, str(path), chunk=7).count
+    (state,) = _checkpoint_lines(str(path))
+    assert state["query"]["index"] == "charpoly codes"
+    lo, hi = _shard_range(3 ** 2, 2, 1)
+    assert state["next_index"] == hi
+    _, subtotal = counting._target_space(2, trunc_make(F3, 0), "gi", i=2)
+    state.update(next_index=lo + 2, subtotal=str(subtotal(lo, lo + 2)))
+    path.write_text(json.dumps(state) + "\n")
+    assert count_sharded(q, 2, 1, str(path), chunk=7).count == full
+
+
+def test_gi_tuple_checkpoint_rejected(tmp_path):
+    # gi checkpoints of older versions count i-tuples of matrices in next_index
+    q = CountQuery(2, 2, 1, 0, "gi", i=2)
+    path = tmp_path / "old-gi.jsonl"
+    path.write_text(json.dumps({
+        "next_index": 2, "query": {"k": 1, "ell": 2, "m": 0, "n": 2,
+                                   "target": {"i": 2, "kind": "gi"}},
+        "schema_version": 1, "shard_id": 0, "shards": 1, "subtotal": "3"}) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(q, 1, 0, str(path))
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_chunk_below_one_rejected(chunk):
+    with pytest.raises(BadConfig):
+        count_sharded(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone"), 1, 0, chunk=chunk)
+
+
 def test_checkpoint_garbage_rejected(tmp_path):
     q = CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone")
     path = str(tmp_path / "bad.jsonl")
@@ -354,6 +419,17 @@ def test_combine_rejects_mixed_targets():
     b = run_query(CountQuery(n=2, ell=3, k=1, m=0, kind="nilcone"))
     with pytest.raises(BadConfig):
         combine_records([a, b])
+
+
+def test_combine_needs_one_whole_split():
+    q = CountQuery(n=2, ell=2, k=1, m=0, kind="gi", i=2)
+    r0, r1, r2 = (count_sharded(q, 3, s) for s in range(3))
+    assert combine_records([r2, r0, r1]).count == 72
+    other = count_sharded(q, 2, 0)
+    for partials in ([r0, r0, r1], [r0, r1], [r0, r1, r2, r2], [r0, r1, other],
+                     [run_query(q)]):
+        with pytest.raises(BadConfig):
+            combine_records(partials)
 
 
 def _nilcone_record(ell, k, m):
