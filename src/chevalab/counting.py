@@ -11,8 +11,9 @@ Samuelson-Berkowitz kernel ``matrices.charpoly_batch``; the encoded
 characteristic polynomials then give the counts.  The n = 2 fiber table is
 one integer matrix product (``_fiber_table_np``); it still counts every
 matrix (a, b, c, d), only grouped by the pairs (a, d) and (b, c).
-The scalar ``matrices.charpoly`` is the reference the kernel is tested
-against; it also takes the n = 1 sweeps over rings too large for dense tables.
+The kernel is tested against the cofactor expansion in ``tests/oracles.py``;
+the scalar ``matrices.charpoly``, the same algorithm on one matrix, takes only
+the n = 1 sweeps over rings too large for dense tables.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
 (``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
@@ -95,9 +96,9 @@ def matrix_space_size(n: int, ctx: TruncCtx) -> int:
     return ctx.size ** (n * n)
 
 
-def _check_sweep(n: int, ctx: TruncCtx, shardable: bool = False) -> None:
-    if matrix_space_size(n, ctx) > SWEEP_GUARD:
-        raise TooLarge(f"q^((m+1)n^2) = {matrix_space_size(n, ctx)} exceeds the sweep guard 2^30"
+def _check_sweep(size: int, what: str, shardable: bool = False) -> None:
+    if size > SWEEP_GUARD:
+        raise TooLarge(f"{what} = {size} exceeds the sweep guard 2^30"
                        + ("; shard the run" if shardable else ""))
 
 
@@ -133,15 +134,15 @@ def _rows(n: int, cells: list) -> list:
     return [cells[i * n:(i + 1) * n] for i in range(n)]
 
 
+def _digits(P: int, count: int, idx: np.ndarray) -> list:
+    """The count base-P digits of idx, most significant first."""
+    return [idx // P ** (count - 1 - d) % P for d in range(count)]
+
+
 def _full_entries(n: int, P: int, idx: np.ndarray) -> list:
     """Entry arrays of the matrices with sweep indices idx, in the order of
     matrix_from_index: entry (0,0) is the most significant base-P digit."""
-    cells = []
-    for _ in range(n * n):
-        cells.append(idx % P)
-        idx = idx // P
-    cells.reverse()
-    return _rows(n, cells)
+    return _rows(n, _digits(P, n * n, idx))
 
 
 def _nilcone_entries(n: int, ctx: TruncCtx, bases: np.ndarray, idx: np.ndarray) -> list:
@@ -210,6 +211,7 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
     if n == 1:  # the single base 0; q may be too large for dense tables
         bases = np.zeros((1, 1), dtype=np.int64)
     else:
+        _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) trace-zero bases")
         ctx0 = trunc_make(field, 0)
         q, add, _, neg = ring_tables(ctx0)
         found = []
@@ -254,9 +256,9 @@ def _count_hits(hit, lo: int, hi: int) -> int:
 
 
 def _count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None) -> int:
-    """The whole count of a target, subtotal(0, total) under the sweep guard."""
-    _check_sweep(n, ctx, shardable=kind != "gi")
+    """The whole count of a target, subtotal(0, total), guarding the total that runs."""
     total, subtotal = _target_space(n, ctx, kind, x, i)
+    _check_sweep(total, f"{kind} index count", shardable=kind != "gi")
     return subtotal(0, total)
 
 
@@ -274,7 +276,7 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     """The fiber sizes N(x) of every encoded x (_encode_key), one dense array of
     P^n counts; cached per (n, ctx.key()) and read-only, since density levels
     and every gi shard of a run read the same table."""
-    _check_sweep(n, ctx)
+    _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
     P = ctx.size
     counts = _fiber_table_np(ctx) if n == 2 else sum(
         np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)

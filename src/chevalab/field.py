@@ -420,22 +420,44 @@ class RingTables(NamedTuple):
 
 @functools.lru_cache(maxsize=4)
 def ring_tables(ctx: TruncCtx) -> RingTables:
-    """The tables of ``ctx``, built once per ``ctx.key()``; valid for any k and m."""
+    """The tables of ``ctx``, built once per ``ctx.key()``; valid for any k and m.
+
+    A ring index is a base-ell number: digit j of the t^i coefficient sits at
+    ell^((m-i)k + j).  Sums and negatives are carry-free digitwise mod ell, and
+    a product is a convolution in t, truncated at t^m, and in the field
+    generator x, reduced by the modulus.  Rows are built in blocks of about
+    2^16 pairs, so that no temporary is larger than one output table."""
     P = ctx.size
     if P > RING_TABLE_LIMIT:
         raise TooLarge(f"ring of size {P} exceeds the dense-table limit {RING_TABLE_LIMIT}")
-    sers = [ctx.from_index(i) for i in range(P)]
-    add = np.zeros((P, P), dtype=np.int64)
-    mul = np.zeros((P, P), dtype=np.int64)
-    neg = np.zeros(P, dtype=np.int64)
-    for i, a in enumerate(sers):
-        neg[i] = ctx.index(ctx.neg(a))
-        for j in range(i, P):
-            b = sers[j]
-            s = ctx.index(ctx.add(a, b))
-            p = ctx.index(ctx.mul(a, b))
-            add[i, j] = add[j, i] = s
-            mul[i, j] = mul[j, i] = p
+    ell, k, m, mod = ctx.field.ell, ctx.field.k, ctx.m, ctx.field.modulus
+
+    def digits(a):  # [i][j]: digit j of the t^i coefficient of each index in a
+        return [[a // ell ** ((m - i) * k + j) % ell for j in range(k)] for i in range(m + 1)]
+
+    def place(i, d):  # field digits of the t^i coefficient -> their share of the index
+        return sum(dj % ell * ell ** ((m - i) * k + j) for j, dj in enumerate(d))
+
+    idx = np.arange(P, dtype=np.int64)
+    dy = digits(idx)
+    neg = sum(place(i, [-d for d in dy[i]]) for i in range(m + 1))
+    add, mul = np.empty((2, P, P), dtype=np.int64)
+    rows = max(1, (1 << 16) // P)
+    for lo in range(0, P, rows):
+        dx = digits(idx[lo:lo + rows, None])
+        add[lo:lo + rows] = sum(place(i, [a + b for a, b in zip(dx[i], dy[i])])
+                                for i in range(m + 1))
+        acc = 0
+        for s in range(m + 1):
+            conv = [0] * (2 * k - 1)  # the t^s coefficient as a polynomial in x
+            for i, u, v in itertools.product(range(s + 1), range(k), range(k)):
+                conv[u + v] += dx[i][u] * dy[s - i][v]
+            for u in range(2 * k - 2, k - 1, -1):  # x^u = -x^(u-k) (mod - x^k)
+                c = conv[u] % ell
+                for v in range(k):
+                    conv[u - k + v] -= c * mod[v]
+            acc += place(s, conv[:k])
+        mul[lo:lo + rows] = acc
     tabs = RingTables(P, add.ravel(), mul.ravel(), neg)
     for arr in tabs[1:]:
         arr.flags.writeable = False

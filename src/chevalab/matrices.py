@@ -5,16 +5,16 @@ The sign convention for the characteristic polynomial is fixed everywhere as
 
     charpoly(A)(z) = det(zI - A) = z^n + c_1 z^(n-1) + ... + c_n.
 
-R_m has nilpotents, so all polynomial computations are division-free.  Two
-engines compute the characteristic polynomial:
+R_m has nilpotents, so all polynomial computations are division-free.  The
+characteristic polynomial is Samuelson-Berkowitz in two forms:
 
 * ``charpoly_batch``: Samuelson-Berkowitz over arrays of ring indices with
   the dense tables of ``field.ring_tables``, one matrix per array element.
-  Every exhaustive sweep and shard in ``counting`` and the exhaustive slice
-  audit run on it.
-* ``charpoly``: one ``JetMatrix`` at a time, by direct minor expansion for
-  n <= 3 and Samuelson-Berkowitz above.  It is the readable reference that
-  the batched engine is tested against, and serves single matrices.
+  Every exhaustive sweep and shard in ``counting`` and every exhaustive
+  sweep of ``slices`` and ``subreg`` run on it.
+* ``charpoly`` (also named ``charpoly_berkowitz``): the same algorithm on
+  one ``JetMatrix`` at a time, for single matrices, sampled audits and the
+  n = 1 sweeps over rings too large for dense tables.
 """
 
 from __future__ import annotations
@@ -110,70 +110,32 @@ def mat_identity(ctx: TruncCtx, n: int) -> JetMatrix:
     return mat_scalar(ctx, n, ctx.one)
 
 
-def charpoly(A: JetMatrix) -> CharCoeffs:
-    n = A.n
-    if n <= 3:
-        return _charpoly_direct(A)
-    return charpoly_berkowitz(A)
-
-
-def _charpoly_direct(A: JetMatrix) -> CharCoeffs:
-    ctx = A.ctx
-    e = A.entries
-    n = A.n
-    if n == 1:
-        return CharCoeffs(ctx, 1, (ctx.neg(e[0][0]),))
-    if n == 2:
-        (a, b), (c, d) = e
-        c1 = ctx.neg(ctx.add(a, d))
-        c2 = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
-        return CharCoeffs(ctx, 2, (c1, c2))
-    (a, b, c), (d, f, g), (h, i, j) = e
-    c1 = ctx.neg(ctx.add(ctx.add(a, f), j))
-    minors = ctx.add(
-        ctx.add(ctx.sub(ctx.mul(a, f), ctx.mul(b, d)), ctx.sub(ctx.mul(a, j), ctx.mul(c, h))),
-        ctx.sub(ctx.mul(f, j), ctx.mul(g, i)),
-    )
-    det = ctx.add(
-        ctx.sub(
-            ctx.mul(a, ctx.sub(ctx.mul(f, j), ctx.mul(g, i))),
-            ctx.mul(b, ctx.sub(ctx.mul(d, j), ctx.mul(g, h))),
-        ),
-        ctx.mul(c, ctx.sub(ctx.mul(d, i), ctx.mul(f, h))),
-    )
-    return CharCoeffs(ctx, 3, (c1, minors, ctx.neg(det)))
-
-
 def charpoly_berkowitz(A: JetMatrix) -> CharCoeffs:
-    """Samuelson-Berkowitz: valid over any commutative ring, no divisions."""
-    ctx = A.ctx
-    n = A.n
-    e = A.entries
-    coeffs = [ctx.one]  # char poly of the empty leading block
+    """Samuelson-Berkowitz: valid over any commutative ring, no divisions.
+    The steps of charpoly_batch, on one matrix."""
+    ctx, n, e = A.ctx, A.n, A.entries
+    coeffs: list = []  # c_1..c_i of the leading i x i block; c_0 = 1 is implicit
     for i in range(n):
-        a = e[i][i]
-        row = [e[i][j] for j in range(i)]
-        col = [e[j][i] for j in range(i)]
-        toep = [ctx.one, ctx.neg(a)]
-        w = col
+        row = e[i][:i]
+        # toep[j] for j >= 1: -a, -row.col, -row.A.col, ...; toep[0] = 1 is implicit
+        toep = [None, ctx.neg(e[i][i])]
+        w = [e[j][i] for j in range(i)]
         for j in range(2, i + 2):
-            acc = ctx.zero
-            for r, wr in zip(row, w):
-                acc = ctx.add(acc, ctx.mul(r, wr))
-            toep.append(ctx.neg(acc))
+            toep.append(ctx.neg(_dot(ctx, row, w)))
             if j <= i:
-                w = [
-                    _dot(ctx, [e[r][s] for s in range(i)], w) for r in range(i)
-                ]
+                w = [_dot(ctx, e[r][:i], w) for r in range(i)]
         new = []
-        for r in range(i + 2):
-            acc = ctx.zero
-            for s in range(min(r, i) + 1):
-                if r - s < len(toep):
-                    acc = ctx.add(acc, ctx.mul(toep[r - s], coeffs[s]))
+        for r in range(1, i + 2):
+            acc = toep[r]
+            for s in range(1, min(r, i) + 1):
+                term = coeffs[s - 1] if s == r else ctx.mul(toep[r - s], coeffs[s - 1])
+                acc = ctx.add(acc, term)
             new.append(acc)
         coeffs = new
-    return CharCoeffs(ctx, n, tuple(coeffs[1:]))
+    return CharCoeffs(ctx, n, tuple(coeffs))
+
+
+charpoly = charpoly_berkowitz
 
 
 def _dot(ctx: TruncCtx, xs, ys) -> tuple:

@@ -9,18 +9,20 @@ Jordan block, which gives the column-1 entry at in-block row r weight r.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .counting import _blocks, _digits
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
-from .field import FieldCtx, TruncCtx, ring_tables, trunc_make
+from .field import FieldCtx, RingTables, TruncCtx, ring_tables, trunc_make
 from .matrices import (JetMatrix, ad_rows, bracket_rank, charpoly,
-                       charpoly_batch, is_nilpotent_jet, rank_over_field,
-                       scale_coeffs)
+                       charpoly_batch, rank_over_field, scale_coeffs)
+
+EQUIVARIANCE_EXHAUSTIVE_LIMIT = 1 << 20  # (q-1) q^dim points and weights lambda
+ORBIT_JUMP_GUARD = 1 << 24  # q^dim slice points
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,7 @@ def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
 
 
 def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
-                       samples: int = 1000, seed: int = 0,
-                       exhaustive_limit: int = 1 << 20) -> bool:
+                       samples: int = 1000, seed: int = 0) -> bool:
     """charpoly(lambda * (x + A)) = lambda . charpoly(x + A), with lambda
     acting on coefficients by weights (1, ..., n).
 
@@ -260,29 +261,9 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     else seeded samples with series coordinates at m = 1.
     """
     basis = slice_basis(partition, kind)
-    if (field.q - 1) * field.q ** basis.dim <= exhaustive_limit:
+    if (field.q - 1) * field.q ** basis.dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
         return _equivariance_exhaustive_np(basis, field)
     return _equivariance_sampled(basis, field, samples, seed)
-
-
-def _equivariance_exhaustive(basis: SliceBasis, field: FieldCtx) -> bool:
-    """The m=0 exhaustive audit one point at a time through the scalar
-    charpoly.  Not used by audit_equivariance: it is the reference that the
-    tests compare _equivariance_exhaustive_np against."""
-    ctx = trunc_make(field, 0)
-    ncoords = len(basis.entries)
-    for raw in itertools.product(range(field.q), repeat=basis.dim):
-        coords = [(c,) for c in raw[:ncoords]]
-        z = (raw[ncoords],) if basis.has_center else None
-        A = slice_point(basis, field, coords, 0, z)
-        base = charpoly(A)
-        for lam in range(1, field.q):
-            sc = _scaled_coords(basis, field, ctx, coords, lam)
-            sz = ctx.smul(lam, z) if z is not None else None
-            As = slice_point(basis, field, sc, 0, sz)
-            if charpoly(As).c != scale_coeffs(base, lam).c:
-                return False
-    return True
 
 
 def _equivariance_sampled(basis: SliceBasis, field: FieldCtx,
@@ -304,32 +285,31 @@ def _equivariance_sampled(basis: SliceBasis, field: FieldCtx,
     return True
 
 
+def _slice_entries(basis: SliceBasis, field: FieldCtx, tabs: RingTables,
+                   coords: list, lam: int = 1) -> list:
+    """Entry arrays of the m = 0 slice points lam * (x + sum coords[e] E_e (+ zI)):
+    coordinate e scaled by lam^(its weight), the kind-M center z (last) by lam."""
+    P, add, mul, _ = tabs
+    n = basis.n
+    ent = [[e[0] for e in row] for row in jordan_matrix(basis.partition, field).entries]
+    for c, e in zip(coords, basis.entries):
+        c = mul[c * P + field.pow(lam, e.exponent)]
+        ent[e.row][e.col] = add[ent[e.row][e.col] * P + c]
+    if basis.has_center:
+        z = mul[coords[-1] * P + lam]
+        for i in range(n):
+            ent[i][i] = add[ent[i][i] * P + z]
+    return ent
+
+
 def _equivariance_exhaustive_np(basis: SliceBasis, field: FieldCtx) -> bool:
     """Vectorized m=0 exhaustive sweep through charpoly_batch."""
-    P, add, mul, _ = tabs = ring_tables(trunc_make(field, 0))
+    P, _, mul, _ = tabs = ring_tables(trunc_make(field, 0))
     n = basis.n
-    dim = basis.dim
-    idx = np.arange(P ** dim, dtype=np.int64)
-    coords = [(idx // P ** (dim - 1 - d)) % P for d in range(dim)]
-    x = jordan_matrix(basis.partition, field)
-
-    def build(lam=None):
-        ent = [[x.entries[i][j][0] for j in range(n)] for i in range(n)]
-        for c, e in zip(coords, basis.entries):
-            if lam is not None:
-                c = mul[c * P + field.pow(lam, e.exponent)]
-            ent[e.row][e.col] = add[ent[e.row][e.col] * P + c]
-        if basis.has_center:
-            zc = coords[len(basis.entries)]
-            if lam is not None:
-                zc = mul[zc * P + lam]
-            for i in range(n):
-                ent[i][i] = add[ent[i][i] * P + zc]
-        return ent
-
-    base_cp = charpoly_batch(n, tabs, build())
+    coords = _digits(P, basis.dim, np.arange(P ** basis.dim, dtype=np.int64))
+    base_cp = charpoly_batch(n, tabs, _slice_entries(basis, field, tabs, coords))
     for lam in range(1, P):
-        cp = charpoly_batch(n, tabs, build(lam))
+        cp = charpoly_batch(n, tabs, _slice_entries(basis, field, tabs, coords, lam))
         w = 1
         for i in range(n):
             w = field.mul(w, lam)
@@ -338,20 +318,21 @@ def _equivariance_exhaustive_np(basis: SliceBasis, field: FieldCtx) -> bool:
     return True
 
 
-def audit_orbit_jump(partition: Partition, field: FieldCtx,
-                     guard: int = 1 << 24) -> bool:
+def audit_orbit_jump(partition: Partition, field: FieldCtx) -> bool:
     """Every nonzero nilpotent y = x + l with l in L_x(F_q) sits on a larger
-    orbit: rank ad_y > rank ad_x."""
+    orbit: rank ad_y > rank ad_x.  charpoly_batch picks out the nilpotent y
+    block by block; only those go through bracket_rank."""
     basis = slice_basis(partition, "L")
-    q = field.q
-    if q ** len(basis.entries) > guard:
+    q, dim = field.q, basis.dim
+    if q ** dim > ORBIT_JUMP_GUARD:
         raise TooLarge("orbit-jump sweep exceeds the q^dim guard")
-    x = jordan_matrix(partition, field)
-    rx = bracket_rank(x)
-    for raw in itertools.product(range(q), repeat=len(basis.entries)):
-        if not any(raw):
-            continue
-        y = slice_point(basis, field, [(c,) for c in raw], 0, None)
-        if is_nilpotent_jet(y) and bracket_rank(y) <= rx:
-            return False
+    tabs = ring_tables(trunc_make(field, 0))  # TooLarge past RING_TABLE_LIMIT
+    rx = bracket_rank(jordan_matrix(partition, field))
+    for idx in _blocks(1, q ** dim):  # index 0 is l = 0
+        coords = _digits(q, dim, idx)
+        cp = charpoly_batch(basis.n, tabs, _slice_entries(basis, field, tabs, coords))
+        for b in np.flatnonzero(np.logical_and.reduce([c == 0 for c in cp])).tolist():
+            y = slice_point(basis, field, [(int(c[b]),) for c in coords], 0, None)
+            if bracket_rank(y) <= rx:
+                return False
     return True

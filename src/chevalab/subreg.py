@@ -3,24 +3,30 @@
 All integrals are truncated expectations over R_M with the valuation capped
 at M+1, so every comparison is exact; the closed-form bounds dominate every
 truncated value because capping only lowers the integral.
+
+Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
+the density's analytic path uses the ring tables alone, so its two paths stay
+independent.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-from .counting import FiberKey
+import numpy as np
+
+from .counting import FiberKey, _blocks, _charpoly_keys, _digits, _table_from_counts
 from .errors import LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
-from .field import FieldCtx, TruncCtx, trunc_make
-from .matrices import CharCoeffs, JetMatrix, charpoly, companion, shift_scalar
+from .field import FieldCtx, RingTables, TruncCtx, ring_tables, trunc_make
+from .matrices import CharCoeffs, charpoly, charpoly_batch, companion
 
 HIST_GUARD = 1 << 34
 VAL_GUARD = 1 << 24
 MAX_POLY_DEG = 8
 SLICE_GUARD = 1 << 26
+M1_EXHAUSTIVE_LIMIT = 1 << 14
 
 
 @dataclass
@@ -85,11 +91,6 @@ def val_integral_bound(deg: int, field: FieldCtx, M: int) -> Fraction:
     return Fraction(deg, field.ell - 1) + Fraction(M + 2, field.q ** M)
 
 
-def _monic_low_coeffs(g: CharCoeffs, ctx: TruncCtx) -> List[tuple]:
-    # z^n + c_1 z^(n-1) + ... + c_n, listed low-degree-first
-    return [ctx.make(c) for c in reversed(g.c)] + [ctx.one]
-
-
 def h_formula(g: CharCoeffs, field: FieldCtx, M: int) -> Fraction:
     """Truncated h(g) = (q-1)/q * mean_z (min(val(g(z)), M+1) + 1).
 
@@ -98,7 +99,7 @@ def h_formula(g: CharCoeffs, field: FieldCtx, M: int) -> Fraction:
     """
     q = field.q
     ctx = trunc_make(field, M)
-    coeffs = _monic_low_coeffs(g, ctx)
+    coeffs = [ctx.make(c) for c in reversed(g.c)] + [ctx.one]  # z^n + c_1 z^(n-1) + ... + c_n
     integral = val_integral(coeffs, field, M)
     h = Fraction(q - 1, q) * (integral + 1)
     bound = Fraction(g.n, field.ell) + 1
@@ -145,9 +146,9 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     """Pushforward density of Haar measure on the subregular slice (shape
     (n-1, 1)) through the characteristic polynomial, at resolution M.
 
-    Computed two independent ways: direct enumeration of the n+2 slice
-    coordinates (f, alpha, z), and boxwise via the multiplication-fiber
-    closed form applied to g(z).
+    Computed two independent ways over R_(M-1): the direct path sweeps the
+    slice coordinates (f, alpha, z) in blocks through charpoly_batch; the
+    analytic path sums the multiplication-fiber closed form over g(z), z in R.
     """
     if 2 * field.ell <= n:
         raise WrongCharacteristic(f"need char > n/2, got ell={field.ell}, n={n}")
@@ -157,61 +158,69 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     if M < 1:
         raise LevelTooLow("resolution M must be >= 1")
     q = field.q
-    if q ** ((n + 2) * M) > SLICE_GUARD:
+    if q ** ((n + 2) * M) > SLICE_GUARD:  # also keeps P = q^M <= 36 within the dense tables
         raise TooLarge("subregular slice sweep exceeds its guard")
     ctx = trunc_make(field, M - 1)
-    counts: Dict[FiberKey, int] = {}
-    ring = list(ctx.elements())
-    for fcoeffs in itertools.product(ring, repeat=n):
-        for alpha in ring:
-            A = companion(CharCoeffs(ctx, n, fcoeffs), alpha)
-            for z in ring:
-                key = charpoly(shift_scalar(A, z)).c
-                counts[key] = counts.get(key, 0) + 1
-    # analytic path: count(g) = sum_z #{(u, alpha) : u*alpha = g(z)}
-    analytic: Dict[FiberKey, int] = {}
-    for gcoeffs in itertools.product(ring, repeat=n):
-        g = CharCoeffs(ctx, n, gcoeffs)
-        low = _monic_low_coeffs(g, ctx)
-        total = 0
-        for z in ring:
-            total += mult_fiber_count(poly_eval(low, z, ctx), ctx)
-        if total:
-            analytic[gcoeffs] = total
-    denom = q ** (2 * M)
-    density = {k: Fraction(c, denom) for k, c in counts.items()}
-    return SubregDensity(n, field, M, counts, analytic, density)
+    P, add, mul, _ = tabs = ring_tables(ctx)
+    one = ctx.index(ctx.one)
+    direct = np.zeros(P ** n, dtype=np.int64)
+    for idx in _blocks(0, P ** (n + 2)):
+        *f, alpha, z = _digits(P, n + 2, idx)
+        keys = _charpoly_keys(n, ctx, _companion_entries(n, tabs, one, f, alpha, z))
+        direct += np.bincount(keys, minlength=P ** n)
+    fiber = np.array([mult_fiber_count(w, ctx) for w in ctx.elements()])  # by ring index
+    zs = np.arange(P)
+    analytic = np.zeros(P ** n, dtype=np.int64)
+    for codes in _blocks(0, P ** n):
+        acc = one  # g(z) = z^n + c_1 z^(n-1) + ... + c_n, one row per g, one column per z
+        for c in _digits(P, n, codes):
+            acc = add[mul[acc * P + zs] * P + c[:, None]]
+        analytic[codes] = fiber[acc].sum(axis=1)
+    counts = _table_from_counts(n, ctx, direct)
+    density = {k: Fraction(c, q ** (2 * M)) for k, c in counts.items()}
+    return SubregDensity(n, field, M, counts, _table_from_counts(n, ctx, analytic), density)
 
 
-def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000,
-                      seed: int = 0, exhaustive_limit: int = 1 << 14) -> bool:
-    """charpoly(c(f) + (alpha-1) e_{n-1,n}) = f - f(0) + alpha * f(0)."""
+def _companion_entries(n: int, tabs: RingTables, one: int, f, alpha, z=0) -> list:
+    """Entry arrays of companion(f, alpha) + zI: -f_i down the first column,
+    ones on the superdiagonal but alpha at (n-2, n-1), z added on the diagonal."""
+    P, add, _, neg = tabs
+    e = [[0] * n for _ in range(n)]
+    for i in range(n):
+        e[i][0] = neg[f[i]]
+        e[i][i] = add[e[i][i] * P + z]
+        if i < n - 1:
+            e[i][i + 1] = alpha if i == n - 2 else one
+    return e
+
+
+def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 0) -> bool:
+    """charpoly(c(f) + (alpha-1) e_{n-1,n}) = f - f(0) + alpha * f(0).
+
+    Exhaustive at m = 0 through charpoly_batch when the q^(n+1) points fit
+    M1_EXHAUSTIVE_LIMIT, else seeded samples with series coordinates at m = 1.
+    """
     import random
 
     if n < 2:
         raise TooLarge("identity needs n >= 2")
     q = field.q
-    ctx0 = trunc_make(field, 0)
-    if q ** (n + 1) <= exhaustive_limit:
-        space = itertools.product(ctx0.elements(), repeat=n + 1)
-        for tup in space:
-            if not _m1_identity_one(n, ctx0, tup[:n], tup[n]):
+    if q ** (n + 1) <= M1_EXHAUSTIVE_LIMIT:
+        tabs = ring_tables(trunc_make(field, 0))
+        for idx in _blocks(0, q ** (n + 1)):
+            *f, alpha = _digits(q, n + 1, idx)
+            got = charpoly_batch(n, tabs, _companion_entries(n, tabs, 1, f, alpha))
+            # f - f(0) + alpha*f(0): only the constant coefficient changes
+            expect = f[:-1] + [tabs.mul[alpha * q + f[-1]]]
+            if not all(np.array_equal(g, e) for g, e in zip(got, expect)):
                 return False
         return True
     rng = random.Random(seed)
     ctx = trunc_make(field, 1)
     for _ in range(samples):
-        fcoeffs = tuple(ctx.make([rng.randrange(q), rng.randrange(q)]) for _ in range(n))
+        f = CharCoeffs(ctx, n, tuple(ctx.make([rng.randrange(q), rng.randrange(q)])
+                                     for _ in range(n)))
         alpha = ctx.make([rng.randrange(q), rng.randrange(q)])
-        if not _m1_identity_one(n, ctx, fcoeffs, alpha):
+        if charpoly(companion(f, alpha)).c != f.c[:-1] + (ctx.mul(alpha, f.c[-1]),):
             return False
     return True
-
-
-def _m1_identity_one(n: int, ctx: TruncCtx, fcoeffs, alpha) -> bool:
-    f = CharCoeffs(ctx, n, tuple(fcoeffs))
-    A = companion(f, alpha)
-    got = charpoly(A).c
-    # f - f(0) + alpha*f(0): only the constant coefficient changes
-    expect = tuple(f.c[:-1]) + (ctx.mul(alpha, f.c[-1]),)
-    return got == expect

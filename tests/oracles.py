@@ -2,12 +2,18 @@
 
 Deliberately naive: the characteristic polynomial is computed by cofactor
 expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
-code paths with the package kernels.
+code paths with the package kernels.  The scalar slice-layer sweeps at the
+end run one point at a time through the package's scalar ``charpoly`` and
+are the references for its batched sweeps.
 """
 
 import itertools
 
-from chevalab.field import TruncCtx
+from chevalab.field import TruncCtx, trunc_make
+from chevalab.matrices import (CharCoeffs, bracket_rank, charpoly, companion,
+                               is_nilpotent_jet, scale_coeffs, shift_scalar)
+from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
+from chevalab.subreg import mult_fiber_count, poly_eval
 
 
 def poly_add(ctx: TruncCtx, a, b):
@@ -78,3 +84,60 @@ def fiber_counts_oracle(ctx: TruncCtx, n):
         key = charpoly_oracle(ctx, mat)
         table[key] = table.get(key, 0) + 1
     return table
+
+
+# --------------------------------------------------------------------------
+# scalar sweeps of the slice layer, one point at a time through matrices.charpoly;
+# the references for the batched sweeps in subreg and slices
+# --------------------------------------------------------------------------
+
+def subreg_slice_oracle(n, field, M):
+    """(counts, analytic_counts) of subreg.subreg_slice_density: the direct
+    (f, alpha, z) sweep and the multiplication-fiber sum over z."""
+    ctx = trunc_make(field, M - 1)
+    counts = {}
+    ring = list(ctx.elements())
+    for fcoeffs in itertools.product(ring, repeat=n):
+        for alpha in ring:
+            A = companion(CharCoeffs(ctx, n, fcoeffs), alpha)
+            for z in ring:
+                key = charpoly(shift_scalar(A, z)).c
+                counts[key] = counts.get(key, 0) + 1
+    analytic = {}
+    for gcoeffs in itertools.product(ring, repeat=n):
+        low = [ctx.make(c) for c in reversed(gcoeffs)] + [ctx.one]
+        total = sum(mult_fiber_count(poly_eval(low, z, ctx), ctx) for z in ring)
+        if total:
+            analytic[gcoeffs] = total
+    return counts, analytic
+
+
+def equivariance_exhaustive_oracle(basis, field):
+    """slices._equivariance_exhaustive_np one point at a time."""
+    ctx = trunc_make(field, 0)
+    ncoords = len(basis.entries)
+    for raw in itertools.product(range(field.q), repeat=basis.dim):
+        coords = [(c,) for c in raw[:ncoords]]
+        z = (raw[ncoords],) if basis.has_center else None
+        A = slice_point(basis, field, coords, 0, z)
+        base = charpoly(A)
+        for lam in range(1, field.q):
+            sc = _scaled_coords(basis, field, ctx, coords, lam)
+            sz = ctx.smul(lam, z) if z is not None else None
+            As = slice_point(basis, field, sc, 0, sz)
+            if charpoly(As).c != scale_coeffs(base, lam).c:
+                return False
+    return True
+
+
+def orbit_jump_oracle(partition, field):
+    """slices.audit_orbit_jump one point at a time."""
+    basis = slice_basis(partition, "L")
+    rx = bracket_rank(jordan_matrix(partition, field))
+    for raw in itertools.product(range(field.q), repeat=len(basis.entries)):
+        if not any(raw):
+            continue
+        y = slice_point(basis, field, [(c,) for c in raw], 0, None)
+        if is_nilpotent_jet(y) and bracket_rank(y) <= rx:
+            return False
+    return True

@@ -149,6 +149,23 @@ def test_nilpotent_bases_match_full_sweep(n, ell, k):
     assert counting._nilpotent_bases(n, field).tolist() == expected
 
 
+def test_nilcone_guard_counts_pruned_space(monkeypatch):
+    # the pruned nilcone space is 2^6 bases x 2^9 lifts = 2^15 indices; the full space is 2^18
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 16)
+    ctx = trunc_make(F2, 1)
+    assert count_nilcone_jets(3, ctx) == 5632
+    with pytest.raises(TooLarge, match="shard the run"):
+        count_jet_fiber(3, ctx, (ctx.zero,) * 3)
+
+
+def test_nilpotent_bases_guard_their_sweep(monkeypatch):
+    # the bases sweep q^(n^2 - 1) = 2^8 trace-zero matrices, though the count needs 2^6 indices
+    counting._nilpotent_bases.cache_clear()
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 7)
+    with pytest.raises(TooLarge, match="trace-zero bases"):
+        count_nilcone_jets(3, trunc_make(F2, 0))
+
+
 def test_nilcone_matches_zero_fiber():
     for ell, m in [(2, 0), (2, 1), (3, 0), (3, 1)]:
         ctx = trunc_make(field_make(ell), m)

@@ -10,6 +10,7 @@ from chevalab.field import (
     enumerate_ring,
     field_make,
     is_irreducible,
+    ring_tables,
     trunc_make,
     ts_mul,
     ts_val,
@@ -135,6 +136,25 @@ def test_ring_index_roundtrip_and_order():
     for i, e in enumerate(els):
         assert r.index(e) == i
         assert r.from_index(i) == e
+
+
+@pytest.mark.parametrize("ell,k,m", [(2, 1, 0), (2, 1, 3), (3, 1, 1), (3, 1, 3), (5, 1, 2),
+                                    (2, 2, 0), (2, 2, 1), (2, 2, 3), (3, 2, 0), (3, 2, 1),
+                                    (2, 3, 0), (2, 3, 1), (2, 3, 2)])
+def test_ring_tables_match_ring_ops(ell, k, m):
+    # every pair up to P = 128, else a seeded sample of pairs
+    r = trunc_make(field_make(ell, k), m)
+    P, add, mul, neg = ring_tables(r)
+    if P <= 128:
+        pairs = [(a, b) for a in range(P) for b in range(P)]
+    else:
+        rng = random.Random(P)
+        pairs = [(rng.randrange(P), rng.randrange(P)) for _ in range(4000)]
+    for a, b in pairs:
+        x, y = r.from_index(a), r.from_index(b)
+        assert add[a * P + b] == r.index(r.add(x, y))
+        assert mul[a * P + b] == r.index(r.mul(x, y))
+    assert [int(v) for v in neg] == [r.index(r.neg(r.from_index(a))) for a in range(P)]
 
 
 def test_enumeration_guard():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import chevalab
 import pytest
+from chevalab import slices
 from hypothesis import given, settings, strategies as st
 
 from chevalab.errors import BadConfig, TooLarge
@@ -25,6 +26,7 @@ from chevalab.slices import (
     subregular_threshold,
     weight_report,
 )
+from oracles import equivariance_exhaustive_oracle, orbit_jump_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -149,11 +151,10 @@ def test_equivariance_small_exhaustive(field):
             assert audit_equivariance(Partition(parts), kind, field)
 
 
-def test_equivariance_sampled_larger():
-    assert audit_equivariance(Partition((2, 2)), "L", F5, samples=200, seed=1,
-                              exhaustive_limit=1)
-    assert audit_equivariance(Partition((1, 1, 1)), "M", F3, samples=200, seed=2,
-                              exhaustive_limit=1)
+def test_equivariance_sampled_larger(monkeypatch):
+    monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", 1)
+    assert audit_equivariance(Partition((2, 2)), "L", F5, samples=200, seed=1)
+    assert audit_equivariance(Partition((1, 1, 1)), "M", F3, samples=200, seed=2)
 
 
 def test_equivariance_numpy_batch_path():
@@ -163,12 +164,11 @@ def test_equivariance_numpy_batch_path():
 
 def test_equivariance_batch_path_extension_field():
     # the scalar sweep is the reference for the batched one
-    from chevalab.slices import _equivariance_exhaustive, _equivariance_exhaustive_np
     F4 = field_make(2, 2)
     for F, parts, kind in [(F4, (1, 1), "L"), (F4, (1, 1), "M"), (F4, (2,), "L"),
                            (F2, (2, 1), "M"), (F3, (2, 1), "L"), (F3, (3,), "M")]:
         basis = slice_basis(Partition(parts), kind)
-        assert _equivariance_exhaustive_np(basis, F) == _equivariance_exhaustive(basis, F)
+        assert slices._equivariance_exhaustive_np(basis, F) == equivariance_exhaustive_oracle(basis, F)
 
 
 def test_theorem_check_survives_python_O():
@@ -192,12 +192,33 @@ def test_theorem_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_orbit_jump():
+def test_orbit_jump(monkeypatch):
     assert audit_orbit_jump(Partition((1, 1)), F2)
     assert audit_orbit_jump(Partition((2, 1)), F2)
     assert audit_orbit_jump(Partition((2,)), F3)  # regular: vacuous
+    monkeypatch.setattr(slices, "ORBIT_JUMP_GUARD", 10)
     with pytest.raises(TooLarge):
-        audit_orbit_jump(Partition((1, 1, 1)), F5, guard=10)
+        audit_orbit_jump(Partition((1, 1, 1)), F5)
+
+
+@pytest.mark.parametrize("parts,field", [((2, 1, 1), F2), ((2, 2), F3), ((3, 1), F3),
+                                         ((1, 1, 1), F2)], ids=["211-q2", "22-q3", "31-q3", "111-q2"])
+def test_orbit_jump_matches_scalar_sweep(parts, field):
+    assert audit_orbit_jump(Partition(parts), field) == orbit_jump_oracle(Partition(parts), field)
+
+
+def test_orbit_jump_reaches_nilpotent_points(monkeypatch):
+    # with every rank read as 0 no nilpotent y jumps, so the audit must fail
+    monkeypatch.setattr(slices, "bracket_rank", lambda x: 0)
+    assert not audit_orbit_jump(Partition((2, 1, 1)), F2)
+
+
+def test_orbit_jump_needs_ring_tables():
+    # F_2048 passes the q^dim guard for (1,) and (2,) but has no dense tables
+    F2048 = field_make(2, 11)
+    for parts in [(1,), (2,)]:
+        with pytest.raises(TooLarge, match="dense-table limit"):
+            audit_orbit_jump(Partition(parts), F2048)
 
 
 @given(st.integers(1, 6), st.randoms(use_true_random=False))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chevalab import subreg
 from chevalab.errors import TooLarge, WrongCharacteristic
 from chevalab.field import enumerate_ring, field_make, trunc_make, ts_mul, ts_val
 from chevalab.matrices import CharCoeffs
@@ -18,6 +19,7 @@ from chevalab.subreg import (
     val_integral,
     val_integral_bound,
 )
+from oracles import subreg_slice_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -158,8 +160,16 @@ def test_m1_identity_exhaustive_small():
     assert m1_identity_check(2, F3)
 
 
-def test_m1_identity_sampled():
-    assert m1_identity_check(3, F5, samples=150, seed=4, exhaustive_limit=1)
+def test_m1_identity_exhaustive_detects_mismatch(monkeypatch):
+    # the batched sweep compares every coefficient: reversed ones must fail
+    real = subreg.charpoly_batch
+    monkeypatch.setattr(subreg, "charpoly_batch", lambda n, tabs, e: real(n, tabs, e)[::-1])
+    assert not m1_identity_check(3, F2)
+
+
+def test_m1_identity_sampled(monkeypatch):
+    monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", 1)
+    assert m1_identity_check(3, F5, samples=150, seed=4)
 
 
 def test_subreg_density_q2_M2():
@@ -175,6 +185,22 @@ def test_subreg_density_q3_M1():
     assert d.mass() == 1
     assert d.dual_path_equal()
     assert d.sup() <= Fraction(5, 2)
+
+
+@pytest.mark.parametrize("n,ell,k,M", [(3, 2, 1, 1), (3, 2, 1, 2), (3, 3, 1, 1), (3, 3, 1, 2),
+                                        (3, 5, 1, 1), (4, 3, 1, 1), (3, 2, 2, 1)])
+def test_subreg_density_matches_scalar_sweep(n, ell, k, M):
+    d = subreg_slice_density(n, field_make(ell, k), M)
+    counts, analytic = subreg_slice_oracle(n, field_make(ell, k), M)
+    assert d.counts == counts
+    assert d.analytic_counts == analytic
+
+
+def test_subreg_density_n4_q3_M2():
+    d = subreg_slice_density(4, F3, 2)
+    assert sum(d.counts.values()) == 9 ** 6
+    assert d.mass() == 1
+    assert d.dual_path_equal()
 
 
 def test_subreg_guards():
