@@ -79,7 +79,6 @@ def _run_count(cfg: RunConfig) -> Report:
     query = CountQuery(cfg.n, cfg.ell, cfg.k, cfg.m, cfg.target, x=x, i=cfg.i)
     if cfg.checkpoint and cfg.shards <= 1 and cfg.shard_id is None:
         raise BadConfig("--checkpoint needs --shards > 1 or --shard-id")
-    t0 = time.monotonic()
     if cfg.shard_id is not None:
         record = count_sharded(query, cfg.shards, cfg.shard_id, cfg.checkpoint)
     elif cfg.shards > 1:
@@ -92,8 +91,7 @@ def _run_count(cfg: RunConfig) -> Report:
     anchors = {"nilcone": "Thm A", "fiber": "Thm B", "gi": "Thm C"}
     return Report("count", anchors[cfg.target],
                   inputs=query.target_dict() | {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "m": cfg.m},
-                  outputs={"count": str(record.count)},
-                  wall_ms=int((time.monotonic() - t0) * 1000))
+                  outputs={"count": str(record.count)})
 
 
 def _run_fit_dim(cfg: RunConfig) -> Report:
@@ -182,12 +180,12 @@ def _run_insep_probe(cfg: RunConfig) -> Report:
 
 
 def _run_hist_mult(cfg: RunConfig) -> Report:
-    M = cfg.level if cfg.level is not None else 3
+    M = cfg.level
     field = field_make(cfg.ell, cfg.k)
     hist = subreg.mult_pushforward_hist(field, M)
     verdicts = {
         f"bucket_{r}": hist.buckets[r] == subreg.closed_form_bucket(field, r)
-        for r in range(M)
+        for r in range(M + 1)
     }
     verdicts["masses_sum_to_one"] = hist.total() == 1
     outputs = {
@@ -199,7 +197,7 @@ def _run_hist_mult(cfg: RunConfig) -> Report:
 
 
 def _run_val_int(cfg: RunConfig) -> Report:
-    M = cfg.level if cfg.level is not None else 2
+    M = cfg.level
     field = field_make(cfg.ell, cfg.k)
     ctx = trunc_make(field, M)
     coeffs = [ctx.make([c]) for c in _parse_ints(cfg.poly, ",", "--poly")]
@@ -228,7 +226,10 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> Report:
     if cfg.subcommand not in _HANDLERS:
         raise BadConfig(f"unknown subcommand {cfg.subcommand!r}")
-    return _HANDLERS[cfg.subcommand](cfg)
+    t0 = time.monotonic()
+    report = _HANDLERS[cfg.subcommand](cfg)
+    report.wall_ms = int((time.monotonic() - t0) * 1000)
+    return report
 
 
 # options shared by several subcommands; each subcommand names the ones its

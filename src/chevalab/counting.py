@@ -11,9 +11,9 @@ Samuelson-Berkowitz kernel ``matrices.charpoly_batch``; the encoded
 characteristic polynomials then give the counts.  The n = 2 fiber table is
 one integer matrix product (``_fiber_table_np``); it still counts every
 matrix (a, b, c, d), only grouped by the pairs (a, d) and (b, c).
-The kernel is tested against the cofactor expansion in ``tests/oracles.py``;
-the scalar ``matrices.charpoly``, the same algorithm on one matrix, takes only
-the n = 1 sweeps over rings too large for dense tables.
+The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
+An n = 1 sweep needs no kernel and no tables: c_1 = -a is ``field.ring_neg``
+on the ring indices, at every ring size.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
 (``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
@@ -40,9 +40,8 @@ import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import (RING_TABLE_LIMIT, FieldCtx, TruncCtx, field_make,
-                    ring_tables, trunc_make)
-from .matrices import CharCoeffs, JetMatrix, charpoly, charpoly_batch
+from .field import FieldCtx, TruncCtx, field_make, ring_neg, ring_tables, trunc_make
+from .matrices import CharCoeffs, JetMatrix, charpoly_batch
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
 SHARD_GUARD = 1 << 40
@@ -179,21 +178,12 @@ def _decode_key(n: int, ctx: TruncCtx, code: int) -> FiberKey:
 
 def _charpoly_keys(n: int, ctx: TruncCtx, entries) -> np.ndarray:
     """Encoded characteristic polynomials (see _encode_key) of a block."""
-    P = ctx.size
-    if P > RING_TABLE_LIMIT:
-        # Too large for dense tables; under the sweep and shard guards only
-        # n = 1 gets here, so the scalar engine takes these matrices one by one.
-        flat = np.broadcast_arrays(*(x for row in entries for x in row))
-        keys = []
-        for b in range(flat[0].size):
-            A = JetMatrix(ctx, n, tuple(tuple(ctx.from_index(int(flat[i * n + j][b]))
-                                              for j in range(n)) for i in range(n)))
-            keys.append(_encode_key(ctx, charpoly(A).c))
-        return np.array(keys, dtype=np.int64)
+    if n == 1:  # c_1 = -a, on rings of any size
+        return ring_neg(ctx, entries[0][0])
     cs = charpoly_batch(n, ring_tables(ctx), entries)
     key = cs[0]
     for c in cs[1:]:
-        key = key * P + c
+        key = key * ctx.size + c
     return key
 
 

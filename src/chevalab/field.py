@@ -7,6 +7,10 @@ codes, index i holding the coefficient of t^i.
 Enumeration order is fixed once and for all so shard boundaries are
 reproducible: field elements by ascending integer code, series
 lexicographically with the t^0 coefficient outermost.
+
+A series is also its ring index (``TruncCtx.index``), a base-ell number.
+``ring_add``, ``ring_mul``, ``ring_neg`` and ``ring_val`` work digitwise on ring
+indices, ints or broadcasting int64 arrays; ``ring_tables`` runs them over all pairs.
 """
 
 from __future__ import annotations
@@ -242,13 +246,7 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_raw(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
+        self._mul_table = ring_tables(TruncCtx(self, 0)).mul.tolist()
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self.pow(a, q - 2)
@@ -418,47 +416,69 @@ class RingTables(NamedTuple):
     neg: np.ndarray
 
 
+def _place(ctx: TruncCtx, i: int, d):  # digits d of the t^i coefficient -> their share
+    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
+    return sum(dj % ell * ell ** ((m - i) * k + j) for j, dj in enumerate(d))
+
+
+def _ring_digits(ctx: TruncCtx, a) -> list:  # [i][j]: digit j of t^i, at ell^((m-i)k + j)
+    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
+    return [[a // ell ** ((m - i) * k + j) % ell for j in range(k)] for i in range(m + 1)]
+
+
+def ring_add(ctx: TruncCtx, x, y):
+    """Ring index of x + y, carry-free digitwise mod ell."""
+    return sum(_place(ctx, i, [a + b for a, b in zip(dx, dy)])
+               for i, (dx, dy) in enumerate(zip(_ring_digits(ctx, x), _ring_digits(ctx, y))))
+
+
+def ring_neg(ctx: TruncCtx, x):
+    """Ring index of -x, digitwise mod ell."""
+    return sum(_place(ctx, i, [-a for a in dx]) for i, dx in enumerate(_ring_digits(ctx, x)))
+
+
+def ring_mul(ctx: TruncCtx, x, y):
+    """Ring index of x * y: a convolution in t, truncated at t^m, and in the
+    field generator, reduced by the modulus."""
+    ell, k, mod = ctx.field.ell, ctx.field.k, ctx.field.modulus
+    dx, dy = _ring_digits(ctx, x), _ring_digits(ctx, y)
+    acc = 0
+    for s in range(ctx.m + 1):
+        conv = [0] * (2 * k - 1)  # the t^s coefficient as a polynomial in the generator
+        for i, u, v in itertools.product(range(s + 1), range(k), range(k)):
+            conv[u + v] += dx[i][u] * dy[s - i][v]
+        for u in range(2 * k - 2, k - 1, -1):  # x^u = -x^(u-k) (mod - x^k)
+            c = conv[u] % ell
+            for v in range(k):
+                conv[u - k + v] -= c * mod[v]
+        acc = acc + _place(ctx, s, conv[:k])
+    return acc
+
+
+def ring_val(ctx: TruncCtx, x):
+    """val of ring index x, m + 1 for zero: #{j <= m : x < q^j}, t^0 being the top digit."""
+    return sum(x < ctx.field.q ** j for j in range(ctx.m + 1))
+
+
+def _row_blocks(P: int) -> list:
+    """Row slices of the P x P grid of index pairs, about 2^16 pairs each."""
+    rows = max(1, (1 << 16) // P)
+    return [slice(lo, lo + rows) for lo in range(0, P, rows)]
+
+
 @functools.lru_cache(maxsize=4)
 def ring_tables(ctx: TruncCtx) -> RingTables:
     """The tables of ``ctx``, built once per ``ctx.key()``; valid for any k and m.
-
-    A ring index is a base-ell number: digit j of the t^i coefficient sits at
-    ell^((m-i)k + j).  Sums and negatives are carry-free digitwise mod ell, and
-    a product is a convolution in t, truncated at t^m, and in the field
-    generator x, reduced by the modulus.  Rows are built in blocks of about
-    2^16 pairs, so that no temporary is larger than one output table."""
+    Rows run in blocks of about 2^16 pairs, so no temporary outgrows one table."""
     P = ctx.size
     if P > RING_TABLE_LIMIT:
         raise TooLarge(f"ring of size {P} exceeds the dense-table limit {RING_TABLE_LIMIT}")
-    ell, k, m, mod = ctx.field.ell, ctx.field.k, ctx.m, ctx.field.modulus
-
-    def digits(a):  # [i][j]: digit j of the t^i coefficient of each index in a
-        return [[a // ell ** ((m - i) * k + j) % ell for j in range(k)] for i in range(m + 1)]
-
-    def place(i, d):  # field digits of the t^i coefficient -> their share of the index
-        return sum(dj % ell * ell ** ((m - i) * k + j) for j, dj in enumerate(d))
-
     idx = np.arange(P, dtype=np.int64)
-    dy = digits(idx)
-    neg = sum(place(i, [-d for d in dy[i]]) for i in range(m + 1))
     add, mul = np.empty((2, P, P), dtype=np.int64)
-    rows = max(1, (1 << 16) // P)
-    for lo in range(0, P, rows):
-        dx = digits(idx[lo:lo + rows, None])
-        add[lo:lo + rows] = sum(place(i, [a + b for a, b in zip(dx[i], dy[i])])
-                                for i in range(m + 1))
-        acc = 0
-        for s in range(m + 1):
-            conv = [0] * (2 * k - 1)  # the t^s coefficient as a polynomial in x
-            for i, u, v in itertools.product(range(s + 1), range(k), range(k)):
-                conv[u + v] += dx[i][u] * dy[s - i][v]
-            for u in range(2 * k - 2, k - 1, -1):  # x^u = -x^(u-k) (mod - x^k)
-                c = conv[u] % ell
-                for v in range(k):
-                    conv[u - k + v] -= c * mod[v]
-            acc += place(s, conv[:k])
-        mul[lo:lo + rows] = acc
-    tabs = RingTables(P, add.ravel(), mul.ravel(), neg)
+    for rows in _row_blocks(P):
+        add[rows] = ring_add(ctx, idx[rows, None], idx)
+        mul[rows] = ring_mul(ctx, idx[rows, None], idx)
+    tabs = RingTables(P, add.ravel(), mul.ravel(), ring_neg(ctx, idx))
     for arr in tabs[1:]:
         arr.flags.writeable = False
     return tabs

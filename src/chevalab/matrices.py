@@ -13,8 +13,7 @@ characteristic polynomial is Samuelson-Berkowitz in two forms:
   Every exhaustive sweep and shard in ``counting`` and every exhaustive
   sweep of ``slices`` and ``subreg`` run on it.
 * ``charpoly`` (also named ``charpoly_berkowitz``): the same algorithm on
-  one ``JetMatrix`` at a time, for single matrices, sampled audits and the
-  n = 1 sweeps over rings too large for dense tables.
+  one ``JetMatrix`` at a time, for single matrices and sampled audits.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .counting import FiberKey, count_jet_fiber, fiber_table
+import numpy as np
+
+from .counting import FiberKey, _digits, _fiber_counts, count_jet_fiber, fiber_table
 from .errors import LevelTooLow, TooLarge, WrongCharacteristic
-from .field import FieldCtx, trunc_make
+from .field import FieldCtx, ring_val, trunc_make
 from .reporting import atomic_write_text, emit_csv
 
 
@@ -89,18 +91,11 @@ def anfrs_ratio(n: int, field: FieldCtx, a: int,
     if level < a * n:
         raise LevelTooLow(f"truncation level {level} < a*n = {a * n}")
     ctx = trunc_make(field, level - 1)
-    table = fiber_table(n, ctx)
-    numerator = 0
-    for x, c in table.items():
-        ok = True
-        for i, ci in enumerate(x, start=1):
-            v = ctx.val(ci)
-            if (v if v is not None else level) < a * i:
-                ok = False
-                break
-        if ok:
-            numerator += c
-    mass = Fraction(numerator, field.q ** (level * n * n))
+    counts = _fiber_counts(n, ctx)
+    inside = np.ones(len(counts), dtype=bool)  # ring_val of zero is level, the cap
+    for i, c in enumerate(_digits(ctx.size, n, np.arange(len(counts))), start=1):
+        inside &= ring_val(ctx, c) >= a * i
+    mass = Fraction(int(counts[inside].sum()), field.q ** (level * n * n))
     return mass * field.q ** (a * n * (n + 1) // 2)
 
 

@@ -6,7 +6,9 @@ truncated value because capping only lowers the integral.
 
 Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
 the density's analytic path uses the ring tables alone, so its two paths stay
-independent.
+independent.  The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
+run ``field.ring_mul`` and ``field.ring_val`` on blocks of ring indices and
+build no tables; their scalar loops live in ``tests/oracles.py`` as references.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .counting import FiberKey, _blocks, _charpoly_keys, _digits, _table_from_counts
 from .errors import LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
-from .field import FieldCtx, RingTables, TruncCtx, ring_tables, trunc_make
+from .field import (FieldCtx, RingTables, TruncCtx, _row_blocks, ring_add, ring_mul,
+                    ring_tables, ring_val, trunc_make)
 from .matrices import CharCoeffs, charpoly, charpoly_batch, companion
 
 HIST_GUARD = 1 << 34
@@ -47,31 +50,20 @@ def closed_form_bucket(field: FieldCtx, r: int) -> Fraction:
 
 
 def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
-    """Exact histogram of val(x*y) over R_M^2, by enumeration."""
-    q = field.q
-    if q ** (2 * (M + 1)) > HIST_GUARD:
+    """Exact histogram of val(x*y) over R_M^2: every pair, in row blocks of ring indices."""
+    denom = field.q ** (2 * (M + 1))  # pairs (x, y)
+    if denom > HIST_GUARD:
         raise TooLarge("multiplication histogram sweep exceeds its guard")
     ctx = trunc_make(field, M)
-    counts = [0] * (M + 2)  # index M+1 = tail
-    for x in ctx.elements():
-        for y in ctx.elements():
-            v = ctx.val(ctx.mul(x, y))
-            counts[M + 1 if v is None else v] += 1
-    denom = q ** (2 * (M + 1))
-    buckets = {r: Fraction(counts[r], denom) for r in range(M + 1)}
+    ys = np.arange(ctx.size, dtype=np.int64)
+    counts = sum(np.bincount(ring_val(ctx, ring_mul(ctx, ys[rows, None], ys)).ravel(),
+                             minlength=M + 2) for rows in _row_blocks(ctx.size)).tolist()
+    buckets = {r: Fraction(counts[r], denom) for r in range(M + 1)}  # counts[M + 1]: the tail
     return ValHistogram(field, M, buckets, Fraction(counts[M + 1], denom))
 
 
-def poly_eval(coeffs_low: Sequence[tuple], z: tuple, ctx: TruncCtx) -> tuple:
-    """Evaluate sum coeffs_low[i] * z^i by Horner."""
-    acc = ctx.zero
-    for c in reversed(coeffs_low):
-        acc = ctx.add(ctx.mul(acc, z), c)
-    return acc
-
-
 def val_integral(coeffs_low: Sequence[tuple], field: FieldCtx, M: int) -> Fraction:
-    """Truncated I_M(f) = q^{-(M+1)} sum_z min(val(f(z)), M+1) over R_M."""
+    """Truncated I_M(f) = q^{-(M+1)} sum_z min(val(f(z)), M+1) over R_M, by Horner."""
     deg = len(coeffs_low) - 1
     if deg > MAX_POLY_DEG:
         raise TooLarge(f"polynomial degree {deg} exceeds {MAX_POLY_DEG}")
@@ -79,10 +71,13 @@ def val_integral(coeffs_low: Sequence[tuple], field: FieldCtx, M: int) -> Fracti
     if q ** (M + 1) > VAL_GUARD:
         raise TooLarge("valuation integral sweep exceeds its guard")
     ctx = trunc_make(field, M)
-    coeffs = [ctx.make(c) for c in coeffs_low]
+    coeffs = [ctx.index(ctx.make(c)) for c in reversed(coeffs_low)]
     total = 0
-    for z in ctx.elements():
-        total += ctx.val_capped(poly_eval(coeffs, z, ctx), M + 1)
+    for z in _blocks(0, ctx.size):
+        acc = np.zeros_like(z)
+        for c in coeffs:
+            acc = ring_add(ctx, ring_mul(ctx, acc, z), c)
+        total += int(np.sum(ring_val(ctx, acc)))
     return Fraction(total, q ** (M + 1))
 
 

@@ -4,16 +4,19 @@ Deliberately naive: the characteristic polynomial is computed by cofactor
 expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
 code paths with the package kernels.  The scalar slice-layer sweeps at the
 end run one point at a time through the package's scalar ``charpoly`` and
-are the references for its batched sweeps.
+are the references for its batched sweeps; the scalar valuation sweeps run
+one series tuple at a time through ``TruncCtx`` and are the references for
+the ring-index sweeps of ``subreg``.
 """
 
 import itertools
+from fractions import Fraction
 
 from chevalab.field import TruncCtx, trunc_make
 from chevalab.matrices import (CharCoeffs, bracket_rank, charpoly, companion,
                                is_nilpotent_jet, scale_coeffs, shift_scalar)
 from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
-from chevalab.subreg import mult_fiber_count, poly_eval
+from chevalab.subreg import ValHistogram, mult_fiber_count
 
 
 def poly_add(ctx: TruncCtx, a, b):
@@ -141,3 +144,41 @@ def orbit_jump_oracle(partition, field):
         if is_nilpotent_jet(y) and bracket_rank(y) <= rx:
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# scalar valuation sweeps, one series tuple at a time through TruncCtx;
+# the references for subreg.mult_pushforward_hist and subreg.val_integral
+# --------------------------------------------------------------------------
+
+def mult_hist_oracle(field, M):
+    """subreg.mult_pushforward_hist by the P^2 double loop over series tuples."""
+    q = field.q
+    ctx = trunc_make(field, M)
+    counts = [0] * (M + 2)  # index M+1 = tail
+    for x in ctx.elements():
+        for y in ctx.elements():
+            v = ctx.val(ctx.mul(x, y))
+            counts[M + 1 if v is None else v] += 1
+    denom = q ** (2 * (M + 1))
+    buckets = {r: Fraction(counts[r], denom) for r in range(M + 1)}
+    return ValHistogram(field, M, buckets, Fraction(counts[M + 1], denom))
+
+
+def poly_eval(coeffs_low, z, ctx):
+    """Evaluate sum coeffs_low[i] * z^i by Horner."""
+    acc = ctx.zero
+    for c in reversed(coeffs_low):
+        acc = ctx.add(ctx.mul(acc, z), c)
+    return acc
+
+
+def val_integral_oracle(coeffs_low, field, M):
+    """subreg.val_integral by the loop over series tuples z."""
+    q = field.q
+    ctx = trunc_make(field, M)
+    coeffs = [ctx.make(c) for c in coeffs_low]
+    total = 0
+    for z in ctx.elements():
+        total += ctx.val_capped(poly_eval(coeffs, z, ctx), M + 1)
+    return Fraction(total, q ** (M + 1))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chevalab import counting
+from chevalab import cli, counting, subreg
 from chevalab.cli import RunConfig, build_parser, main, run
 from chevalab.counting import CountQuery, run_query
 from chevalab.errors import BadConfig
@@ -162,10 +162,29 @@ def test_hist_mult_cmd(capsys):
     assert doc["outputs"]["buckets"]["0"] == "4/9"
 
 
+def test_hist_mult_checks_bucket_M(capsys, monkeypatch):
+    # the verdicts cover every bucket r <= M, so a closed form wrong only at r = M fails
+    real = subreg.closed_form_bucket
+    monkeypatch.setattr(subreg, "closed_form_bucket",
+                        lambda field, r: real(field, r) + (r == 2))
+    code, doc = _main_out(capsys, ["hist-mult", "--ell", "3", "--M", "2"])
+    assert code == 1
+    assert not doc["verdicts"]["bucket_2"] and doc["verdicts"]["bucket_1"]
+
+
 def test_val_int_cmd(capsys):
     code, doc = _main_out(capsys, ["val-int", "--poly", "0,1", "--M", "2"])
     assert code == 0
     assert "7/8" in doc["outputs"]["integral"]
+
+
+def test_every_subcommand_reports_wall_ms(capsys, monkeypatch):
+    # cli.run times the handler: a clock stepping 0.5 s per reading gives 500 ms
+    clock = iter(range(10 ** 6))
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock) * 0.5)
+    code, doc = _main_out(capsys, ["val-int", "--poly", "0,1", "--M", "2"])
+    assert code == 0
+    assert doc["wall_ms"] == 500
 
 
 def test_bad_config_exit_2(capsys):

@@ -121,7 +121,7 @@ def test_nilcone_m0_fine_herstein(n, ell, k):
 
 
 def test_ring_past_table_limit_n1():
-    # no dense tables past the limit: n = 1 sweeps run on the scalar engine
+    # no dense tables past the limit: n = 1 sweeps negate ring indices, c_1 = -a
     ctx = trunc_make(F2, 10)
     assert ctx.size > RING_TABLE_LIMIT
     assert count_nilcone_jets(1, ctx) == 1
@@ -131,6 +131,16 @@ def test_ring_past_table_limit_n1():
     assert count_jet_fiber(1, ctx, x) == 1
     q = CountQuery(n=1, ell=2, k=1, m=10, kind="fiber", x=x)
     assert sum(count_sharded(q, 3, s).count for s in range(3)) == 1
+
+
+def test_charpoly_keys_past_table_limit_need_tables_from_n2():
+    # n = 1 negates ring indices at any size; n >= 2 needs the dense tables
+    ctx = trunc_make(F2, 10)
+    a = np.arange(5, dtype=np.int64)
+    assert counting._charpoly_keys(1, ctx, [[a]]).tolist() == [ctx.index(ctx.neg(ctx.from_index(v)))
+                                                              for v in range(5)]
+    with pytest.raises(TooLarge):
+        counting._charpoly_keys(2, ctx, [[a, a], [a, a]])
 
 
 def test_nilcone_n1_builds_no_tables():

@@ -10,7 +10,11 @@ from chevalab.field import (
     enumerate_ring,
     field_make,
     is_irreducible,
+    ring_add,
+    ring_mul,
+    ring_neg,
     ring_tables,
+    ring_val,
     trunc_make,
     ts_mul,
     ts_val,
@@ -155,6 +159,34 @@ def test_ring_tables_match_ring_ops(ell, k, m):
         assert add[a * P + b] == r.index(r.add(x, y))
         assert mul[a * P + b] == r.index(r.mul(x, y))
     assert [int(v) for v in neg] == [r.index(r.neg(r.from_index(a))) for a in range(P)]
+
+
+@pytest.mark.parametrize("ell,k,m", [(2, 1, 3), (3, 1, 2), (2, 2, 1), (3, 2, 1), (2, 3, 1), (5, 1, 1)])
+def test_ring_functions_on_ints_match_ring_ops(ell, k, m):
+    # Python-int ring indices, every element and a seeded sample of pairs
+    r = trunc_make(field_make(ell, k), m)
+    P = r.size
+    rng = random.Random(P)
+    for a in range(P):
+        x = r.from_index(a)
+        v = r.val(x)
+        assert ring_val(r, a) == (m + 1 if v is None else v)
+        assert ring_neg(r, a) == r.index(r.neg(x))
+    for _ in range(2000):
+        a, b = rng.randrange(P), rng.randrange(P)
+        x, y = r.from_index(a), r.from_index(b)
+        assert ring_add(r, a, b) == r.index(r.add(x, y))
+        assert ring_mul(r, a, b) == r.index(r.mul(x, y))
+
+
+@pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])
+def test_field_mul_table_matches_mul_raw(ell, k):
+    # the table comes from ring_tables at m = 0; _mul_raw reduces by the modulus itself
+    f = field_make(ell, k)
+    assert f._mul_table is not None
+    for a in range(f.q):
+        for b in range(f.q):
+            assert f.mul(a, b) == f._mul_raw(a, b)
 
 
 def test_enumeration_guard():

@@ -6,7 +6,7 @@ import pytest
 
 from chevalab import subreg
 from chevalab.errors import TooLarge, WrongCharacteristic
-from chevalab.field import enumerate_ring, field_make, trunc_make, ts_mul, ts_val
+from chevalab.field import enumerate_ring, field_make, trunc_make, ts_mul
 from chevalab.matrices import CharCoeffs
 from chevalab.subreg import (
     closed_form_bucket,
@@ -14,12 +14,11 @@ from chevalab.subreg import (
     m1_identity_check,
     mult_fiber_count,
     mult_pushforward_hist,
-    poly_eval,
     subreg_slice_density,
     val_integral,
     val_integral_bound,
 )
-from oracles import subreg_slice_oracle
+from oracles import mult_hist_oracle, poly_eval, subreg_slice_oracle, val_integral_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -47,21 +46,13 @@ def test_hist_q2_values():
     assert h.tail == Fraction(3, 16)
 
 
-def test_hist_from_direct_enumeration():
-    # independent check: tally val(u*v) over all pairs in R_3 over F_3
-    ctx = trunc_make(F3, 3)
-    tall = {}
-    for u in enumerate_ring(ctx):
-        for v in enumerate_ring(ctx):
-            w = ts_mul(ctx, u, v)
-            r = ts_val(ctx, w)
-            key = 4 if r is None else r  # val >= 4 lands in the tail
-            tall[key] = tall.get(key, 0) + 1
-    total = 3 ** 8
-    h = mult_pushforward_hist(F3, 3)
-    for r in (0, 1, 2, 3):
-        assert h.buckets[r] == Fraction(tall[r], total)
-    assert h.tail == Fraction(tall[4], total)
+@pytest.mark.parametrize("ell,k,M", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (2, 3, 1), (3, 2, 1)])
+def test_hist_from_direct_enumeration(ell, k, M):
+    # independent check: the scalar double loop over all pairs of series tuples
+    field = field_make(ell, k)
+    h, ref = mult_pushforward_hist(field, M), mult_hist_oracle(field, M)
+    assert h.buckets == ref.buckets
+    assert h.tail == ref.tail
 
 
 @pytest.mark.parametrize("ell,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
@@ -115,6 +106,16 @@ def test_val_integral_monotone_in_M():
         coeffs = [c + (0,) * M for c in fixed]
         vals.append(val_integral(coeffs, F2, M))
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("ell,k,M", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 1, 3), (2, 1, 5)])
+def test_val_integral_matches_scalar_sweep(ell, k, M):
+    # series coefficients with t-terms, degrees 0..8, against the loop over series tuples
+    field = field_make(ell, k)
+    rng = random.Random(ell * 100 + k * 10 + M)
+    for deg in range(9):
+        coeffs = [tuple(rng.randrange(field.q) for _ in range(M + 1)) for _ in range(deg + 1)]
+        assert val_integral(coeffs, field, M) == val_integral_oracle(coeffs, field, M)
 
 
 def test_val_integral_bound_corpus():
