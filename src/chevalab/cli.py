@@ -122,7 +122,7 @@ def _run_density(cfg: RunConfig) -> Report:
 
 def _run_anfrs(cfg: RunConfig) -> Report:
     field = field_make(cfg.ell, cfg.k)
-    ratio = measure.anfrs_ratio(cfg.n, field, cfg.a, cfg.level)
+    ratio = measure.anfrs_ratio(cfg.n, field, cfg.a)
     return Report("anfrs", "Thm 6.3",
                   {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "a": cfg.a},
                   {"ratio": _frac_str(ratio)})
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("anfrs", "shrinking-ellipsoid density ratio", "--n --ell --k")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
 
     p = add("slice-audit", "slice weight table and audits", "--n --ell --k --seed --samples --out")
     p.add_argument("--partition", required=True)

@@ -32,7 +32,7 @@ MAX_ENUM = 1 << 40
 MAX_ELL = 251
 MAX_K = 16
 
-# Multiplication tables are only materialized for small fields.
+# Add, neg, mul and inv tables are only materialized for small fields.
 _TABLE_LIMIT = 512
 # Largest ring q^(m+1) with dense add/mul tables: two P*P int64 arrays, 16 MB at the limit.
 RING_TABLE_LIMIT = 1 << 10
@@ -160,15 +160,15 @@ def _find_modulus(ell: int, k: int) -> tuple:
 class FieldCtx:
     """The finite field F_{ell^k} with integer-coded elements."""
 
-    __slots__ = ("ell", "k", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("ell", "k", "q", "modulus", "_add_table", "_mul_table", "_neg_table",
+                 "_inv_table")
 
     def __init__(self, ell: int, k: int, modulus: tuple):
         self.ell = ell
         self.k = k
         self.q = ell ** k
         self.modulus = modulus
-        self._mul_table = None
-        self._inv_table = None
+        self._add_table = self._mul_table = self._neg_table = self._inv_table = None
         if self.q <= _TABLE_LIMIT and k > 1:
             self._build_tables()
 
@@ -189,18 +189,21 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.ell
+        if self._add_table is not None:
+            return self._add_table[a * self.q + b]
         ell = self.ell
         return self.encode([(x + y) % ell for x, y in zip(self.digits(a), self.digits(b))])
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.ell
-        ell = self.ell
-        return self.encode([(x - y) % ell for x, y in zip(self.digits(a), self.digits(b))])
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.ell
+        if self._neg_table is not None:
+            return self._neg_table[a]
         return self.encode([(-x) % self.ell for x in self.digits(a)])
 
     def mul(self, a: int, b: int) -> int:
@@ -246,7 +249,8 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q = self.q
-        self._mul_table = ring_tables(TruncCtx(self, 0)).mul.tolist()
+        tabs = ring_tables(TruncCtx(self, 0))
+        self._add_table, self._mul_table, self._neg_table = (t.tolist() for t in tabs[1:])
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self.pow(a, q - 2)

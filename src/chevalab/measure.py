@@ -5,6 +5,11 @@ All masses are exact rationals with power-of-q denominators; floats appear
 only in human-readable report columns.  Two region types are kept distinct:
 unweighted boxes x + t^M O^n (density profiles) and weighted ellipsoids
 {val(c_i) >= a*i} (the shrinking-ellipsoid ratio).
+
+A density profile is the dense fiber-count array over the codes of
+``counting._encode_key`` with the denominator q^(M(n^2-n)); mass, L^t norms,
+sup and refinement run on that array, and boxes are decoded to coefficient
+tuples only for export (argmax boxes and CSV rows).
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .counting import FiberKey, _digits, _fiber_counts, count_jet_fiber, fiber_table
+from .counting import FiberKey, _decode_key, _digits, _fiber_counts, count_jet_fiber
 from .errors import LevelTooLow, TooLarge, WrongCharacteristic
 from .field import FieldCtx, ring_val, trunc_make
 from .reporting import atomic_write_text, emit_csv
@@ -27,69 +32,61 @@ class DensityProfile:
     n: int
     field: FieldCtx
     M: int  # resolution; boxes live in c(R_{M-1})
-    counts: Dict[FiberKey, int]
-    table: Dict[FiberKey, Fraction]  # f_M(x) = count(x) * q^{-M(n^2-n)}
+    counts: np.ndarray  # dense, read-only, by _encode_key code; f_M(x) = counts[x] / denom()
+
+    def denom(self) -> int:
+        """q^(M(n^2-n)), the denominator of every f_M(x)."""
+        return self.field.q ** (self.M * (self.n * self.n - self.n))
 
     def mass(self) -> Fraction:
-        q = self.field.q
-        return sum(self.table.values(), Fraction(0)) / Fraction(q ** (self.M * self.n))
+        return Fraction(int(self.counts.sum()), self.field.q ** (self.M * self.n * self.n))
 
 
 def density_profile(n: int, field: FieldCtx, M: int) -> DensityProfile:
     if M < 1:
         raise LevelTooLow("resolution M must be >= 1")
-    ctx = trunc_make(field, M - 1)
-    counts = fiber_table(n, ctx)
-    denom = field.q ** (M * (n * n - n))
-    table = {x: Fraction(c, denom) for x, c in counts.items()}
-    # boxes with empty fibers still carry density 0; keep them implicit
-    return DensityProfile(n, field, M, counts, table)
+    return DensityProfile(n, field, M, _fiber_counts(n, trunc_make(field, M - 1)))
 
 
 def lt_norm(profile: DensityProfile, t: int) -> Fraction:
     """Exact q^{-Mn} * sum_x f_M(x)^t."""
     if t < 1:
         raise TooLarge("exponent t must be >= 1")
-    q = profile.field.q
-    total = sum((f ** t for f in profile.table.values()), Fraction(0))
-    return total / Fraction(q ** (profile.M * profile.n))
+    total = sum(c ** t for c in profile.counts.tolist())
+    return Fraction(total, profile.denom() ** t * profile.field.q ** (profile.M * profile.n))
 
 
 def sup_density(profile: DensityProfile) -> Tuple[Fraction, List[FiberKey]]:
-    if not profile.table:
-        return Fraction(0), []
-    best = max(profile.table.values())
-    argmax = sorted(x for x, f in profile.table.items() if f == best)
-    return best, argmax
+    """The largest f_M(x) and its boxes, in ascending code order."""
+    best = profile.counts.max()
+    ctx = trunc_make(profile.field, profile.M - 1)
+    argmax = [_decode_key(profile.n, ctx, code)
+              for code in np.flatnonzero(profile.counts == best).tolist()]
+    return Fraction(int(best), profile.denom()), argmax
 
 
 def refinement_check(n: int, field: FieldCtx, M: int) -> bool:
-    """Averaging f_{M+1} over the q^n children of each box reproduces f_M."""
-    coarse = density_profile(n, field, M)
-    fine = density_profile(n, field, M + 1)
+    """Averaging f_{M+1} over the q^n children of each box reproduces f_M.
+
+    A child's code adds one least significant digit (the t^M coefficient) to
+    each c_i, so the children of a box are the q axes of the fine counts
+    reshaped to (P, q) * n, and their counts sum to q^(n^2) times the box's."""
+    coarse = density_profile(n, field, M).counts
+    fine = density_profile(n, field, M + 1).counts
     q = field.q
-    agg: Dict[FiberKey, Fraction] = {}
-    for x, f in fine.table.items():
-        parent = tuple(ci[: M] for ci in x)
-        agg[parent] = agg.get(parent, Fraction(0)) + f
-    for x, f in coarse.table.items():
-        if agg.get(x, Fraction(0)) != f * q ** n:
-            return False
-    extras = set(agg) - set(coarse.table)
-    return not any(agg[x] for x in extras)
+    children = fine.reshape((q ** M, q) * n).sum(axis=tuple(range(1, 2 * n, 2)))
+    return np.array_equal(children.ravel(), coarse * q ** (n * n))
 
 
-def anfrs_ratio(n: int, field: FieldCtx, a: int,
-                source_level: Optional[int] = None) -> Fraction:
+def anfrs_ratio(n: int, field: FieldCtx, a: int) -> Fraction:
     """Pushed-forward mass of the weighted ellipsoid {val(c_i) >= a*i},
-    divided by the ellipsoid's Haar volume q^{-a*n(n+1)/2}."""
+    divided by the ellipsoid's Haar volume q^{-a*n(n+1)/2}.  The ellipsoid
+    is fixed modulo t^(a*n), so the counts are taken at level a*n."""
     if a < 0:
         raise LevelTooLow("ellipsoid scale a must be >= 0")
     if a == 0:
         return Fraction(1)
-    level = a * n if source_level is None else source_level
-    if level < a * n:
-        raise LevelTooLow(f"truncation level {level} < a*n = {a * n}")
+    level = a * n
     ctx = trunc_make(field, level - 1)
     counts = _fiber_counts(n, ctx)
     inside = np.ones(len(counts), dtype=bool)  # ring_val of zero is level, the cap
@@ -131,17 +128,18 @@ def _coeff_str(series: tuple) -> str:
 
 
 def profile_rows(profile: DensityProfile) -> List[dict]:
-    q = profile.field.q
+    """One row per box with a nonempty fiber, in ascending code order."""
+    ctx = trunc_make(profile.field, profile.M - 1)
     rows = []
-    for x in sorted(profile.table):
-        count = profile.counts[x]
-        f = profile.table[x]
+    for code in np.flatnonzero(profile.counts).tolist():
+        count = int(profile.counts[code])
+        f = Fraction(count, profile.denom())
         # denominator of f is a power of q by construction
         rows.append({
-            "box": "|".join(_coeff_str(ci) for ci in x),
+            "box": "|".join(_coeff_str(ci) for ci in _decode_key(profile.n, ctx, code)),
             "fiber_count": str(count),
             "f_numerator": str(f.numerator),
-            "f_denominator_exp": _q_exponent(f.denominator, q),
+            "f_denominator_exp": _q_exponent(f.denominator, profile.field.q),
         })
     return rows
 

@@ -9,6 +9,10 @@ the density's analytic path uses the ring tables alone, so its two paths stay
 independent.  The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
 run ``field.ring_mul`` and ``field.ring_val`` on blocks of ring indices and
 build no tables; their scalar loops live in ``tests/oracles.py`` as references.
+
+Both slice-density paths give dense count arrays over the codes of
+``counting._encode_key``, with the denominator q^(2M); mass, sup and the
+dual-path comparison run on the arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .counting import FiberKey, _blocks, _charpoly_keys, _digits, _table_from_counts
+from .counting import _blocks, _charpoly_keys, _digits
 from .errors import LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
 from .field import (FieldCtx, RingTables, TruncCtx, _row_blocks, ring_add, ring_mul,
                     ring_tables, ring_val, trunc_make)
@@ -121,20 +125,17 @@ class SubregDensity:
     n: int
     field: FieldCtx
     M: int
-    counts: Dict[FiberKey, int]  # direct slice enumeration
-    analytic_counts: Dict[FiberKey, int]  # multiplication-fiber formula path
-    density: Dict[FiberKey, Fraction]
+    counts: np.ndarray  # direct slice sweep, dense by _encode_key code; density counts / q^(2M)
+    analytic_counts: np.ndarray  # multiplication-fiber formula path, same codes
 
     def mass(self) -> Fraction:
-        q = self.field.q
-        return sum(self.density.values(), Fraction(0)) / Fraction(q ** (self.M * self.n))
+        return Fraction(int(self.counts.sum()), self.field.q ** (self.M * (self.n + 2)))
 
     def sup(self) -> Fraction:
-        return max(self.density.values()) if self.density else Fraction(0)
+        return Fraction(int(self.counts.max()), self.field.q ** (2 * self.M))
 
     def dual_path_equal(self) -> bool:
-        keys = set(self.counts) | set(self.analytic_counts)
-        return all(self.counts.get(k, 0) == self.analytic_counts.get(k, 0) for k in keys)
+        return np.array_equal(self.counts, self.analytic_counts)
 
 
 def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
@@ -152,8 +153,7 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
                        "use density_profile for n = 2")
     if M < 1:
         raise LevelTooLow("resolution M must be >= 1")
-    q = field.q
-    if q ** ((n + 2) * M) > SLICE_GUARD:  # also keeps P = q^M <= 36 within the dense tables
+    if field.q ** ((n + 2) * M) > SLICE_GUARD:  # also keeps P = q^M <= 36 within the dense tables
         raise TooLarge("subregular slice sweep exceeds its guard")
     ctx = trunc_make(field, M - 1)
     P, add, mul, _ = tabs = ring_tables(ctx)
@@ -171,9 +171,7 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
         for c in _digits(P, n, codes):
             acc = add[mul[acc * P + zs] * P + c[:, None]]
         analytic[codes] = fiber[acc].sum(axis=1)
-    counts = _table_from_counts(n, ctx, direct)
-    density = {k: Fraction(c, q ** (2 * M)) for k, c in counts.items()}
-    return SubregDensity(n, field, M, counts, _table_from_counts(n, ctx, analytic), density)
+    return SubregDensity(n, field, M, direct, analytic)
 
 
 def _companion_entries(n: int, tabs: RingTables, one: int, f, alpha, z=0) -> list:

@@ -247,6 +247,7 @@ def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     ["hist-mult", "--n", "2"],
     ["val-int", "--poly", "0,1", "--n", "2"],
     ["val-int", "--poly", "0,1", "--seed", "1"],
+    ["anfrs", "--a", "1", "--level", "3"],
 ])
 def test_unread_option_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

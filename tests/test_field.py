@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chevalab import field
 from chevalab.errors import NoModulusInTable, NonPrime, TooLarge
 from chevalab.field import (
     BOTTOM,
@@ -180,13 +181,20 @@ def test_ring_functions_on_ints_match_ring_ops(ell, k, m):
 
 
 @pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])
-def test_field_mul_table_matches_mul_raw(ell, k):
-    # the table comes from ring_tables at m = 0; _mul_raw reduces by the modulus itself
+def test_field_mul_table_matches_mul_raw(ell, k, monkeypatch):
+    # the tables come from ring_tables at m = 0; _mul_raw reduces by the modulus
+    # itself, and a field built past the table limit adds and negates on digits
     f = field_make(ell, k)
     assert f._mul_table is not None
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+    digits = field_make(ell, k)
+    assert digits._add_table is None and digits._neg_table is None
     for a in range(f.q):
+        assert f.neg(a) == digits.neg(a)
         for b in range(f.q):
             assert f.mul(a, b) == f._mul_raw(a, b)
+            assert f.add(a, b) == digits.add(a, b)
+            assert f.sub(a, b) == digits.sub(a, b)
 
 
 def test_enumeration_guard():

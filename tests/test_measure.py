@@ -3,10 +3,13 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from chevalab import measure
+from chevalab.counting import _encode_key, fiber_table
 from chevalab.errors import LevelTooLow, WrongCharacteristic
-from chevalab.field import field_make
+from chevalab.field import field_make, trunc_make
 from chevalab.measure import (
     anfrs_ratio,
     density_profile,
@@ -24,29 +27,53 @@ F2 = field_make(2)
 F3 = field_make(3)
 
 
+def _table(p):
+    """{box: f_M(box)} over the nonempty boxes, in Fractions from fiber_table."""
+    denom = p.field.q ** (p.M * (p.n * p.n - p.n))
+    return {x: Fraction(c, denom)
+            for x, c in fiber_table(p.n, trunc_make(p.field, p.M - 1)).items()}
+
+
+def _density_at(p, box):
+    ctx = trunc_make(p.field, p.M - 1)
+    return Fraction(int(p.counts[_encode_key(ctx, box)]), p.field.q ** (p.M * (p.n * p.n - p.n)))
+
+
 def test_profile_n1_is_flat():
     # n = 1: the map is the identity up to sign, density is constant 1
     p = density_profile(1, F2, 2)
-    assert all(f == 1 for f in p.table.values())
+    assert all(f == 1 for f in _table(p).values())
     assert p.mass() == 1
     assert lt_norm(p, 7) == 1
-    assert sup_density(p) == (Fraction(1), sorted(p.table))
+    assert sup_density(p) == (Fraction(1), sorted(_table(p)))
 
 
 def test_profile_n2_q2_M1_values():
     p = density_profile(2, F2, 1)
-    assert p.table[((0,), (0,))] == 1
-    assert p.table[((1,), (0,))] == Fraction(3, 2)
-    assert p.table[((0,), (1,))] == 1
-    assert p.table[((1,), (1,))] == Fraction(1, 2)
+    assert _density_at(p, ((0,), (0,))) == 1
+    assert _density_at(p, ((1,), (0,))) == Fraction(3, 2)
+    assert _density_at(p, ((0,), (1,))) == 1
+    assert _density_at(p, ((1,), (1,))) == Fraction(1, 2)
     assert p.mass() == 1
     assert sup_density(p) == (Fraction(3, 2), [((1,), (0,))])
 
 
 def test_profile_n2_q2_M2_at_zero():
     p = density_profile(2, F2, 2)
-    assert p.table[((0, 0), (0, 0))] == Fraction(5, 4)
+    assert _density_at(p, ((0, 0), (0, 0))) == Fraction(5, 4)
     assert p.mass() == 1
+
+
+@pytest.mark.parametrize("n,ell,k,M", [(1, 5, 1, 3), (2, 2, 1, 3), (2, 2, 2, 2), (3, 2, 1, 2)])
+def test_summaries_match_fraction_reference(n, ell, k, M):
+    p = density_profile(n, field_make(ell, k), M)
+    table = _table(p)
+    vol = Fraction(1, p.field.q ** (M * n))  # Haar volume of one box
+    assert p.mass() == sum(table.values()) * vol == 1
+    for t in (1, 2, 3):
+        assert lt_norm(p, t) == sum(f ** t for f in table.values()) * vol
+    best = max(table.values())
+    assert sup_density(p) == (best, sorted(x for x, f in table.items() if f == best))
 
 
 def test_lt_norm_values():
@@ -66,15 +93,36 @@ def test_refinement(ell, M):
     assert refinement_check(2, field_make(ell), M)
 
 
+def test_refinement_detects_moved_count(monkeypatch):
+    # move one unit of fine count from code x to a box whose c_1 has another parent
+    n, M = 2, 1
+    real = measure._fiber_counts
+
+    def moved(n_, ctx):
+        counts = real(n_, ctx)
+        if ctx.m < M:
+            return counts
+        counts = counts.copy()
+        P = ctx.size
+        x = int(np.flatnonzero(counts)[0])
+        counts[x] -= 1
+        counts[(x + F2.q * P ** (n - 1)) % P ** n] += 1
+        return counts
+
+    assert refinement_check(n, F2, M)
+    monkeypatch.setattr(measure, "_fiber_counts", moved)
+    assert not refinement_check(n, F2, M)
+
+
 def test_profile_homothety_invariance():
     # f_M(lambda . x) = f_M(x) for the weighted scaling c_i -> lambda^i c_i
     p = density_profile(2, F3, 2)
-    from chevalab.field import trunc_make
     ctx = trunc_make(F3, 1)
+    table = _table(p)
     for lam in (1, 2):
-        for (c1, c2), f in p.table.items():
+        for (c1, c2), f in table.items():
             scaled = (ctx.smul(lam, c1), ctx.smul(lam * lam % 3, c2))
-            assert p.table[scaled] == f
+            assert table[scaled] == f
 
 
 def test_anfrs_trivial_scale():
@@ -88,7 +136,7 @@ def test_anfrs_q2_a1():
 def test_anfrs_q3_a1_matches_direct_oracle():
     # direct ellipsoid mass over all 3^8 matrices at level 2
     from chevalab.counting import enumerate_matrices
-    from chevalab.field import trunc_make, ts_val
+    from chevalab.field import ts_val
     from chevalab.matrices import charpoly
     ctx = trunc_make(F3, 1)
     hit = 0
@@ -102,13 +150,7 @@ def test_anfrs_q3_a1_matches_direct_oracle():
     assert anfrs_ratio(2, F3, 1) == expected
 
 
-def test_anfrs_higher_source_level_consistent():
-    assert anfrs_ratio(2, F2, 1, source_level=3) == anfrs_ratio(2, F2, 1)
-
-
 def test_anfrs_level_guard():
-    with pytest.raises(LevelTooLow):
-        anfrs_ratio(2, F2, 1, source_level=1)
     with pytest.raises(LevelTooLow):
         anfrs_ratio(2, F2, -1)
 
@@ -170,4 +212,4 @@ def test_summary_json(tmp_path):
     summary_to_json(s, str(path))
     assert json.loads(path.read_text())["mass"] == "1"
     rows = profile_rows(p)
-    assert len(rows) == len(p.table)
+    assert len(rows) == len(_table(p))

@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chevalab import subreg
+from chevalab.counting import _table_from_counts
 from chevalab.errors import TooLarge, WrongCharacteristic
 from chevalab.field import enumerate_ring, field_make, trunc_make, ts_mul
 from chevalab.matrices import CharCoeffs
@@ -175,7 +177,7 @@ def test_m1_identity_sampled(monkeypatch):
 
 def test_subreg_density_q2_M2():
     d = subreg_slice_density(3, F2, 2)
-    assert sum(d.counts.values()) == 1024
+    assert int(d.counts.sum()) == 1024
     assert d.mass() == 1
     assert d.sup() == Fraction(7, 4)
     assert d.dual_path_equal()
@@ -193,13 +195,22 @@ def test_subreg_density_q3_M1():
 def test_subreg_density_matches_scalar_sweep(n, ell, k, M):
     d = subreg_slice_density(n, field_make(ell, k), M)
     counts, analytic = subreg_slice_oracle(n, field_make(ell, k), M)
-    assert d.counts == counts
-    assert d.analytic_counts == analytic
+    ctx = trunc_make(d.field, M - 1)
+    assert _table_from_counts(n, ctx, d.counts) == counts
+    assert _table_from_counts(n, ctx, d.analytic_counts) == analytic
+
+
+def test_dual_path_detects_off_by_one():
+    d = subreg_slice_density(3, F2, 1)
+    assert d.dual_path_equal()
+    d.analytic_counts = d.analytic_counts.copy()
+    d.analytic_counts[int(np.flatnonzero(d.analytic_counts)[0])] += 1
+    assert not d.dual_path_equal()
 
 
 def test_subreg_density_n4_q3_M2():
     d = subreg_slice_density(4, F3, 2)
-    assert sum(d.counts.values()) == 9 ** 6
+    assert int(d.counts.sum()) == 9 ** 6
     assert d.mass() == 1
     assert d.dual_path_equal()
 
