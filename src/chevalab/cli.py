@@ -241,7 +241,8 @@ _SHARED = {
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=1000),
     "--out": dict(default=None),
-    "--format": dict(dest="fmt", choices=["json", "csv"], default="json"),
+    "--format": dict(dest="fmt", choices=["json", "csv"], default=None,
+                     help="format of the --out file (default json)"),
 }
 
 
@@ -303,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(**{k: v for k, v in vars(args).items()})
+    if getattr(args, "fmt", None) and args.out is None:
+        parser.error("unrecognized arguments: --format is read only with --out")
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
     try:
         report = run(cfg)
     except BadConfig as exc:

@@ -265,12 +265,17 @@ def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
 def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     """The fiber sizes N(x) of every encoded x (_encode_key), one dense array of
     P^n counts; cached per (n, ctx.key()) and read-only, since density levels
-    and every gi shard of a run read the same table."""
-    _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
+    and every gi shard of a run read the same table.  Each guard bounds the
+    work that runs: P^3 multiply-adds for the n = 2 product, the whole
+    matrix space for a sweep."""
     P = ctx.size
-    counts = _fiber_table_np(ctx) if n == 2 else sum(
-        np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
-        for idx in _blocks(0, matrix_space_size(n, ctx)))
+    if n == 2:
+        _check_sweep(P ** 3, "P^3 multiply-adds of the n = 2 product")
+        counts = _fiber_table_np(ctx)
+    else:
+        _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
+        counts = sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
+                     for idx in _blocks(0, matrix_space_size(n, ctx)))
     counts.flags.writeable = False
     return counts
 
@@ -279,7 +284,7 @@ def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
     """The n = 2 fiber counts as one integer matrix product.  charpoly([[a, b], [c, d]])
     is (-(a+d), ad - bc), so H[c1, p] = #{(a, d) : -(a+d) = c1, ad = p} and
     B[p, c2] = #{(b, c) : bc = p - c2} give the counts H @ B.  Every entry is
-    a count <= P^4 <= 2^30 under the sweep guard, so int64 is exact."""
+    a count <= P^4 <= 2^40 under the guard P^3 <= 2^30, so int64 is exact."""
     P, add, mul, neg = ring_tables(ctx)
     H = np.bincount(neg[add] * P + mul, minlength=P * P).reshape(P, P)
     B = np.bincount(mul, minlength=P)[add.reshape(P, P)[:, neg]]

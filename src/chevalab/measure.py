@@ -8,8 +8,10 @@ unweighted boxes x + t^M O^n (density profiles) and weighted ellipsoids
 
 A density profile is the dense fiber-count array over the codes of
 ``counting._encode_key`` with the denominator q^(M(n^2-n)); mass, L^t norms,
-sup and refinement run on that array, and boxes are decoded to coefficient
-tuples only for export (argmax boxes and CSV rows).
+sup and refinement run on that array.  Exports work on code arrays too: the
+argmax boxes and the CSV rows are the nonzero codes, decoded digitwise into
+box strings (``_box_strings``), with the q-power reduction of f done on the
+whole count array at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .counting import FiberKey, _decode_key, _digits, _fiber_counts, count_jet_fiber
 from .errors import LevelTooLow, TooLarge, WrongCharacteristic
-from .field import FieldCtx, ring_val, trunc_make
+from .field import FieldCtx, TruncCtx, ring_val, trunc_make
 from .reporting import atomic_write_text, emit_csv
 
 
@@ -123,42 +125,37 @@ def insep_probe(field: FieldCtx, limit: int = 3) -> List[InsepTracePoint]:
 # exports
 # --------------------------------------------------------------------------
 
-def _coeff_str(series: tuple) -> str:
-    return ";".join(str(c) for c in series)
-
-
-def profile_rows(profile: DensityProfile) -> List[dict]:
-    """One row per box with a nonempty fiber, in ascending code order."""
-    ctx = trunc_make(profile.field, profile.M - 1)
-    rows = []
-    for code in np.flatnonzero(profile.counts).tolist():
-        count = int(profile.counts[code])
-        f = Fraction(count, profile.denom())
-        # denominator of f is a power of q by construction
-        rows.append({
-            "box": "|".join(_coeff_str(ci) for ci in _decode_key(profile.n, ctx, code)),
-            "fiber_count": str(count),
-            "f_numerator": str(f.numerator),
-            "f_denominator_exp": _q_exponent(f.denominator, profile.field.q),
-        })
-    return rows
-
-
-def _q_exponent(denom: int, q: int) -> int:
-    e = 0
-    while denom > 1:
-        denom //= q
-        e += 1
-    return e
+def _box_strings(n: int, ctx: TruncCtx, codes: np.ndarray) -> List[str]:
+    """The boxes of codes as "c_1|...|c_n", each c_i its t-coefficients joined
+    by ";"; the P coefficient strings of the ring are built once."""
+    coeffs = np.array([";".join(map(str, ctx.from_index(i))) for i in range(ctx.size)], dtype=object)
+    return list(map("|".join, zip(*(coeffs[d].tolist() for d in _digits(ctx.size, n, codes)))))
 
 
 def profile_to_csv(profile: DensityProfile, path: str) -> None:
-    emit_csv(profile_rows(profile), ["box", "fiber_count", "f_numerator", "f_denominator_exp"],
-             path, lineterminator="\r\n")
+    """One row per box with a nonempty fiber, in ascending code order.  f is
+    written as f_numerator / q^f_denominator_exp with the smallest exponent
+    e such that f q^e is an integer; for k > 1 the reduced denominator of f
+    can be a power of ell that is no power of q."""
+    q = profile.field.q
+    codes = np.flatnonzero(profile.counts)
+    counts = profile.counts[codes]
+    num = counts.copy()
+    exp = np.full(len(codes), profile.M * (profile.n * profile.n - profile.n), dtype=np.int64)
+    while True:
+        step = (exp > 0) & (num % q == 0)
+        if not step.any():
+            break
+        num[step] //= q
+        exp[step] -= 1
+    boxes = _box_strings(profile.n, trunc_make(profile.field, profile.M - 1), codes)
+    emit_csv(zip(boxes, counts.tolist(), num.tolist(), exp.tolist()),
+             ["box", "fiber_count", "f_numerator", "f_denominator_exp"], path, lineterminator="\r\n")
 
 
 def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
-    sup, argmax = sup_density(profile)
+    best = profile.counts.max()
+    ctx = trunc_make(profile.field, profile.M - 1)
     return {
         "n": profile.n,
         "ell": profile.field.ell,
@@ -166,8 +163,8 @@ def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
         "M": profile.M,
         "mass": str(profile.mass()),
         "lt_norms": {str(t): str(lt_norm(profile, t)) for t in t_exponents},
-        "sup": str(sup),
-        "argmax": ["|".join(_coeff_str(ci) for ci in x) for x in argmax],
+        "sup": str(Fraction(int(best), profile.denom())),
+        "argmax": _box_strings(profile.n, ctx, np.flatnonzero(profile.counts == best)),
     }
 
 

@@ -11,7 +11,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import BadConfig, IoError
 
@@ -99,13 +99,13 @@ def load_jsonl(path: str) -> List[CountRecord]:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def emit_csv(rows: Sequence[dict], fieldnames: Sequence[str], path: str,
+def emit_csv(rows: Iterable[Sequence], header: Sequence[str], path: str,
              lineterminator: str = "\n") -> None:
+    """Write header and rows (each a sequence in header order) as one CSV file."""
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator=lineterminator)
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
+    w = csv.writer(buf, lineterminator=lineterminator)
+    w.writerow(header)
+    w.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -114,15 +114,8 @@ def emit(records: Sequence[CountRecord], fmt: str, path: str) -> None:
     if fmt == "json":
         emit_jsonl(records, path)
     elif fmt == "csv":
-        rows = []
-        for r in records:
-            rows.append({
-                "n": r.n, "ell": r.ell, "k": r.k, "m": r.m,
-                "target": json.dumps(r.target, sort_keys=True),
-                "count": str(r.count),
-                "shards": r.shards,
-                "shard_id": "" if r.shard_id is None else r.shard_id,
-            })
+        rows = [[r.n, r.ell, r.k, r.m, json.dumps(r.target, sort_keys=True), str(r.count), r.shards,
+                 "" if r.shard_id is None else r.shard_id] for r in records]
         emit_csv(rows, ["n", "ell", "k", "m", "target", "count", "shards", "shard_id"], path)
     else:
         raise IoError(f"unknown format {fmt!r}")

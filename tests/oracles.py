@@ -6,12 +6,16 @@ code paths with the package kernels.  The scalar slice-layer sweeps at the
 end run one point at a time through the package's scalar ``charpoly`` and
 are the references for its batched sweeps; the scalar valuation sweeps run
 one series tuple at a time through ``TruncCtx`` and are the references for
-the ring-index sweeps of ``subreg``.
+the ring-index sweeps of ``subreg``.  The per-box export loop at the very end
+is the reference for ``measure.profile_to_csv``.
 """
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
+from chevalab.counting import _decode_key
 from chevalab.field import TruncCtx, trunc_make
 from chevalab.matrices import (CharCoeffs, bracket_rank, charpoly, companion,
                                is_nilpotent_jet, scale_coeffs, shift_scalar)
@@ -182,3 +186,38 @@ def val_integral_oracle(coeffs_low, field, M):
     for z in ctx.elements():
         total += ctx.val_capped(poly_eval(coeffs, z, ctx), M + 1)
     return Fraction(total, q ** (M + 1))
+
+
+# --------------------------------------------------------------------------
+# per-box density export, one row at a time through Fraction;
+# the reference for measure.profile_to_csv
+# --------------------------------------------------------------------------
+
+def _coeff_str(series: tuple) -> str:
+    return ";".join(str(c) for c in series)
+
+
+def _min_q_exponent(f: Fraction, q: int) -> int:
+    """The smallest e with f * q^e an integer."""
+    e = 0
+    while (f * q ** e).denominator != 1:
+        e += 1
+    return e
+
+
+def profile_rows_oracle(profile):
+    """The CSV rows of profile_to_csv as dicts, one box at a time, in ascending code order."""
+    ctx = trunc_make(profile.field, profile.M - 1)
+    q = profile.field.q
+    rows = []
+    for code in np.flatnonzero(profile.counts).tolist():
+        count = int(profile.counts[code])
+        f = Fraction(count, profile.denom())
+        e = _min_q_exponent(f, q)
+        rows.append({
+            "box": "|".join(_coeff_str(ci) for ci in _decode_key(profile.n, ctx, code)),
+            "fiber_count": str(count),
+            "f_numerator": str(f * q ** e),
+            "f_denominator_exp": e,
+        })
+    return rows

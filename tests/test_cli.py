@@ -122,6 +122,21 @@ def test_density_cmd(capsys, tmp_path):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--n", "2", "--ell", "2", "--k", "2", "--M", "2", "--format", "csv"],
+    ["count", "--n", "3", "--target", "nilcone", "--m", "1", "--format", "csv"],
+])
+def test_exports_byte_identical_across_runs(capsys, tmp_path, argv):
+    # count --format json is test_count_out_byte_reproducible
+    outs = []
+    for run_id in range(2):
+        out = tmp_path / f"run{run_id}.csv"
+        code, doc = _main_out(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_anfrs_cmd(capsys):
     code, doc = _main_out(capsys, ["anfrs", "--a", "1"])
     assert code == 0
@@ -248,6 +263,8 @@ def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     ["val-int", "--poly", "0,1", "--n", "2"],
     ["val-int", "--poly", "0,1", "--seed", "1"],
     ["anfrs", "--a", "1", "--level", "3"],
+    ["count", "--target", "nilcone", "--m", "0", "--format", "csv"],
+    ["density", "--M", "1", "--format", "csv"],
 ])
 def test_unread_option_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from chevalab import measure
-from chevalab.counting import _encode_key, fiber_table
+from chevalab.counting import _encode_key, count_gi_jets, fiber_table
 from chevalab.errors import LevelTooLow, WrongCharacteristic
 from chevalab.field import field_make, trunc_make
 from chevalab.measure import (
@@ -15,16 +16,18 @@ from chevalab.measure import (
     density_profile,
     insep_probe,
     lt_norm,
-    profile_rows,
     profile_summary,
     profile_to_csv,
     refinement_check,
     summary_to_json,
     sup_density,
 )
+from oracles import profile_rows_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
+F4 = field_make(2, 2)
+CSV_COLS = ["box", "fiber_count", "f_numerator", "f_denominator_exp"]
 
 
 def _table(p):
@@ -173,8 +176,7 @@ def test_csv_export_round_trip(tmp_path):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
-    cols = ["box", "fiber_count", "f_numerator", "f_denominator_exp"]
-    assert list(rows[0].keys()) == cols
+    assert list(rows[0].keys()) == CSV_COLS
     by_box = {r["box"]: r for r in rows}
     r = by_box["1|0"]
     assert r["fiber_count"] == "6"
@@ -211,5 +213,51 @@ def test_summary_json(tmp_path):
     path = tmp_path / "s.json"
     summary_to_json(s, str(path))
     assert json.loads(path.read_text())["mass"] == "1"
-    rows = profile_rows(p)
+    rows = profile_rows_oracle(p)
     assert len(rows) == len(_table(p))
+
+
+@pytest.mark.parametrize("n,ell,k,M", [(1, 5, 1, 3), (1, 2, 2, 2), (2, 3, 1, 2), (2, 2, 1, 3),
+                                       (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 1, 1), (3, 3, 1, 1)])
+def test_csv_matches_row_oracle(tmp_path, n, ell, k, M):
+    p = density_profile(n, field_make(ell, k), M)
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=CSV_COLS, lineterminator="\r\n")
+    w.writeheader()
+    w.writerows(profile_rows_oracle(p))
+    path = tmp_path / "profile.csv"
+    profile_to_csv(p, str(path))
+    assert path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n,ell,k,M", [(2, 2, 2, 3), (2, 2, 2, 2), (1, 2, 2, 3), (2, 2, 1, 3),
+                                       (2, 3, 1, 2), (3, 2, 1, 1)])
+def test_csv_f_columns_exact_and_minimal(tmp_path, n, ell, k, M):
+    # f = fiber_count / q^(M(n^2-n)) = f_numerator / q^exp, with exp the smallest such exponent
+    q = ell ** k
+    path = tmp_path / "profile.csv"
+    profile_to_csv(density_profile(n, field_make(ell, k), M), str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        count, num, exp = int(r["fiber_count"]), int(r["f_numerator"]), int(r["f_denominator_exp"])
+        assert count * q ** exp == num * q ** (M * (n * n - n)), r
+        assert exp == 0 or num % q != 0, r
+
+
+def test_summary_argmax_matches_sup_density():
+    for n, field, M in [(1, F3, 2), (2, F3, 2), (2, F4, 2), (3, F2, 1)]:
+        p = density_profile(n, field, M)
+        sup, argmax = sup_density(p)
+        s = profile_summary(p)
+        assert s["sup"] == str(sup)
+        assert s["argmax"] == ["|".join(";".join(map(str, c)) for c in x) for x in argmax]
+
+
+def test_n2_table_past_old_sweep_guard():
+    # P = 4^4 = 256: P^4 = 2^32 matrices, but the n = 2 product does P^3 = 2^24 multiply-adds
+    p = density_profile(2, F4, 4)
+    assert p.mass() == 1
+    assert refinement_check(2, F4, 3)
+    ctx = trunc_make(F4, 3)
+    assert count_gi_jets(2, ctx, 2) == sum(v ** 2 for v in fiber_table(2, ctx).values())
