@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import measure, slices, subreg
-from .counting import CountQuery, combine_records, count_sharded, fit_dimension, run_query
+from .counting import (CountQuery, combine_records, count_engine, count_sharded, fit_dimension,
+                       run_query)
 from .errors import BadConfig, ChevalabError
 from .field import field_make, trunc_make
 from .reporting import Report, atomic_write_text, emit, load_jsonl
@@ -91,7 +92,8 @@ def _run_count(cfg: RunConfig) -> Report:
     anchors = {"nilcone": "Thm A", "fiber": "Thm B", "gi": "Thm C"}
     return Report("count", anchors[cfg.target],
                   inputs=query.target_dict() | {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "m": cfg.m},
-                  outputs={"count": str(record.count)})
+                  outputs={"count": str(record.count),
+                           "engine": count_engine(cfg.n, cfg.m, cfg.target)})
 
 
 def _run_fit_dim(cfg: RunConfig) -> Report:

@@ -1,28 +1,37 @@
 """Exact jet-scheme point counts: nilpotent-cone jets, fibers of the
 characteristic-polynomial map, fiber tables, power sums, dimension fits,
-and a shardable, checkpointed enumeration kernel.
+and a shardable, checkpointed counting kernel.
 
-All counts are exhaustive enumerations (no lifting shortcuts); counts are
-Python ints of unbounded size and serialize as decimal strings.
+Counts are exact Python ints of unbounded size and serialize as decimal
+strings.  ``count_engine`` names the engine that runs each count:
 
-Engines: every sweep and shard decodes its index range in blocks of at most
-BLOCK matrices into arrays of ring indices and runs them through the batched
-Samuelson-Berkowitz kernel ``matrices.charpoly_batch``; the encoded
-characteristic polynomials then give the counts.  The n = 2 fiber table is
-one integer matrix product (``_fiber_table_np``); it still counts every
-matrix (a, b, c, d), only grouped by the pairs (a, d) and (b, c).
+* lift (m >= 1, n >= 2): write A = B + t^h U with h = floor(m/2) + 1 and B
+  in Mat_n(R_(h-1)).  Since 2h >= m+1, c(A) = c(B) + t^h Dc_B(U) exactly,
+  with Dc_B linear over F_ell in the digits of U.  Only B is enumerated; the
+  U with c(A) = x form an empty set or a coset of ker Dc_B, found by one
+  batched elimination over F_ell (``row_echelon``).  The columns of Dc_B
+  are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis of F_q,
+  from the same kernel.  nilcone and fiber counts (_lift_space) and the
+  n >= 3 fiber table (_lift_counts) run this way.
+* sweep (m = 0): every matrix of a block of indices is decoded into arrays
+  of ring indices and run through the batched Samuelson-Berkowitz kernel
+  ``matrices.charpoly_batch``.  It is also the reference the tests hold the
+  lift engine to at m >= 1 (_sweep_space, _sweep_counts).
+* n2-product: the n = 2 fiber table at every m is one integer matrix
+  product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c).
+* n1: c_1 = -a is ``field.ring_neg`` on the ring indices, at every ring size.
 The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
-An n = 1 sweep needs no kernel and no tables: c_1 = -a is ``field.ring_neg``
-on the ring indices, at every ring size.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
 (``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
-counts one contiguous slice, so subtotals add up to the full count.  nilcone
-and fiber index matrices; gi indexes the characteristic polynomials x, each
-adding N(x)^i read from the one fiber table.  Shards run one after another
-in one process; separate processes, one per shard id, are the way to run
-nilcone and fiber shards in parallel.  A shard's checkpoint is one JSON line
-holding its latest state, replaced atomically after every chunk.
+counts one contiguous slice, so subtotals add up to the full count.  Under
+the lift engine nilcone indexes the bases B in the pruned layout of
+_nilcone_entries at level h-1 and fiber all of Mat_n(R_(h-1)); under a
+sweep they index matrices; gi indexes the characteristic polynomials x,
+each adding N(x)^i read from the one fiber table.  Shards run one after
+another in one process; separate processes, one per shard id, are the way
+to run nilcone and fiber shards in parallel.  A shard's checkpoint is one
+JSON line holding its latest state, replaced atomically after every chunk.
 """
 
 from __future__ import annotations
@@ -123,10 +132,10 @@ def matrix_from_index(n: int, ctx: TruncCtx, idx: int) -> JetMatrix:
 # block decoders: index ranges -> entry arrays for charpoly_batch
 # --------------------------------------------------------------------------
 
-def _blocks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The indices lo..hi-1 as int64 arrays of at most BLOCK entries."""
-    for start in range(lo, hi, BLOCK):
-        yield np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
+def _blocks(lo: int, hi: int, size: int = BLOCK) -> Iterator[np.ndarray]:
+    """The indices lo..hi-1 as int64 arrays of at most size entries."""
+    for start in range(lo, hi, size):
+        yield np.arange(start, min(start + size, hi), dtype=np.int64)
 
 
 def _rows(n: int, cells: list) -> list:
@@ -218,19 +227,45 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
     return bases
 
 
+def count_engine(n: int, m: int, kind: str) -> str:
+    """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m).
+
+    "n1": the n = 1 sweep, c_1 = -a on ring indices, at every ring size;
+    "n2-product": the n = 2 fiber table as one matrix product (gi only);
+    "lift": m >= 1, the low half B of each matrix swept, the top half solved
+    over F_ell (_lift_space, _lift_counts);
+    "sweep": the m = 0 block sweep through charpoly_batch.
+    gi reads the fiber table, so its engine is the table's (_fiber_counts)."""
+    if n == 1:
+        return "n1"
+    if kind == "gi" and n == 2:
+        return "n2-product"
+    return "lift" if m >= 1 else "sweep"
+
+
 def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
     """(index count, subtotal) of a count target; subtotal(lo, hi) counts what
     the target finds at indices lo..hi-1, so the subtotals of a split add up.
 
     The index spaces fix shard boundaries and checkpoints:
-    nilcone: the pruned layout of _nilcone_entries;
-    fiber: the full matrix space in matrix_from_index order;
     gi: the encoded characteristic polynomials x in _encode_key order, index x
-    adding N(x)^i with N(x) read from _fiber_counts.
+    adding N(x)^i with N(x) read from _fiber_counts;
+    nilcone and fiber under the lift engine: the bases B of _lift_space;
+    nilcone and fiber under a sweep: the matrices of _sweep_space.
     """
     if kind == "gi":
         counts = _fiber_counts(n, ctx)
         return len(counts), lambda lo, hi: sum(v ** i for v in counts[lo:hi].tolist())
+    if count_engine(n, ctx.m, kind) == "lift":
+        return _lift_space(n, ctx, kind, x)
+    return _sweep_space(n, ctx, kind, x)
+
+
+def _sweep_space(n: int, ctx: TruncCtx, kind: str, x=None):
+    """(index count, subtotal) of a nilcone or fiber sweep over whole matrices.
+    nilcone: the pruned layout of _nilcone_entries; fiber: the full matrix
+    space in matrix_from_index order.  The engine at m = 0 and for n = 1, and
+    the test reference of the lift engine at m >= 1."""
     if kind == "nilcone":
         bases = _nilpotent_bases(n, ctx.field)
         total = len(bases) * ctx.field.q ** (ctx.m * n * n)
@@ -253,6 +288,153 @@ def _count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None) ->
 
 
 # --------------------------------------------------------------------------
+# lifting: A = B + t^h U with c(A) = c(B) + t^h Dc_B(U)
+# --------------------------------------------------------------------------
+
+def _lift_levels(ctx: TruncCtx) -> Tuple[TruncCtx, int]:
+    """(R_(h-1), K) for h = floor(m/2) + 1.  B has entries in R_(h-1); in R_m
+    they are the ring indices of R_(h-1) times ell^K, since the K = k(m+1-h)
+    least significant base-ell digits of a ring index are the t^h..t^m
+    coefficients, which t^h U fills."""
+    h = ctx.m // 2 + 1
+    return trunc_make(ctx.field, h - 1), (ctx.m + 1 - h) * ctx.field.k
+
+
+def _low_digits(cs, ell: int, K: int) -> np.ndarray:
+    """The K least significant base-ell digits of each c_i, stacked on a new
+    first axis of n K digits: c_1 digit 0, ..., c_1 digit K-1, c_2 digit 0, ..."""
+    return np.stack([np.asarray(c) // ell ** s % ell for c in cs for s in range(K)])
+
+
+def _lift_gens(n: int, ctx: TruncCtx, K: int, entries: list, c0: list) -> np.ndarray:
+    """Generators of t^h Im Dc_B as F_ell digit vectors, shape (n^2 K, n K, b).
+
+    Row e K + s is c(B + ell^s E_e) - c(B) for entry e = (i, j): adding ell^s to
+    a ring index adds t^l g E_ij for one l >= h and one g of the F_ell-basis
+    x^0..x^(k-1) of F_q, and (t^l)^2 = 0 makes the difference exact.  The
+    bases run in slices, so no charpoly_batch call takes more than BLOCK
+    matrices."""
+    ell, tabs, nn = ctx.field.ell, ring_tables(ctx), n * n
+    delta = (np.eye(nn, dtype=np.int64)[:, :, None] * ell ** np.arange(K)).reshape(nn, nn * K)
+    per = max(1, BLOCK // (nn * K))
+    gens = []
+    for lo in range(0, len(c0[0]), per):
+        part = slice(lo, lo + per)
+        moved = [[entries[i][j][None, part] + delta[i * n + j][:, None] for j in range(n)]
+                 for i in range(n)]
+        low = _low_digits(charpoly_batch(n, tabs, moved), ell, K)
+        gens.append((low - _low_digits([c[part] for c in c0], ell, K)[:, None]) % ell)
+    return np.concatenate(gens, axis=2).transpose(1, 0, 2)
+
+
+def row_echelon(gens: np.ndarray, ell: int, y: Optional[np.ndarray] = None):
+    """Gaussian elimination over F_ell (ell prime), batched over the last axis.
+
+    gens[:, :, b] holds g generator rows of a subspace of F_ell^r, entries in
+    [0, ell), so gens has shape (g, r, batch).  Returns (rank, basis,
+    consistent): rank[b] is the dimension of the span; basis[:, :, b] is
+    r x r, its first rank[b] rows the reduced row echelon basis of the span
+    and the other rows zero; consistent[b] says whether y[:, b] (y of shape
+    (r, batch)) lies in the span, None without y.  y is carried as one more
+    row that every pivot reduces and that is never a pivot itself, so it
+    ends zero exactly when it lies in the span."""
+    g, r, b = gens.shape
+    dtype = np.uint8 if ell <= 16 else np.uint16  # a + (ell - f) p <= ell^2 - ell fits
+    extra = np.zeros((1, r, b), dtype=np.int64) if y is None else np.asarray(y)[None]
+    rows = (np.concatenate([gens, extra]) % ell).astype(dtype)
+    inv = np.array([0] + [pow(a, ell - 2, ell) for a in range(1, ell)], dtype=dtype)
+    rank = np.zeros(b, dtype=np.int64)
+    items, row_ids = np.arange(b), np.arange(g + 1)[:, None]
+    for c in range(r):
+        eligible = (rows[:, c] != 0) & (row_ids >= rank) & (row_ids < g)
+        found = eligible.any(axis=0)
+        src = np.where(found, eligible.argmax(axis=0), rank)  # rank <= g; no move without a pivot
+        pivot = rows[src, :, items]
+        pivot = pivot * np.where(found, inv[pivot[:, c]], 1)[:, None] % ell
+        rows[src, :, items] = rows[rank, :, items]
+        rows[rank, :, items] = pivot
+        factor = (ell - rows[:, c]) % ell * found
+        factor[rank, items] = 0
+        rows = (rows + factor[:, None] * pivot.T) % ell
+        rank += found
+    basis = np.zeros((r, r, b), dtype=dtype)
+    basis[:min(g, r)] = rows[:min(g, r)]
+    return rank, basis, None if y is None else ~rows[g].any(axis=0)
+
+
+def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
+    """(index count, subtotal) of a nilcone or fiber count by lifting.
+
+    Write A = B + t^h U with B in Mat_n(R_(h-1)), h = floor(m/2) + 1.  Since
+    2h >= m+1, every term of degree 2 in t^h U vanishes and
+    c(A) = c(B) + t^h Dc_B(U) exactly, Dc_B being F_ell-linear in the
+    N = k n^2 (m+1-h) digits of U.  So B contributes ell^(N - rank Dc_B) when
+    x - c(B) lies in t^h Im Dc_B (in particular x = c(B) mod t^h), and nothing
+    otherwise; the top digits of A are never enumerated.
+
+    The index space is the B that run: for nilcone the pruned layout of
+    _nilcone_entries at level h-1 (the m = 0 nilpotent bases themselves at
+    h = 1), since B mod t must be nilpotent; for fiber all of
+    Mat_n(R_(h-1)) in matrix_from_index order."""
+    low, K = _lift_levels(ctx)
+    ell, shift = ctx.field.ell, ctx.field.ell ** K
+    if kind == "nilcone":
+        bases = _nilpotent_bases(n, ctx.field)
+        total = len(bases) * low.field.q ** (low.m * n * n)
+        decode = lambda idx: _nilcone_entries(n, low, bases, idx)
+        xs = [0] * n
+    else:
+        total = matrix_space_size(n, low)
+        decode = lambda idx: _full_entries(n, low.size, idx)
+        xs = [int(d) for d in _digits(ctx.size, n, _encode_key(ctx, _fiber_key(n, ctx, x)))]
+    tabs = ring_tables(ctx)
+
+    def subtotal(lo: int, hi: int) -> int:
+        found = 0
+        for idx in _blocks(lo, hi):
+            entries = [[e * shift for e in row] for row in decode(idx)]
+            c0 = charpoly_batch(n, tabs, entries)
+            keep = np.logical_and.reduce([c // shift == xi // shift for c, xi in zip(c0, xs)])
+            if not keep.any():
+                continue
+            entries = [[e[keep] for e in row] for row in entries]
+            c0 = [c[keep] for c in c0]
+            y = (_low_digits(xs, ell, K)[:, None] - _low_digits(c0, ell, K)) % ell
+            rank, _, ok = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell, y)
+            nullity = np.bincount(n * n * K - rank[ok])
+            found += sum(int(c) * ell ** v for v, c in enumerate(nullity.tolist()))
+        return found
+
+    return total, subtotal
+
+
+def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
+    """The fiber counts of every code by lifting (see _lift_space).  Each B adds
+    ell^(N - rank) to every code of the coset c(B) + t^h Im Dc_B.  The
+    ell^(n K) combinations of the n K rows of the padded echelon basis reach
+    each coset code ell^(n K - rank) times, so their codes are counted once
+    each and the whole array is scaled by ell^(N - n K) at the end."""
+    low, K = _lift_levels(ctx)
+    ell, shift, P, R = ctx.field.ell, ctx.field.ell ** K, ctx.size, n * K
+    total = matrix_space_size(n, low)
+    _check_sweep(total, "q^(h n^2) lifting bases B")
+    tabs = ring_tables(ctx)
+    weights = (ell ** np.arange(K) * P ** np.arange(n - 1, -1, -1)[:, None]).ravel()
+    counts = np.zeros(P ** n, dtype=np.int64)
+    for idx in _blocks(0, total, min(BLOCK, max(1, (1 << 16) // ell ** R))):
+        entries = [[e * shift for e in row] for row in _full_entries(n, low.size, idx)]
+        c0 = charpoly_batch(n, tabs, entries)
+        _, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
+        steps = np.arange(ell, dtype=basis.dtype)[:, None, None, None]
+        coset = _low_digits(c0, ell, K)[None].astype(basis.dtype)  # c(B) + span, one row at a time
+        for row in basis:
+            coset = ((coset[None] + steps * row) % ell).reshape(-1, R, len(idx))
+        high = sum((c - c % shift) * P ** (n - 1 - i) for i, c in enumerate(c0))
+        counts += np.bincount((high + np.einsum("erb,r->eb", coset, weights)).ravel(), minlength=P ** n)
+    return counts * ell ** (n * n * K - R)
+
+
+# --------------------------------------------------------------------------
 # fiber tables
 # --------------------------------------------------------------------------
 
@@ -265,19 +447,32 @@ def fiber_table(n: int, ctx: TruncCtx) -> Dict[FiberKey, int]:
 def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     """The fiber sizes N(x) of every encoded x (_encode_key), one dense array of
     P^n counts; cached per (n, ctx.key()) and read-only, since density levels
-    and every gi shard of a run read the same table.  Each guard bounds the
-    work that runs: P^3 multiply-adds for the n = 2 product, the whole
-    matrix space for a sweep."""
+    and every gi shard of a run read the same table.
+
+    The engine is count_engine(n, m, "gi"): the n = 2 matrix product
+    (_fiber_table_np) at every m, lifting (_lift_counts) for n >= 3 and
+    m >= 1, and the block sweep of every matrix for n >= 3 at m = 0 and for
+    n = 1.  Each guard bounds the work that runs: P^3 multiply-adds for the
+    product, the bases B for lifting, the whole matrix space for a sweep."""
     P = ctx.size
-    if n == 2:
+    engine = count_engine(n, ctx.m, "gi")
+    if engine == "n2-product":
         _check_sweep(P ** 3, "P^3 multiply-adds of the n = 2 product")
         counts = _fiber_table_np(ctx)
+    elif engine == "lift":
+        counts = _lift_counts(n, ctx)
     else:
-        _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
-        counts = sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
-                     for idx in _blocks(0, matrix_space_size(n, ctx)))
+        counts = _sweep_counts(n, ctx)
     counts.flags.writeable = False
     return counts
+
+
+def _sweep_counts(n: int, ctx: TruncCtx) -> np.ndarray:
+    """The fiber counts by sweeping every matrix: the engine at m = 0 for n >= 3
+    and for n = 1, and the reference of the other engines."""
+    _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
+    return sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, ctx.size, idx)), minlength=ctx.size ** n)
+               for idx in _blocks(0, matrix_space_size(n, ctx)))
 
 
 def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
@@ -292,7 +487,10 @@ def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
-    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}."""
+    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}.  For m >= 1 and
+    n >= 2 it sums ell^(N - rank Dc_B) over the B of Mat_n(R_(h-1)) with
+    x - c(B) in t^h Im Dc_B (_lift_space); at m = 0 and for n = 1 it sweeps
+    every matrix."""
     return _count(n, ctx, "fiber", x=x)
 
 
@@ -310,8 +508,11 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
-    """#J_m(N)(F_q): the fiber over x = 0, swept over the jets of the m = 0
-    nilpotent matrices only (J_m(N) lies over J_0(N))."""
+    """#J_m(N)(F_q): the fiber over x = 0.  J_m(N) lies over J_0(N), so only
+    jets of the m = 0 nilpotent matrices run: for m >= 1 and n >= 2 the bases
+    B in R_(h-1) of those jets, each adding ell^(N - rank Dc_B) when
+    -c(B) lies in t^h Im Dc_B (_lift_space); at m = 0 and for n = 1 every
+    matrix of the pruned layout is swept."""
     return _count(n, ctx, "nilcone")
 
 
@@ -361,7 +562,8 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     if chunk < 1:
         raise BadConfig(f"chunk {chunk} must be >= 1")
     ctx = query.ctx()
-    if matrix_space_size(query.n, ctx) > SHARD_GUARD:  # before the nilcone base sweep
+    swept = _lift_levels(ctx)[0] if count_engine(query.n, query.m, query.kind) == "lift" else ctx
+    if matrix_space_size(query.n, swept) > SHARD_GUARD:  # before the nilcone base sweep
         raise TooLarge("query exceeds the per-shard-set guard 2^40")
     total, subtotal_of = _target_space(query.n, ctx, query.kind, query.x, query.i)
     lo = shard_id * total // shards
@@ -385,8 +587,14 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 
 def _query_sig(query: CountQuery) -> dict:
-    # gi checkpoints name their index space; older ones counted i-tuples of matrices
-    index = {"index": "charpoly codes"} if query.kind == "gi" else {}
+    # gi and lifted checkpoints name their index space; older ones counted
+    # i-tuples of matrices (gi) or matrices (nilcone and fiber at m >= 1)
+    if query.kind == "gi":
+        index = {"index": "charpoly codes"}
+    elif count_engine(query.n, query.m, query.kind) == "lift":
+        index = {"index": "lifting bases B"}
+    else:
+        index = {}
     return {"n": query.n, "ell": query.ell, "k": query.k, "m": query.m,
             "target": query.target_dict(), **index}
 

@@ -26,7 +26,7 @@ import numpy as np
 from .counting import FiberKey, _decode_key, _digits, _fiber_counts, count_jet_fiber
 from .errors import LevelTooLow, TooLarge, WrongCharacteristic
 from .field import FieldCtx, TruncCtx, ring_val, trunc_make
-from .reporting import atomic_write_text, emit_csv
+from .reporting import atomic_write_text
 
 
 @dataclass
@@ -149,8 +149,9 @@ def profile_to_csv(profile: DensityProfile, path: str) -> None:
         num[step] //= q
         exp[step] -= 1
     boxes = _box_strings(profile.n, trunc_make(profile.field, profile.M - 1), codes)
-    emit_csv(zip(boxes, counts.tolist(), num.tolist(), exp.tolist()),
-             ["box", "fiber_count", "f_numerator", "f_denominator_exp"], path, lineterminator="\r\n")
+    # the csv module's bytes: no field holds a comma, quote or line break, so none is quoted
+    lines = [f"{b},{c},{f},{e}" for b, c, f, e in zip(boxes, counts.tolist(), num.tolist(), exp.tolist())]
+    atomic_write_text(path, "\r\n".join(["box,fiber_count,f_numerator,f_denominator_exp", *lines, ""]))
 
 
 def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:

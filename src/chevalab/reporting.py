@@ -99,11 +99,11 @@ def load_jsonl(path: str) -> List[CountRecord]:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def emit_csv(rows: Iterable[Sequence], header: Sequence[str], path: str,
-             lineterminator: str = "\n") -> None:
-    """Write header and rows (each a sequence in header order) as one CSV file."""
+def emit_csv(rows: Iterable[Sequence], header: Sequence[str], path: str) -> None:
+    """Write header and rows (each a sequence in header order) as one CSV file,
+    quoting the fields that need it."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator=lineterminator)
+    w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
     atomic_write_text(path, buf.getvalue())

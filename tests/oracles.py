@@ -6,8 +6,9 @@ code paths with the package kernels.  The scalar slice-layer sweeps at the
 end run one point at a time through the package's scalar ``charpoly`` and
 are the references for its batched sweeps; the scalar valuation sweeps run
 one series tuple at a time through ``TruncCtx`` and are the references for
-the ring-index sweeps of ``subreg``.  The per-box export loop at the very end
-is the reference for ``measure.profile_to_csv``.
+the ring-index sweeps of ``subreg``.  The per-box export loop is the
+reference for ``measure.profile_to_csv``, and the scalar Gauss-Jordan
+elimination at the very end the reference for ``counting.row_echelon``.
 """
 
 import itertools
@@ -221,3 +222,32 @@ def profile_rows_oracle(profile):
             "f_denominator_exp": e,
         })
     return rows
+
+
+# --------------------------------------------------------------------------
+# scalar Gauss-Jordan elimination over F_ell, one system at a time;
+# the reference for counting.row_echelon
+# --------------------------------------------------------------------------
+
+def gauss_oracle(gens, ell, r):
+    """(rank, reduced row echelon rows) of the span of the rows gens in F_ell^r."""
+    rows = [[v % ell for v in row] for row in gens]
+    rank = 0
+    for c in range(r):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        inv = pow(rows[rank][c], -1, ell)
+        rows[rank] = [v * inv % ell for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % ell for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank, rows[:rank]
+
+
+def in_span_oracle(gens, y, ell, r):
+    """Whether y lies in the span of the rows gens: adding it keeps the rank."""
+    return gauss_oracle(list(gens) + [y], ell, r)[0] == gauss_oracle(gens, ell, r)[0]

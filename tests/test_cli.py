@@ -54,6 +54,23 @@ def test_count_sharded_threads(capsys, tmp_path, monkeypatch):
     assert doc["outputs"]["count"] == "20"
 
 
+def test_count_reports_engine(capsys):
+    for m, engine in (("1", "lift"), ("0", "sweep")):
+        code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", m])
+        assert code == 0
+        assert doc["outputs"]["engine"] == engine
+
+
+def test_n2_fiber_count_past_matrix_guard(capsys):
+    # 2^32 matrices over F_4[t]/(t^4) exceed the sweep guard; lifting runs 2^16 bases B
+    code, doc = _main_out(capsys, ["count", "--n", "2", "--ell", "2", "--k", "2", "--m", "3",
+                                   "--target", "fiber", "--x", "0;0;0;0|0;0;0;0"])
+    assert code == 0
+    ctx = trunc_make(field_make(2, 2), 3)
+    x = counting._encode_key(ctx, (ctx.zero, ctx.zero))
+    assert doc["outputs"]["count"] == str(counting._fiber_counts(2, ctx)[x])
+
+
 def test_nilcone_shards_build_bases_once(capsys):
     counting._nilpotent_bases.cache_clear()
     code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "1",
@@ -78,7 +95,8 @@ def test_gi_shards_build_table_once(capsys):
 
 @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
 def test_count_out_byte_reproducible(capsys, tmp_path, shards):
-    argv = ["count", "--n", "3", "--target", "nilcone", "--m", "1"] + shards
+    # an m = 0 sweep of 3^9 matrices; an m = 1 nilcone count by lifting can finish within 1 ms
+    argv = ["count", "--n", "3", "--ell", "3", "--target", "fiber", "--m", "0", "--x", "0|0|0"] + shards
     outs = []
     for run_id in range(2):
         out = tmp_path / f"rec{run_id}.jsonl"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chevalab.counting import (
     CountQuery,
     CountRecord,
     combine_records,
+    count_engine,
     count_gi_jets,
     count_jet_fiber,
     count_nilcone_jets,
@@ -31,8 +33,9 @@ from chevalab.errors import (
 )
 from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
 from chevalab.matrices import charpoly
+from chevalab.measure import refinement_check
 
-from oracles import fiber_counts_oracle
+from oracles import fiber_counts_oracle, gauss_oracle, in_span_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -50,7 +53,7 @@ def test_count_jet_fiber_single():
     assert count_jet_fiber(2, ctx, ((1,), (1,))) == 2
 
 
-@pytest.mark.parametrize("n,ell,m", [(2, 2, 0), (2, 2, 1), (2, 3, 0), (2, 3, 1), (3, 2, 0)])
+@pytest.mark.parametrize("n,ell,m", [(2, 2, 0), (2, 2, 1), (2, 3, 0), (2, 3, 1), (3, 2, 0), (3, 2, 1)])
 def test_fiber_table_matches_oracle(n, ell, m):
     ctx = trunc_make(field_make(ell), m)
     assert fiber_table(n, ctx) == fiber_counts_oracle(ctx, n)
@@ -160,10 +163,11 @@ def test_nilpotent_bases_match_full_sweep(n, ell, k):
 
 
 def test_nilcone_guard_counts_pruned_space(monkeypatch):
-    # the pruned nilcone space is 2^6 bases x 2^9 lifts = 2^15 indices; the full space is 2^18
+    # at m = 2 lifting runs B in R_1: the pruned nilcone space is 2^6 bases x 2^9 lifts
+    # = 2^15 indices, the fiber space all 2^18 matrices over R_1
     monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 16)
-    ctx = trunc_make(F2, 1)
-    assert count_nilcone_jets(3, ctx) == 5632
+    ctx = trunc_make(F2, 2)
+    assert count_nilcone_jets(3, ctx) == 460_800
     with pytest.raises(TooLarge, match="shard the run"):
         count_jet_fiber(3, ctx, (ctx.zero,) * 3)
 
@@ -267,12 +271,14 @@ def test_sharding_gi(tmp_path):
     assert sum(p.count for p in parts) == 72
 
 
-def test_gi_shard_guard_counts_matrices():
+def test_gi_shard_guard_counts_matrices(monkeypatch):
     # 2^48 i-tuples, once past the tuple guard; each shard now sums codes of 2^8 matrices
     q = CountQuery(2, 2, 1, 1, "gi", i=6)
     assert sum(count_sharded(q, 3, s).count for s in range(3)) == \
         count_gi_jets(2, trunc_make(F2, 1), 6)
-    # every gi shard builds the whole table: 2^36 matrices exceed SWEEP_GUARD
+    # every gi shard builds the whole table: at m = 3 its 2^18 lifting bases B over R_1
+    # exceed the guard, and sharding would not help
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 17)
     with pytest.raises(TooLarge) as exc:
         count_sharded(CountQuery(3, 2, 1, 3, "gi", i=1), 64, 5)
     assert "shard the run" not in str(exc.value)
@@ -363,11 +369,11 @@ def test_fibertable_not_shardable():
 def test_checkpoint_resume(tmp_path):
     q = CountQuery(n=2, ell=2, k=1, m=1, kind="nilcone")
     path = str(tmp_path / "resume.jsonl")
-    full = count_sharded(q, 1, 0, path, chunk=4)
+    full = count_sharded(q, 1, 0, path, chunk=1)
     (state,) = _checkpoint_lines(path)  # one line after many chunks
-    assert state["next_index"] == 4 * 2 ** 4  # 4 nilpotent bases, 2^4 lifts each
+    assert state["next_index"] == 4  # lifting indexes the 4 nilpotent bases B at h = 1
     assert int(state["subtotal"]) == full.count == 20
-    assert count_sharded(q, 1, 0, path, chunk=4).count == 20
+    assert count_sharded(q, 1, 0, path, chunk=1).count == 20
 
 
 def test_checkpoint_resumes_multiline_journal(tmp_path, monkeypatch):
@@ -457,6 +463,166 @@ def test_combine_needs_one_whole_split():
                      [run_query(q)]):
         with pytest.raises(BadConfig):
             combine_records(partials)
+
+
+# --------------------------------------------------------------------------
+# lifting: B swept, the top half solved over F_ell
+# --------------------------------------------------------------------------
+
+_SYSTEM_SHAPES = {"zero": (4, 3), "full-rank": (5, 5), "tall": (9, 4), "wide": (2, 6),
+                  "low-rank": (7, 5), "inconsistent": (6, 5)}
+
+
+def _system(rng, ell, kind):
+    """(gens, y) of one seeded system: g generator rows in F_ell^r and a target y."""
+    g, r = _SYSTEM_SHAPES[kind]
+    rand = lambda a, b: [[rng.randrange(ell) for _ in range(b)] for _ in range(a)]  # noqa: E731
+    mul = lambda x, y: [[sum(a * b for a, b in zip(row, col)) % ell for col in zip(*y)]  # noqa: E731
+                        for row in x]
+    if kind == "zero":
+        gens = [[0] * r for _ in range(g)]
+    elif kind == "full-rank":  # unit lower times unit upper triangular: invertible
+        lower = [[1 if i == j else rng.randrange(ell) if j < i else 0 for j in range(r)] for i in range(r)]
+        upper = [[1 if i == j else rng.randrange(ell) if j > i else 0 for j in range(r)] for i in range(r)]
+        gens = mul(lower, upper)
+    elif kind in ("low-rank", "inconsistent"):  # rank <= 2 in F_ell^5
+        gens = mul(rand(g, 2), rand(2, r))
+    else:
+        gens = rand(g, r)
+    if kind == "inconsistent" or rng.random() < 0.5:
+        y = rand(1, r)[0]
+    else:  # a combination of the generators
+        y = mul(rand(1, g), gens)[0]
+    return gens, y
+
+
+@pytest.mark.parametrize("kind", list(_SYSTEM_SHAPES))
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 17, 251])  # from 17 on, digits are 16-bit
+def test_row_echelon_matches_scalar_gauss(ell, kind):
+    rng = random.Random(f"{ell}:{kind}")
+    systems = [_system(rng, ell, kind) for _ in range(40)]
+    g, r = _SYSTEM_SHAPES[kind]
+    gens = np.array([s[0] for s in systems]).transpose(1, 2, 0)
+    y = np.array([s[1] for s in systems]).T
+    rank, basis, consistent = counting.row_echelon(gens, ell, y)
+    assert basis.shape == (r, r, len(systems))
+    for b, (rows, yb) in enumerate(systems):
+        want_rank, want_rows = gauss_oracle(rows, ell, r)
+        assert rank[b] == want_rank
+        # reduced row echelon form is unique, so equal spans give equal rows
+        assert basis[:want_rank, :, b].tolist() == want_rows
+        assert not basis[want_rank:, :, b].any()
+        assert consistent[b] == in_span_oracle(rows, yb, ell, r)
+    if kind == "full-rank":
+        assert (rank == r).all() and consistent.all()
+    if kind == "inconsistent":
+        assert not consistent.all()
+    assert counting.row_echelon(gens, ell)[2] is None
+
+
+def test_count_engine():
+    assert count_engine(1, 3, "nilcone") == count_engine(1, 0, "gi") == "n1"
+    assert count_engine(2, 0, "gi") == count_engine(2, 3, "gi") == "n2-product"
+    assert count_engine(2, 1, "fiber") == count_engine(3, 2, "gi") == "lift"
+    assert count_engine(2, 0, "nilcone") == count_engine(3, 0, "gi") == "sweep"
+
+
+@pytest.mark.parametrize("ell,k,m,sample", [(2, 1, 1, None), (2, 1, 3, None), (3, 1, 2, None),
+                                            (5, 1, 1, None), (2, 2, 1, None), (2, 2, 3, 24),
+                                            (2, 1, 5, 24), (17, 1, 1, 24)])
+def test_lift_n2_matches_product(ell, k, m, sample):
+    # lifted counts against the H @ B product, with k = 2 and ell | n (ell = 2) covered
+    ctx = trunc_make(field_make(ell, k), m)
+    product = counting._fiber_counts(2, ctx)
+    assert np.array_equal(counting._lift_counts(2, ctx), product)  # every code at once
+    assert count_nilcone_jets(2, ctx) == product[0]
+    codes = range(len(product)) if sample is None else \
+        random.Random(m).sample(range(len(product)), sample)
+    for code in codes:
+        assert count_jet_fiber(2, ctx, counting._decode_key(2, ctx, code)) == product[code]
+
+
+def test_lift_n3_matches_sweep():
+    ctx = trunc_make(F2, 1)
+    total, subtotal = counting._sweep_space(3, ctx, "nilcone")
+    assert count_nilcone_jets(3, ctx) == subtotal(0, total) == 5632
+    swept = counting._sweep_counts(3, ctx)
+    assert np.array_equal(counting._fiber_counts(3, ctx), swept)
+    assert swept.all()  # every x is the charpoly of its companion matrix: no fiber is empty
+    rng = random.Random(3)
+    for code in rng.sample(range(len(swept)), 6):
+        x = counting._decode_key(3, ctx, code)
+        total, subtotal = counting._sweep_space(3, ctx, "fiber", x)
+        assert count_jet_fiber(3, ctx, x) == subtotal(0, total) == swept[code]
+
+
+def test_lift_nilcone_n3_q3_m1():
+    assert count_nilcone_jets(3, trunc_make(F3, 1)) == 688_905  # the sweep's value
+
+
+@pytest.mark.parametrize("ell,k,m", [(2, 1, 2), (3, 1, 1), (2, 2, 1)])
+def test_lift_table_mass_and_refinement(ell, k, m):
+    field = field_make(ell, k)
+    counts = counting._fiber_counts(3, trunc_make(field, m))
+    assert counts.sum() == field.q ** ((m + 1) * 9)
+    assert refinement_check(3, field, m)  # the table at m against the one at m - 1
+
+
+def test_lift_gi_shards_add_up():
+    ctx = trunc_make(F2, 1)
+    full = count_gi_jets(3, ctx, 2)
+    assert full == sum(v * v for v in counting._sweep_counts(3, ctx).tolist())
+    q = CountQuery(3, 2, 1, 1, "gi", i=2)
+    assert sum(count_sharded(q, 5, s).count for s in range(5)) == full
+
+
+@pytest.mark.parametrize("n,ell,k,m,kind", [(3, 2, 1, 2, "nilcone"), (2, 3, 1, 2, "nilcone"),
+                                            (3, 2, 1, 1, "fiber"), (2, 2, 2, 3, "fiber")])
+def test_lift_shards_add_up(n, ell, k, m, kind):
+    ctx = trunc_make(field_make(ell, k), m)
+    x = None
+    if kind == "fiber":
+        x = charpoly(matrix_from_index(n, ctx, random.Random(m).randrange(ctx.size ** (n * n)))).c
+    q = CountQuery(n, ell, k, m, kind, x=x)
+    parts = [count_sharded(q, 5, s) for s in range(5)]
+    assert combine_records(parts).count == run_query(q).count > 0
+
+
+def test_lift_shard_resumes(tmp_path, monkeypatch):
+    q = CountQuery(3, 2, 1, 2, "nilcone")  # 2^15 bases B, 2^14 per shard
+    full = count_sharded(q, 2, 1, chunk=1000).count
+    path = str(tmp_path / "lift.jsonl")
+    real = counting._target_space
+
+    def killed_after_3_chunks(*args):
+        total, subtotal = real(*args)
+        calls = []
+
+        def chunk(lo, hi):
+            if len(calls) == 3:
+                raise _Killed
+            calls.append(lo)
+            return subtotal(lo, hi)
+        return total, chunk
+
+    monkeypatch.setattr(counting, "_target_space", killed_after_3_chunks)
+    with pytest.raises(_Killed):
+        count_sharded(q, 2, 1, path, chunk=1000)
+    monkeypatch.setattr(counting, "_target_space", real)
+    (state,) = _checkpoint_lines(path)
+    assert state["query"]["index"] == "lifting bases B"
+    assert state["next_index"] == 2 ** 14 + 3000
+    assert count_sharded(q, 2, 1, path, chunk=1000).count == full
+
+
+def test_lift_matrix_index_checkpoint_rejected(tmp_path):
+    # m >= 1 checkpoints of older versions count matrices of the pruned layout in next_index
+    path = tmp_path / "old-nilcone.jsonl"
+    path.write_text(json.dumps({
+        "next_index": 64, "query": {"k": 1, "ell": 2, "m": 1, "n": 3, "target": {"kind": "nilcone"}},
+        "schema_version": 1, "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(CountQuery(3, 2, 1, 1, "nilcone"), 1, 0, str(path))
 
 
 def _nilcone_record(ell, k, m):
