@@ -119,7 +119,7 @@ def _run_density(cfg: RunConfig) -> Report:
             measure.summary_to_json(summary, cfg.out)
     verdict = {"mass_is_one": profile.mass() == 1}
     return Report("density", "Thm E", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": cfg.level},
-                  summary, verdict)
+                  summary | {"engine": count_engine(cfg.n, cfg.level - 1, "gi")}, verdict)
 
 
 def _run_anfrs(cfg: RunConfig) -> Report:

@@ -413,24 +413,39 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     ell^(N - rank) to every code of the coset c(B) + t^h Im Dc_B.  The
     ell^(n K) combinations of the n K rows of the padded echelon basis reach
     each coset code ell^(n K - rank) times, so their codes are counted once
-    each and the whole array is scaled by ell^(N - n K) at the end."""
+    each and the whole array is scaled by ell^(N - n K) at the end.
+
+    Most B have full rank n K, and their coset is every code sharing the
+    high digits of c(B).  Those B only count their high codes, and that
+    histogram is spread over all low digits once at the end; the other B
+    scatter their cosets code by code."""
     low, K = _lift_levels(ctx)
     ell, shift, P, R = ctx.field.ell, ctx.field.ell ** K, ctx.size, n * K
+    H = P // shift  # high parts of one c_i
     total = matrix_space_size(n, low)
     _check_sweep(total, "q^(h n^2) lifting bases B")
     tabs = ring_tables(ctx)
     weights = (ell ** np.arange(K) * P ** np.arange(n - 1, -1, -1)[:, None]).ravel()
     counts = np.zeros(P ** n, dtype=np.int64)
+    full_high = np.zeros(H ** n, dtype=np.int64)
     for idx in _blocks(0, total, min(BLOCK, max(1, (1 << 16) // ell ** R))):
         entries = [[e * shift for e in row] for row in _full_entries(n, low.size, idx)]
         c0 = charpoly_batch(n, tabs, entries)
-        _, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
+        rank, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
+        full = rank == R
+        full_high += np.bincount(sum(c[full] // shift * H ** (n - 1 - i) for i, c in enumerate(c0)),
+                                 minlength=H ** n)
+        if full.all():
+            continue
+        c0, basis = [c[~full] for c in c0], basis[:, :, ~full]
         steps = np.arange(ell, dtype=basis.dtype)[:, None, None, None]
         coset = _low_digits(c0, ell, K)[None].astype(basis.dtype)  # c(B) + span, one row at a time
         for row in basis:
-            coset = ((coset[None] + steps * row) % ell).reshape(-1, R, len(idx))
+            coset = ((coset[None] + steps * row) % ell).reshape(-1, R, len(c0[0]))
         high = sum((c - c % shift) * P ** (n - 1 - i) for i, c in enumerate(c0))
         counts += np.bincount((high + np.einsum("erb,r->eb", coset, weights)).ravel(), minlength=P ** n)
+    spread = counts.reshape((H, shift) * n)  # a view: c_i = its high part * shift + its low digits
+    spread += full_high.reshape((H, 1) * n)
     return counts * ell ** (n * n * K - R)
 
 

@@ -8,9 +8,24 @@ Enumeration order is fixed once and for all so shard boundaries are
 reproducible: field elements by ascending integer code, series
 lexicographically with the t^0 coefficient outermost.
 
-A series is also its ring index (``TruncCtx.index``), a base-ell number.
-``ring_add``, ``ring_mul``, ``ring_neg`` and ``ring_val`` work digitwise on ring
-indices, ints or broadcasting int64 arrays; ``ring_tables`` runs them over all pairs.
+A series is also its ring index (``TruncCtx.index``), a base-ell number
+with N = k(m+1) digits: digit e = (m-i)k + j is the x^j coefficient of the
+t^i coefficient, so the t^0 coefficient is the top digit.  ``ring_add``,
+``ring_neg`` and ``ring_val`` work digitwise on ring indices, ints or
+broadcasting int64 arrays; ``ring_tables`` runs add and mul over all pairs.
+
+``ring_mul`` uses that multiplication is F_ell-bilinear in the digits.  R_m
+has integer structure constants S[e, f, r], digit r of the product of the
+indices ell^e and ell^f, from adding t-degrees and reducing by the field
+modulus.  Digit r of x * y is then sum_(e,f) dx_e dy_f S[e, f, r] mod ell.
+Each digit gets a bit slot wide enough for its largest sum before
+reduction, (ell - 1)^2 sum_(e,f) S[e, f, r], so slots never carry into
+each other; slots fill int64 words of at most 62 bits in digit order, and
+a word is one integer bilinear form of the two digit vectors.  Unpack
+tables of at most 2^12 entries, each the outer sum over a run of slots of
+(slot mod ell) * ell^r, turn a word back into its share of the ring index;
+a slot wider than a table is reduced arithmetically.  The layout is built
+lazily, once per ring (``_mul_layout``).
 """
 
 from __future__ import annotations
@@ -441,22 +456,110 @@ def ring_neg(ctx: TruncCtx, x):
     return sum(_place(ctx, i, [-a for a in dx]) for i, dx in enumerate(_ring_digits(ctx, x)))
 
 
+# Packed words stay below 2^62, so no partial sum of the bilinear form reaches the int64 sign bit.
+_WORD_BITS = 62
+# Widest run of slots one unpack table covers: 2^12 int64 entries, 32 KB.
+_UNPACK_BITS = 12
+
+
+class _MulLayout(NamedTuple):
+    """R_m's structure constants packed for ``ring_mul``.  ``place[e]`` is
+    ell^e.  Each word is (spk_t, steps): spk_t[f, e] is the sum over the
+    word's slots r of S[e, f, r] << off_r, and each step (shift, mask,
+    table, place_r) turns bits of the word back into a share of the ring
+    index: table[(word >> shift) & mask] for a run of slots, or
+    ((word >> shift) & mask) % ell * place_r for one slot too wide for a
+    table.  The top step of a word has mask None, as nothing sits above it."""
+
+    place: np.ndarray
+    words: tuple
+
+
+def _structure_constants(ctx: TruncCtx) -> np.ndarray:
+    """S[e, f, r]: digit r of the product of the ring indices ell^e and ell^f.
+    ell^e is t^i g^j at e = (m - i)k + j; t-degrees add up to at most m, and
+    g^(j + j') is reduced by the field modulus."""
+    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
+    g_powers = [_poly_rem([0] * s + [1], list(ctx.field.modulus), ell) for s in range(2 * k - 1)]
+    S = np.zeros((k * (m + 1),) * 3, dtype=np.int64)
+    for i, j, i2, j2 in itertools.product(range(m + 1), range(k), range(m + 1), range(k)):
+        if i + i2 <= m:
+            for u, c in enumerate(g_powers[j + j2]):
+                S[(m - i) * k + j, (m - i2) * k + j2, (m - i - i2) * k + u] = c
+    return S
+
+
+def _slot_widths(ell: int, S: np.ndarray) -> list:
+    """The bits of slot r: its largest unreduced sum, every digit of x and y at ell - 1."""
+    return [max(1, int(v).bit_length()) for v in (ell - 1) ** 2 * S.sum(axis=(0, 1))]
+
+
+def _unpack_steps(ell: int, place: np.ndarray, slots: list) -> tuple:
+    """The steps of one word, slots [(r, width, offset)] in bit order: runs of
+    at most _UNPACK_BITS bits share a table, the outer sum over the run of
+    (slot value mod ell) * ell^r; a wider slot is reduced arithmetically."""
+    runs = []
+    for slot in slots:
+        if runs and sum(w for _, w, _ in runs[-1]) + slot[1] <= _UNPACK_BITS:
+            runs[-1].append(slot)
+        else:
+            runs.append([slot])
+    steps = []
+    for i, run in enumerate(runs):
+        shift, bits = run[0][2], sum(w for _, w, _ in run)
+        mask = (1 << bits) - 1 if i < len(runs) - 1 else None
+        if bits > _UNPACK_BITS:
+            steps.append((shift, mask, None, int(place[run[0][0]])))
+            continue
+        table = np.zeros(1, dtype=np.int64)
+        for r, w, _ in reversed(run):
+            table = np.add.outer(table, np.arange(1 << w, dtype=np.int64) % ell * place[r]).ravel()
+        steps.append((shift, mask, table, 0))
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=8)
+def _mul_layout(ctx: TruncCtx) -> _MulLayout:
+    """The packed layout of ``ctx``, built once per ``ctx.key()``: slots fill
+    words of at most _WORD_BITS bits in digit order."""
+    if ctx.size > 1 << 63:
+        raise TooLarge(f"ring of size {ctx.size}: its indices exceed int64")
+    ell = ctx.field.ell
+    S = _structure_constants(ctx)
+    place = ell ** np.arange(len(S), dtype=np.int64)
+    words = [[]]
+    for r, w in enumerate(_slot_widths(ell, S)):
+        if sum(wi for _, wi in words[-1]) + w > _WORD_BITS:
+            words.append([])
+        words[-1].append((r, w))
+    packed = []
+    for slots in words:
+        offsets = np.cumsum([0] + [w for _, w in slots[:-1]]).tolist()
+        spk = sum(S[:, :, r] << off for (r, _), off in zip(slots, offsets))
+        steps = _unpack_steps(ell, place, [(r, w, off) for (r, w), off in zip(slots, offsets)])
+        packed.append((np.ascontiguousarray(spk.T), steps))
+    return _MulLayout(place, tuple(packed))
+
+
 def ring_mul(ctx: TruncCtx, x, y):
-    """Ring index of x * y: a convolution in t, truncated at t^m, and in the
-    field generator, reduced by the modulus."""
-    ell, k, mod = ctx.field.ell, ctx.field.k, ctx.field.modulus
-    dx, dy = _ring_digits(ctx, x), _ring_digits(ctx, y)
-    acc = 0
-    for s in range(ctx.m + 1):
-        conv = [0] * (2 * k - 1)  # the t^s coefficient as a polynomial in the generator
-        for i, u, v in itertools.product(range(s + 1), range(k), range(k)):
-            conv[u + v] += dx[i][u] * dy[s - i][v]
-        for u in range(2 * k - 2, k - 1, -1):  # x^u = -x^(u-k) (mod - x^k)
-            c = conv[u] % ell
-            for v in range(k):
-                conv[u - k + v] -= c * mod[v]
-        acc = acc + _place(ctx, s, conv[:k])
-    return acc
+    """Ring index of x * y, ints (giving an int) or broadcasting int64 arrays.
+
+    Each word of ``_mul_layout(ctx)`` is the bilinear form
+    sum_(e,f) dx_e dy_f Spk[e, f], Spk[e, f] being the structure constants
+    S[e, f, r] shifted into their slots r and summed; for arrays it is one
+    einsum of the digits of x with the digits of y times Spk^T.  The word's
+    unpack steps then reduce every slot mod ell and place it at ell^r.
+    Rings whose indices pass int64 raise TooLarge."""
+    ell, lay = ctx.field.ell, _mul_layout(ctx)
+    dx = np.asarray(x, dtype=np.int64)[..., None] // lay.place % ell
+    dy = np.asarray(y, dtype=np.int64)[..., None] // lay.place % ell
+    out = 0
+    for spk_t, steps in lay.words:
+        word = np.einsum("...e,...e->...", dx, dy @ spk_t)
+        for shift, mask, table, place in steps:
+            v = word >> shift if mask is None else word >> shift & mask
+            out = out + (v % ell * place if table is None else table.take(v))
+    return out if np.ndim(out) else int(out)
 
 
 def ring_val(ctx: TruncCtx, x):

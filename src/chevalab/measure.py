@@ -51,10 +51,12 @@ def density_profile(n: int, field: FieldCtx, M: int) -> DensityProfile:
 
 
 def lt_norm(profile: DensityProfile, t: int) -> Fraction:
-    """Exact q^{-Mn} * sum_x f_M(x)^t."""
+    """Exact q^{-Mn} * sum_x f_M(x)^t, summed over the distinct fiber sizes
+    with their multiplicities as Python ints."""
     if t < 1:
         raise TooLarge("exponent t must be >= 1")
-    total = sum(c ** t for c in profile.counts.tolist())
+    sizes, mult = np.unique(profile.counts, return_counts=True)
+    total = sum(c * v ** t for v, c in zip(sizes.tolist(), mult.tolist()))
     return Fraction(total, profile.denom() ** t * profile.field.q ** (profile.M * profile.n))
 
 

@@ -7,8 +7,11 @@ truncated value because capping only lowers the integral.
 Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
 the density's analytic path uses the ring tables alone, so its two paths stay
 independent.  The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
-run ``field.ring_mul`` and ``field.ring_val`` on blocks of ring indices and
-build no tables; their scalar loops live in ``tests/oracles.py`` as references.
+run ``field.ring_mul`` on blocks of ring indices, which builds only its
+small packed layout and unpack tables per ring, never the dense ring
+tables; the histogram reads each product's valuation from one array of
+``field.ring_val`` over the P ring indices.  Their scalar loops live in
+``tests/oracles.py`` as references.
 
 Both slice-density paths give dense count arrays over the codes of
 ``counting._encode_key``, with the denominator q^(2M); mass, sup and the
@@ -54,14 +57,18 @@ def closed_form_bucket(field: FieldCtx, r: int) -> Fraction:
 
 
 def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
-    """Exact histogram of val(x*y) over R_M^2: every pair, in row blocks of ring indices."""
+    """Exact histogram of val(x*y) over R_M^2: every pair, in row blocks of ring
+    indices, counted per product index and then summed by the valuation of
+    each index (P <= 2^17 under HIST_GUARD)."""
     denom = field.q ** (2 * (M + 1))  # pairs (x, y)
     if denom > HIST_GUARD:
         raise TooLarge("multiplication histogram sweep exceeds its guard")
     ctx = trunc_make(field, M)
     ys = np.arange(ctx.size, dtype=np.int64)
-    counts = sum(np.bincount(ring_val(ctx, ring_mul(ctx, ys[rows, None], ys)).ravel(),
-                             minlength=M + 2) for rows in _row_blocks(ctx.size)).tolist()
+    products = sum(np.bincount(ring_mul(ctx, ys[rows, None], ys).ravel(), minlength=ctx.size)
+                   for rows in _row_blocks(ctx.size))  # pairs per product index
+    val = ring_val(ctx, ys)
+    counts = [int(products[val == r].sum()) for r in range(M + 2)]
     buckets = {r: Fraction(counts[r], denom) for r in range(M + 1)}  # counts[M + 1]: the tail
     return ValHistogram(field, M, buckets, Fraction(counts[M + 1], denom))
 

@@ -61,6 +61,16 @@ def test_count_reports_engine(capsys):
         assert doc["outputs"]["engine"] == engine
 
 
+def test_density_reports_engine(capsys, tmp_path):
+    # the table's engine is reported beside the summary, which --out writes without it
+    for n, M, engine in (("2", "2", "n2-product"), ("3", "1", "sweep"), ("3", "2", "lift")):
+        out = tmp_path / f"summary-{n}-{M}.json"
+        code, doc = _main_out(capsys, ["density", "--n", n, "--M", M, "--out", str(out)])
+        assert code == 0
+        assert doc["outputs"]["engine"] == engine
+        assert json.loads(out.read_text()) == {k: v for k, v in doc["outputs"].items() if k != "engine"}
+
+
 def test_n2_fiber_count_past_matrix_guard(capsys):
     # 2^32 matrices over F_4[t]/(t^4) exceed the sweep guard; lifting runs 2^16 bases B
     code, doc = _main_out(capsys, ["count", "--n", "2", "--ell", "2", "--k", "2", "--m", "3",

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -178,6 +179,75 @@ def test_ring_functions_on_ints_match_ring_ops(ell, k, m):
         x, y = r.from_index(a), r.from_index(b)
         assert ring_add(r, a, b) == r.index(r.add(x, y))
         assert ring_mul(r, a, b) == r.index(r.mul(x, y))
+
+
+def _products_by_linearity(r):
+    """The P x P product table of ring indices from TruncCtx.mul: y -> x * y is
+    F_ell-linear, so x * y = sum_f digit_f(y) * (x * ell^f), added digitwise mod ell.
+    Callers build r's field past _TABLE_LIMIT, so it multiplies by _mul_raw and
+    not by tables that ring_tables, and so ring_mul, filled."""
+    ell, P = r.field.ell, r.size
+    place = ell ** np.arange(r.field.k * (r.m + 1))
+    digits = np.arange(P)[:, None] // place % ell
+    basis = [r.from_index(int(b)) for b in place]
+    out = np.empty((P, P), dtype=np.int64)
+    for a in range(P):
+        x = r.from_index(a)
+        images = np.array([r.index(r.mul(x, b)) for b in basis])[:, None] // place % ell
+        out[a] = digits @ images % ell @ place
+    return out
+
+
+SMALL_RINGS = [(ell, k, m) for ell in (2, 3, 5, 7, 31) for k in (1, 2, 3) for m in range(10)
+               if ell ** (k * (m + 1)) <= 1024]
+
+
+@pytest.mark.parametrize("ell,k,m", SMALL_RINGS)
+def test_ring_mul_every_pair(ell, k, m, monkeypatch):
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+    r = trunc_make(field_make(ell, k), m)
+    idx = np.arange(r.size)
+    assert np.array_equal(ring_mul(r, idx[:, None], idx), _products_by_linearity(r))
+
+
+# field_make(2, 16)'s modulus, the least irreducible of degree 16, which is slow to search for
+F2_16_MODULUS = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+
+
+@pytest.mark.parametrize("ell,k,m", [(2, 16, 0), (2, 8, 1), (251, 2, 1), (2, 1, 16), (3, 1, 10)])
+def test_ring_mul_multi_word_and_wide_slots(ell, k, m, monkeypatch):
+    # seeded pairs, every basis pair, and (P-1, P-1): every digit ell - 1, each slot at its maximum
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+    f = FieldCtx(2, 16, F2_16_MODULUS) if k == 16 else field_make(ell, k)
+    assert k == 1 or is_irreducible(list(f.modulus), ell)
+    r = trunc_make(f, m)
+    words = field._mul_layout(r).words
+    assert (len(words) > 1) == (m < 2)  # 102, 84 and 84 bits of slots; 59 and 55 fit one word
+    assert any(table is None for _, steps in words for _, _, table, _ in steps) == (ell == 251)
+    P, N = r.size, k * (m + 1)
+    rng = random.Random(P)
+    pairs = [(rng.randrange(P), rng.randrange(P)) for _ in range(4000)]
+    pairs += [(ell ** e, ell ** g) for e in range(N) for g in range(N)] + [(P - 1, P - 1)]
+    xs, ys = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    expect = [r.index(r.mul(r.from_index(a), r.from_index(b))) for a, b in pairs]
+    assert ring_mul(r, xs, ys).tolist() == expect
+
+
+def test_ring_mul_shapes(monkeypatch):
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+    r = trunc_make(field_make(3, 2), 1)
+    P = r.size
+    ref = _products_by_linearity(r)
+    got = ring_mul(r, 80, 41)
+    assert type(got) is int and got == ref[80, 41]
+    xs = np.arange(24).reshape(4, 6)
+    assert np.array_equal(ring_mul(r, xs, xs[::-1]), ref[xs, xs[::-1]])
+    rows = np.arange(5, 12)[:, None]
+    assert np.array_equal(ring_mul(r, rows, np.arange(P)), ref[5:12])
+    assert np.array_equal(ring_mul(r, 7, np.arange(P)), ref[7])
+    assert np.array_equal(ring_mul(r, np.arange(P), 7), ref[:, 7])
+    with pytest.raises(TooLarge):
+        ring_mul(trunc_make(field_make(251), 8), 1, 1)  # 251^9 indices pass int64
 
 
 @pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])

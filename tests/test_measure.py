@@ -86,6 +86,17 @@ def test_lt_norm_values():
     assert lt_norm(p, 2) == Fraction(9, 8)
 
 
+@pytest.mark.parametrize("n,ell,k,M", [(2, 3, 1, 4), (3, 2, 1, 2), (2, 2, 2, 3)])
+def test_lt_norm_matches_per_entry_sum(n, ell, k, M):
+    # the distinct-size sum against every entry raised to t; at t = 8 the
+    # powers pass 2^63, so both sums must stay in Python ints
+    p = density_profile(n, field_make(ell, k), M)
+    assert int(p.counts.max()) ** 8 > 1 << 63
+    for t in (1, 2, 4, 8):
+        total = sum(c ** t for c in p.counts.tolist())
+        assert lt_norm(p, t) == Fraction(total, p.denom() ** t * p.field.q ** (M * n))
+
+
 @pytest.mark.parametrize("ell,M", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_mass_conservation(ell, M):
     assert density_profile(2, field_make(ell), M).mass() == 1
