@@ -494,16 +494,23 @@ def _slot_widths(ell: int, S: np.ndarray) -> list:
     return [max(1, int(v).bit_length()) for v in (ell - 1) ** 2 * S.sum(axis=(0, 1))]
 
 
+def _runs(slots: list, bits: int) -> list:
+    """Consecutive runs of slots (r, width, ...) in order, each run at most
+    ``bits`` bits wide unless it is one slot wider than that."""
+    runs = []
+    for slot in slots:
+        if runs and sum(s[1] for s in runs[-1]) + slot[1] <= bits:
+            runs[-1].append(slot)
+        else:
+            runs.append([slot])
+    return runs
+
+
 def _unpack_steps(ell: int, place: np.ndarray, slots: list) -> tuple:
     """The steps of one word, slots [(r, width, offset)] in bit order: runs of
     at most _UNPACK_BITS bits share a table, the outer sum over the run of
     (slot value mod ell) * ell^r; a wider slot is reduced arithmetically."""
-    runs = []
-    for slot in slots:
-        if runs and sum(w for _, w, _ in runs[-1]) + slot[1] <= _UNPACK_BITS:
-            runs[-1].append(slot)
-        else:
-            runs.append([slot])
+    runs = _runs(slots, _UNPACK_BITS)
     steps = []
     for i, run in enumerate(runs):
         shift, bits = run[0][2], sum(w for _, w, _ in run)
@@ -527,13 +534,8 @@ def _mul_layout(ctx: TruncCtx) -> _MulLayout:
     ell = ctx.field.ell
     S = _structure_constants(ctx)
     place = ell ** np.arange(len(S), dtype=np.int64)
-    words = [[]]
-    for r, w in enumerate(_slot_widths(ell, S)):
-        if sum(wi for _, wi in words[-1]) + w > _WORD_BITS:
-            words.append([])
-        words[-1].append((r, w))
     packed = []
-    for slots in words:
+    for slots in _runs(list(enumerate(_slot_widths(ell, S))), _WORD_BITS):
         offsets = np.cumsum([0] + [w for _, w in slots[:-1]]).tolist()
         spk = sum(S[:, :, r] << off for (r, _), off in zip(slots, offsets))
         steps = _unpack_steps(ell, place, [(r, w, off) for (r, w), off in zip(slots, offsets)])
