@@ -5,11 +5,15 @@ Exit codes: 0 on success/pass, 1 on any audit failure, 2 on config errors.
 subtotals; to run shards in parallel, start one process per ``--shard-id``
 and add the subtotals they print.  ``count --threads`` is still accepted and
 selects nothing.
+
+The argument parser is built once per process, on the first ``main`` call
+(``build_parser`` is memoised), not at import; ``main`` only parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -248,6 +252,7 @@ _SHARED = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chevalab",

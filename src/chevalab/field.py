@@ -150,11 +150,24 @@ def is_irreducible(poly: list, ell: int) -> bool:
 _MODULUS_CACHE: dict = {}
 
 
+def _has_root(poly: list, ell: int) -> bool:
+    """Whether the polynomial (low-degree-first) vanishes at some a in Z/ell."""
+    for a in range(ell):
+        v = 0
+        for c in reversed(poly):
+            v = (v * a + c) % ell
+        if v == 0:
+            return True
+    return False
+
+
 def _find_modulus(ell: int, k: int) -> tuple:
     """Lexicographically least monic irreducible of degree k over Z/ell.
 
     The search order (constant coefficient outermost) is fixed, so the
-    modulus table is deterministic run to run.
+    modulus table is deterministic run to run.  A candidate with a root in
+    Z/ell has a linear factor, so it is skipped before the Rabin test; that
+    drops every candidate with constant term 0, the first half of the order.
     """
     key = (ell, k)
     if key in _MODULUS_CACHE:
@@ -165,7 +178,7 @@ def _find_modulus(ell: int, k: int) -> tuple:
         return mod
     for lower in itertools.product(range(ell), repeat=k):
         poly = list(lower) + [1]
-        if is_irreducible(poly, ell):
+        if not _has_root(poly, ell) and is_irreducible(poly, ell):
             mod = tuple(poly)
             _MODULUS_CACHE[key] = mod
             return mod

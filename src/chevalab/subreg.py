@@ -9,9 +9,12 @@ the density's analytic path uses the ring tables alone, so its two paths stay
 independent.  The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
 run ``field.ring_mul`` on blocks of ring indices, which builds only its
 small packed layout and unpack tables per ring, never the dense ring
-tables; the histogram reads each product's valuation from one array of
-``field.ring_val`` over the P ring indices.  Their scalar loops live in
-``tests/oracles.py`` as references.
+tables.  The histogram multiplies each unordered pair of the P ring
+indices once, about P(P+1)/2 products instead of P^2, counts a pair of
+distinct indices twice, and reads each product's valuation from one
+array of ``field.ring_val`` over the P indices; it is still an exhaustive
+sweep, so it checks the closed form rather than relying on it.  Their
+scalar loops live in ``tests/oracles.py`` as references.
 
 Both slice-density paths give dense count arrays over the codes of
 ``counting._encode_key``, with the denominator q^(2M); mass, sup and the
@@ -57,16 +60,27 @@ def closed_form_bucket(field: FieldCtx, r: int) -> Fraction:
 
 
 def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
-    """Exact histogram of val(x*y) over R_M^2: every pair, in row blocks of ring
-    indices, counted per product index and then summed by the valuation of
-    each index (P <= 2^17 under HIST_GUARD)."""
+    """Exact histogram of val(x*y) over R_M^2, counted per product index and then
+    summed by the valuation of each index (P <= 2^17 under HIST_GUARD).
+
+    x*y = y*x, so the sweep multiplies each unordered pair {x, y} of indices once:
+    every row block of indices i against the indices j >= its first row, about
+    P(P+1)/2 products in all.  A pair with j > i stands for two ordered pairs and
+    j == i for one; the pairs j < i inside a block's own rows are subtracted
+    again, from bincounts in int64.  Every product still comes from ``ring_mul``,
+    so the sweep stays exhaustive and independent of ``closed_form_bucket``."""
     denom = field.q ** (2 * (M + 1))  # pairs (x, y)
     if denom > HIST_GUARD:
         raise TooLarge("multiplication histogram sweep exceeds its guard")
     ctx = trunc_make(field, M)
-    ys = np.arange(ctx.size, dtype=np.int64)
-    products = sum(np.bincount(ring_mul(ctx, ys[rows, None], ys).ravel(), minlength=ctx.size)
-                   for rows in _row_blocks(ctx.size))  # pairs per product index
+    P = ctx.size
+    ys = np.arange(P, dtype=np.int64)
+    products = np.zeros(P, dtype=np.int64)  # ordered pairs per product index
+    for rows in _row_blocks(P):
+        prod = ring_mul(ctx, ys[rows, None], ys[rows.start:])  # row i, column j - rows.start
+        below = prod[np.tril_indices(len(prod), -1)]  # j < i, already counted as (j, i)
+        products += (2 * (np.bincount(prod.ravel(), minlength=P) - np.bincount(below, minlength=P))
+                     - np.bincount(prod.diagonal(), minlength=P))
     val = ring_val(ctx, ys)
     counts = [int(products[val == r].sum()) for r in range(M + 2)]
     buckets = {r: Fraction(counts[r], denom) for r in range(M + 1)}  # counts[M + 1]: the tail

@@ -8,7 +8,8 @@ are the references for its batched sweeps; the scalar valuation sweeps run
 one series tuple at a time through ``TruncCtx`` and are the references for
 the ring-index sweeps of ``subreg``.  The per-box export loop is the
 reference for ``measure.profile_to_csv``, and the scalar Gauss-Jordan
-elimination at the very end the reference for ``counting.row_echelon``.
+elimination the reference for ``counting.row_echelon``, and the unfiltered
+modulus search at the very end the reference for ``field._find_modulus``.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from chevalab.counting import _decode_key
-from chevalab.field import TruncCtx, trunc_make
+from chevalab.field import TruncCtx, is_irreducible, trunc_make
 from chevalab.matrices import (CharCoeffs, bracket_rank, charpoly, companion,
                                is_nilpotent_jet, scale_coeffs, shift_scalar)
 from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
@@ -251,3 +252,13 @@ def gauss_oracle(gens, ell, r):
 def in_span_oracle(gens, y, ell, r):
     """Whether y lies in the span of the rows gens: adding it keeps the rank."""
     return gauss_oracle(list(gens) + [y], ell, r)[0] == gauss_oracle(gens, ell, r)[0]
+
+
+def find_modulus_oracle(ell, k):
+    """field._find_modulus without its root filter: the Rabin test on every
+    monic candidate of degree k, constant coefficient outermost."""
+    for lower in itertools.product(range(ell), repeat=k):
+        poly = list(lower) + [1]
+        if is_irreducible(poly, ell):
+            return tuple(poly)
+    return None

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -323,6 +325,63 @@ def test_bench_job_argvs_parse(tmp_path, monkeypatch, part):
     for job in jobs:
         if job.argv:  # the resume job calls count_sharded directly
             build_parser().parse_args(job.argv)
+
+
+def test_build_parser_is_cached():
+    assert build_parser() is build_parser()
+
+
+def _outcome(capsys, argv, out):
+    """Exit code, report without wall_ms, stderr, --out bytes and the namespace that
+    cli.build_parser() gives for argv after the call (or its exit code)."""
+    out.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        parsed = exc.code
+    cap = capsys.readouterr()
+    doc = json.loads(cap.out) if cap.out.strip() else None
+    if doc:
+        doc.pop("wall_ms")
+    return code, doc, cap.err, out.read_bytes() if out.exists() else None, parsed
+
+
+def test_cached_parser_matches_fresh_parser(capsys, tmp_path, monkeypatch):
+    # one parser serves every main call in a process: no option of one call reaches the next
+    out = tmp_path / "f.csv"
+    calls = [
+        ["count", "--target", "nilcone", "--m", "1", "--shards", "4", "--threads", "2"],
+        ["count", "--target", "nilcone", "--m", "1"],
+        ["density", "--M", "1", "--format", "csv", "--out", str(out)],
+        ["density", "--M", "1", "--format", "csv"],
+        ["count", "--target", "nilcone", "--m", "1", "--bogus"],
+    ]
+    cached = [_outcome(capsys, argv, out) for argv in calls]
+    assert [c[0] for c in cached] == [0, 0, 0, 2, 2]
+    assert cached[1][4]["shards"] == 1 and cached[2][3]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert [_outcome(capsys, argv, out) for argv in calls] == cached
+
+
+def test_python_m_chevalab(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", "chevalab", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run_module("count", "--target", "nilcone", "--m", "0")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["outputs"]["count"] == "4"
+    bad = run_module("count", "--target", "nilcone", "--m", "0", "--bogus")
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    assert "Traceback" not in bad.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from chevalab.field import (
     ts_mul,
     ts_val,
 )
+from oracles import find_modulus_oracle
 
 
 def test_prime_field_basics():
@@ -210,17 +211,29 @@ def test_ring_mul_every_pair(ell, k, m, monkeypatch):
     assert np.array_equal(ring_mul(r, idx[:, None], idx), _products_by_linearity(r))
 
 
-# field_make(2, 16)'s modulus, the least irreducible of degree 16, which is slow to search for
+# field_make(2, 16)'s modulus, x^16 + x^15 + x^13 + x^11 + 1, the least irreducible of degree 16
 F2_16_MODULUS = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+
+MODULUS_GRID = [(ell, k) for ell in range(2, 252) if field._is_prime(ell)
+                for k in range(2, 11) if ell ** k <= 1 << 10]  # k = 1 is x, not searched
+
+
+@pytest.mark.parametrize("ell,k", MODULUS_GRID)
+def test_find_modulus_matches_unfiltered_search(ell, k, monkeypatch):
+    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+    assert field._find_modulus(ell, k) == find_modulus_oracle(ell, k)
+
+
+def test_f2_16_modulus(monkeypatch):
+    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+    assert field_make(2, 16).modulus == F2_16_MODULUS
 
 
 @pytest.mark.parametrize("ell,k,m", [(2, 16, 0), (2, 8, 1), (251, 2, 1), (2, 1, 16), (3, 1, 10)])
 def test_ring_mul_multi_word_and_wide_slots(ell, k, m, monkeypatch):
     # seeded pairs, every basis pair, and (P-1, P-1): every digit ell - 1, each slot at its maximum
     monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
-    f = FieldCtx(2, 16, F2_16_MODULUS) if k == 16 else field_make(ell, k)
-    assert k == 1 or is_irreducible(list(f.modulus), ell)
-    r = trunc_make(f, m)
+    r = trunc_make(field_make(ell, k), m)
     words = field._mul_layout(r).words
     assert (len(words) > 1) == (m < 2)  # 102, 84 and 84 bits of slots; 59 and 55 fit one word
     assert any(table is None for _, steps in words for _, _, table, _ in steps) == (ell == 251)

@@ -8,7 +8,8 @@ import pytest
 from chevalab import subreg
 from chevalab.counting import _table_from_counts
 from chevalab.errors import TooLarge, WrongCharacteristic
-from chevalab.field import enumerate_ring, field_make, trunc_make, ts_mul
+from chevalab.field import (_row_blocks, enumerate_ring, field_make, ring_tables, ring_val,
+                            trunc_make, ts_mul)
 from chevalab.matrices import CharCoeffs
 from chevalab.subreg import (
     closed_form_bucket,
@@ -55,6 +56,21 @@ def test_hist_from_direct_enumeration(ell, k, M):
     h, ref = mult_pushforward_hist(field, M), mult_hist_oracle(field, M)
     assert h.buckets == ref.buckets
     assert h.tail == ref.tail
+
+
+@pytest.mark.parametrize("ell,k,M", [(3, 1, 5), (2, 1, 9), (2, 2, 4), (2, 1, 0), (3, 1, 0),
+                                      (2, 2, 0), (31, 1, 0)])
+def test_hist_multi_block_matches_ring_tables(ell, k, M):
+    # every ordered pair through the dense product table, read through ring_val
+    field = field_make(ell, k)
+    ctx = trunc_make(field, M)
+    P = ctx.size
+    assert (len(_row_blocks(P)) > 1) == (P > 256)  # (3, 1, 5): 9 blocks, the last one shorter
+    counts = np.bincount(ring_val(ctx, ring_tables(ctx).mul), minlength=M + 2)
+    h = mult_pushforward_hist(field, M)
+    denom = field.q ** (2 * (M + 1))
+    assert h.buckets == {r: Fraction(int(counts[r]), denom) for r in range(M + 1)}
+    assert h.tail == Fraction(int(counts[M + 1]), denom)
 
 
 @pytest.mark.parametrize("ell,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
