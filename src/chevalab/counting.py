@@ -9,10 +9,10 @@ strings.  ``count_engine`` names the engine that runs each count:
   in Mat_n(R_(h-1)).  Since 2h >= m+1, c(A) = c(B) + t^h Dc_B(U) exactly,
   with Dc_B linear over F_ell in the digits of U.  Only B is enumerated; the
   U with c(A) = x form an empty set or a coset of ker Dc_B, found by one
-  batched elimination over F_ell (``row_echelon``).  The columns of Dc_B
-  are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis of F_q,
-  from the same kernel.  nilcone and fiber counts (_lift_space) and the
-  n >= 3 fiber table (_lift_counts) run this way.
+  batched elimination over F_ell (``matrices.row_echelon``).  The columns
+  of Dc_B are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis
+  of F_q, from the same kernel.  nilcone and fiber counts (_lift_space) and
+  the n >= 3 fiber table (_lift_counts) run this way.
 * sweep (m = 0): every matrix of a block of indices is decoded into arrays
   of ring indices and run through the batched Samuelson-Berkowitz kernel
   ``matrices.charpoly_batch``.  It is also the reference the tests hold the
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
                      InsufficientData, ShardOutOfRange, TooLarge)
 from .field import FieldCtx, TruncCtx, field_make, ring_neg, ring_tables, trunc_make
-from .matrices import CharCoeffs, JetMatrix, charpoly_batch
+from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
 SHARD_GUARD = 1 << 40
@@ -325,41 +325,6 @@ def _lift_gens(n: int, ctx: TruncCtx, K: int, entries: list, c0: list) -> np.nda
         low = _low_digits(charpoly_batch(n, tabs, moved), ell, K)
         gens.append((low - _low_digits([c[part] for c in c0], ell, K)[:, None]) % ell)
     return np.concatenate(gens, axis=2).transpose(1, 0, 2)
-
-
-def row_echelon(gens: np.ndarray, ell: int, y: Optional[np.ndarray] = None):
-    """Gaussian elimination over F_ell (ell prime), batched over the last axis.
-
-    gens[:, :, b] holds g generator rows of a subspace of F_ell^r, entries in
-    [0, ell), so gens has shape (g, r, batch).  Returns (rank, basis,
-    consistent): rank[b] is the dimension of the span; basis[:, :, b] is
-    r x r, its first rank[b] rows the reduced row echelon basis of the span
-    and the other rows zero; consistent[b] says whether y[:, b] (y of shape
-    (r, batch)) lies in the span, None without y.  y is carried as one more
-    row that every pivot reduces and that is never a pivot itself, so it
-    ends zero exactly when it lies in the span."""
-    g, r, b = gens.shape
-    dtype = np.uint8 if ell <= 16 else np.uint16  # a + (ell - f) p <= ell^2 - ell fits
-    extra = np.zeros((1, r, b), dtype=np.int64) if y is None else np.asarray(y)[None]
-    rows = (np.concatenate([gens, extra]) % ell).astype(dtype)
-    inv = np.array([0] + [pow(a, ell - 2, ell) for a in range(1, ell)], dtype=dtype)
-    rank = np.zeros(b, dtype=np.int64)
-    items, row_ids = np.arange(b), np.arange(g + 1)[:, None]
-    for c in range(r):
-        eligible = (rows[:, c] != 0) & (row_ids >= rank) & (row_ids < g)
-        found = eligible.any(axis=0)
-        src = np.where(found, eligible.argmax(axis=0), rank)  # rank <= g; no move without a pivot
-        pivot = rows[src, :, items]
-        pivot = pivot * np.where(found, inv[pivot[:, c]], 1)[:, None] % ell
-        rows[src, :, items] = rows[rank, :, items]
-        rows[rank, :, items] = pivot
-        factor = (ell - rows[:, c]) % ell * found
-        factor[rank, items] = 0
-        rows = (rows + factor[:, None] * pivot.T) % ell
-        rank += found
-    basis = np.zeros((r, r, b), dtype=dtype)
-    basis[:min(g, r)] = rows[:min(g, r)]
-    return rank, basis, None if y is None else ~rows[g].any(axis=0)
 
 
 def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):

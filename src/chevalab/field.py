@@ -130,11 +130,12 @@ def _prime_divisors(n: int) -> list:
 
 
 def is_irreducible(poly: list, ell: int) -> bool:
-    """Rabin test for a monic polynomial over Z/ell (low-degree-first)."""
+    """Rabin test for a monic polynomial over Z/ell (low-degree-first).
+    x is reduced mod the polynomial first, which matters for degree 1."""
     k = len(poly) - 1
     if k < 1 or poly[-1] != 1:
         return False
-    x = [0, 1]
+    x = _poly_rem([0, 1], poly, ell)
     xqk = _poly_powmod(x, ell ** k, poly, ell)
     if _poly_trim([(a - b) % ell for a, b in itertools.zip_longest(xqk, x, fillvalue=0)]):
         return False

@@ -1,5 +1,6 @@
 """Matrices over R_m: division-free characteristic polynomials, companion
-matrices, scalar shifts, and ad-rank computations.
+matrices, scalar shifts, and the one elimination over F_ell with the ad-ranks
+built on it.
 
 The sign convention for the characteristic polynomial is fixed everywhere as
 
@@ -14,6 +15,10 @@ characteristic polynomial is Samuelson-Berkowitz in two forms:
   sweep of ``slices`` and ``subreg`` run on it.
 * ``charpoly`` (also named ``charpoly_berkowitz``): the same algorithm on
   one ``JetMatrix`` at a time, for single matrices and sampled audits.
+
+``row_echelon``, batched over many systems, is the one elimination: over
+F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
+``ad_digits`` writes as F_ell digit rows for a batch of m = 0 matrices y.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import CtxMismatch, SizeTooSmall
-from .field import FieldCtx, RingTables, TruncCtx
+from .field import FieldCtx, RingTables, TruncCtx, _structure_constants, trunc_make
 
 
 @dataclass(frozen=True)
@@ -273,56 +278,68 @@ def scale_coeffs(f: CharCoeffs, lam: int) -> CharCoeffs:
     return CharCoeffs(ctx, f.n, tuple(out))
 
 
-# --- linear algebra over the residue field (m = 0 only) ---
+# --- linear algebra over F_ell ---
 
-def rank_over_field(rows: Sequence[Sequence[int]], field: FieldCtx) -> int:
-    """Row rank by Gaussian elimination; entries are field element codes."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def row_echelon(gens: np.ndarray, ell: int, y: Optional[np.ndarray] = None):
+    """Gaussian elimination over F_ell (ell prime), batched over the last axis.
+
+    gens[:, :, b] holds g generator rows of a subspace of F_ell^r, entries in
+    [0, ell), so gens has shape (g, r, batch).  Returns (rank, basis,
+    consistent): rank[b] is the dimension of the span; basis[:, :, b] is
+    r x r, its first rank[b] rows the reduced row echelon basis of the span
+    and the other rows zero; consistent[b] says whether y[:, b] (y of shape
+    (r, batch)) lies in the span, None without y.  y is carried as one more
+    row that every pivot reduces and that is never a pivot itself, so it
+    ends zero exactly when it lies in the span."""
+    g, r, b = gens.shape
+    dtype = np.uint8 if ell <= 16 else np.uint16  # a + (ell - f) p <= ell^2 - ell fits
+    extra = np.zeros((1, r, b), dtype=np.int64) if y is None else np.asarray(y)[None]
+    rows = (np.concatenate([gens, extra]) % ell).astype(dtype)
+    inv = np.array([0] + [pow(a, ell - 2, ell) for a in range(1, ell)], dtype=dtype)
+    rank = np.zeros(b, dtype=np.int64)
+    items, row_ids = np.arange(b), np.arange(g + 1)[:, None]
+    for c in range(r):
+        eligible = (rows[:, c] != 0) & (row_ids >= rank) & (row_ids < g)
+        found = eligible.any(axis=0)
+        src = np.where(found, eligible.argmax(axis=0), rank)  # rank <= g; no move without a pivot
+        pivot = rows[src, :, items]
+        pivot = pivot * np.where(found, inv[pivot[:, c]], 1)[:, None] % ell
+        rows[src, :, items] = rows[rank, :, items]
+        rows[rank, :, items] = pivot
+        factor = (ell - rows[:, c]) % ell * found
+        factor[rank, items] = 0
+        rows = (rows + factor[:, None] * pivot.T) % ell
+        rank += found
+    basis = np.zeros((r, r, b), dtype=dtype)
+    basis[:min(g, r)] = rows[:min(g, r)]
+    return rank, basis, None if y is None else ~rows[g].any(axis=0)
 
 
-def ad_rows(x: JetMatrix) -> List[List[int]]:
-    """The vectors of [x, E_ab] over F_q, one row per (a, b); requires m = 0."""
-    ctx = x.ctx
-    if ctx.m != 0:
-        raise CtxMismatch("ad_x is taken at jet order m = 0")
-    field = ctx.field
-    n = x.n
-    xm = [[x.entries[i][j][0] for j in range(n)] for i in range(n)]
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            # vec of [x, E_ab] = x E_ab - E_ab x
-            out = [[0] * n for _ in range(n)]
-            for i in range(n):
-                out[i][b] = field.add(out[i][b], xm[i][a])
-            for j in range(n):
-                out[a][j] = field.sub(out[a][j], xm[b][j])
-            rows.append([out[i][j] for i in range(n) for j in range(n)])
-    return rows
+def ad_digits(y: np.ndarray, field: FieldCtx) -> np.ndarray:
+    """The F_ell digit rows of [y, g^f E_ac] for y an int64 array (n, n, b)
+    of m = 0 field codes, shape (n^2 k, n^2 k, b): row (a n + c) k + f, column
+    (i n + j) k + r for digit r of entry (i, j), g^f running over the
+    F_ell-basis of F_q.  Built from the structure constants of F_q, with no
+    table, for any q <= 2^16.  The F_ell-rank is k times the F_q-rank of ad_y."""
+    ell, k, n = field.ell, field.k, y.shape[0]
+    S = _structure_constants(trunc_make(field, 0))  # S[e, f, r]: digit r of g^e g^f
+    dy = np.asarray(y, dtype=np.int64)[..., None] // ell ** np.arange(k) % ell
+    yg = np.einsum("iaBe,efr->iafrB", dy, S)  # digit r of y_ia g^f, unreduced
+    eye = np.eye(n, dtype=np.int64)
+    # [y, g^f E_ac]: y_ia g^f in column c of every row i, minus g^f y_cj in row a
+    ad = np.einsum("iafrB,cj->acfijrB", yg, eye) - np.einsum("cjfrB,ai->acfijrB", yg, eye)
+    return (ad % ell).reshape(n * n * k, n * n * k, -1)
+
+
+def ad_ranks(y: np.ndarray, field: FieldCtx) -> np.ndarray:
+    """The F_q-rank of ad_y for each y of an int64 array (n, n, b) of m = 0
+    field codes, from one row_echelon of ad_digits."""
+    return row_echelon(ad_digits(y, field), field.ell)[0] // field.k
 
 
 def bracket_rank(x: JetMatrix) -> int:
     """Rank of ad_x : gl_n(F_q) -> gl_n(F_q); requires m = 0."""
-    return rank_over_field(ad_rows(x), x.ctx.field)
+    if x.ctx.m != 0:
+        raise CtxMismatch("ad_x is taken at jet order m = 0")
+    y = np.array([[e[0] for e in row] for row in x.entries], dtype=np.int64)
+    return int(ad_ranks(y[:, :, None], x.ctx.field)[0])

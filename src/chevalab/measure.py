@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .counting import FiberKey, _decode_key, _digits, _fiber_counts, count_jet_fiber
-from .errors import LevelTooLow, TooLarge, WrongCharacteristic
+from .errors import BadConfig, LevelTooLow, TooLarge, WrongCharacteristic
 from .field import FieldCtx, TruncCtx, ring_val, trunc_make
 from .reporting import atomic_write_text
 
@@ -45,6 +45,8 @@ class DensityProfile:
 
 
 def density_profile(n: int, field: FieldCtx, M: int) -> DensityProfile:
+    if n < 1:
+        raise BadConfig(f"matrix size n={n}: need n >= 1")
     if M < 1:
         raise LevelTooLow("resolution M must be >= 1")
     return DensityProfile(n, field, M, _fiber_counts(n, trunc_make(field, M - 1)))
@@ -86,6 +88,8 @@ def anfrs_ratio(n: int, field: FieldCtx, a: int) -> Fraction:
     """Pushed-forward mass of the weighted ellipsoid {val(c_i) >= a*i},
     divided by the ellipsoid's Haar volume q^{-a*n(n+1)/2}.  The ellipsoid
     is fixed modulo t^(a*n), so the counts are taken at level a*n."""
+    if n < 1:
+        raise BadConfig(f"matrix size n={n}: need n >= 1")
     if a < 0:
         raise LevelTooLow("ellipsoid scale a must be >= 0")
     if a == 0:

@@ -15,14 +15,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .counting import _blocks, _digits
+from .counting import BLOCK, _blocks, _digits
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
 from .field import FieldCtx, RingTables, TruncCtx, ring_tables, trunc_make
-from .matrices import (JetMatrix, ad_rows, bracket_rank, charpoly,
-                       charpoly_batch, rank_over_field, scale_coeffs)
+from .matrices import (JetMatrix, ad_digits, ad_ranks, bracket_rank, charpoly,
+                       charpoly_batch, row_echelon, scale_coeffs)
 
 EQUIVARIANCE_EXHAUSTIVE_LIMIT = 1 << 20  # (q-1) q^dim points and weights lambda
 ORBIT_JUMP_GUARD = 1 << 24  # q^dim slice points
+AD_BATCH = 1 << 21  # digits of the ad_y systems ranked in one row_echelon call
 
 
 @dataclass(frozen=True)
@@ -238,18 +239,21 @@ def _scaled_coords(basis: SliceBasis, field: FieldCtx, ctx: TruncCtx, coords, la
 # --------------------------------------------------------------------------
 
 def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
-    """span([gl_n, x]) + L_x = gl_n over F_q, by ranks at m = 0."""
-    x = jordan_matrix(partition, field)
+    """span([gl_n, x]) + L_x = gl_n over F_q, by ranks at m = 0.
+
+    One row_echelon call on F_ell digits with a batch of two systems: the
+    rows of ad_x, padded with zero rows, and the rows of ad_x together with
+    g^f E_e for every slice vector e and f < k.  The sum is all of gl_n when
+    the second rank is n^2 k, and it is direct when rank ad_x + dim = n^2."""
     basis = slice_basis(partition, "L")
-    n = partition.n
-    rows = ad_rows(x)
-    expected = (rank_over_field(rows, field) + len(basis.entries)) == n * n
-    for e in basis.entries:
-        vec = [0] * (n * n)
-        vec[e.row * n + e.col] = 1
-        rows.append(vec)
-    full = rank_over_field(rows, field) == n * n
-    return full and expected
+    n, k = partition.n, field.k
+    x = np.array([[e[0] for e in row] for row in jordan_matrix(partition, field).entries])
+    ad = ad_digits(x[:, :, None], field)[:, :, 0]
+    slice_rows = np.eye(n * n * k, dtype=np.int64)[
+        [(e.row * n + e.col) * k + f for e in basis.entries for f in range(k)]]
+    gens = np.stack([np.concatenate([ad, 0 * slice_rows]), np.concatenate([ad, slice_rows])], axis=2)
+    rank = row_echelon(gens, field.ell)[0]
+    return bool(rank[1] == n * n * k and rank[0] // k + len(basis.entries) == n * n)
 
 
 def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
@@ -260,6 +264,8 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     Exhaustive at m=0 through charpoly_batch when the sweep fits the limit,
     else seeded samples with series coordinates at m = 1.
     """
+    if samples < 1:
+        raise BadConfig(f"samples={samples}: need at least 1 sample")
     basis = slice_basis(partition, kind)
     if (field.q - 1) * field.q ** basis.dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
         return _equivariance_exhaustive_np(basis, field)
@@ -321,18 +327,19 @@ def _equivariance_exhaustive_np(basis: SliceBasis, field: FieldCtx) -> bool:
 def audit_orbit_jump(partition: Partition, field: FieldCtx) -> bool:
     """Every nonzero nilpotent y = x + l with l in L_x(F_q) sits on a larger
     orbit: rank ad_y > rank ad_x.  charpoly_batch picks out the nilpotent y
-    block by block; only those go through bracket_rank."""
+    of each block, and one ad_ranks call ranks them together."""
     basis = slice_basis(partition, "L")
-    q, dim = field.q, basis.dim
+    n, q, dim = basis.n, field.q, basis.dim
     if q ** dim > ORBIT_JUMP_GUARD:
         raise TooLarge("orbit-jump sweep exceeds the q^dim guard")
     tabs = ring_tables(trunc_make(field, 0))  # TooLarge past RING_TABLE_LIMIT
     rx = bracket_rank(jordan_matrix(partition, field))
-    for idx in _blocks(1, q ** dim):  # index 0 is l = 0
-        coords = _digits(q, dim, idx)
-        cp = charpoly_batch(basis.n, tabs, _slice_entries(basis, field, tabs, coords))
-        for b in np.flatnonzero(np.logical_and.reduce([c == 0 for c in cp])).tolist():
-            y = slice_point(basis, field, [(int(c[b]),) for c in coords], 0, None)
-            if bracket_rank(y) <= rx:
+    block = min(BLOCK, max(1, AD_BATCH // (n * n * field.k) ** 2))
+    for idx in _blocks(1, q ** dim, block):  # index 0 is l = 0
+        entries = _slice_entries(basis, field, tabs, _digits(q, dim, idx))
+        nil = np.logical_and.reduce([c == 0 for c in charpoly_batch(n, tabs, entries)])
+        if nil.any():
+            y = np.array([[np.broadcast_to(e, nil.shape)[nil] for e in row] for row in entries])
+            if (ad_ranks(y, field) <= rx).any():
                 return False
     return True

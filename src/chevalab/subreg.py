@@ -30,7 +30,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .counting import _blocks, _charpoly_keys, _digits
-from .errors import LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
+from .errors import BadConfig, LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
 from .field import (FieldCtx, RingTables, TruncCtx, _row_blocks, ring_add, ring_mul,
                     ring_tables, ring_val, trunc_make)
 from .matrices import CharCoeffs, charpoly, charpoly_batch, companion
@@ -218,6 +218,8 @@ def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 
 
     if n < 2:
         raise TooLarge("identity needs n >= 2")
+    if samples < 1:
+        raise BadConfig(f"samples={samples}: need at least 1 sample")
     q = field.q
     if q ** (n + 1) <= M1_EXHAUSTIVE_LIMIT:
         tabs = ring_tables(trunc_make(field, 0))

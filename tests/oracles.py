@@ -2,16 +2,24 @@
 
 Deliberately naive: the characteristic polynomial is computed by cofactor
 expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
-code paths with the package kernels.  The scalar slice-layer sweeps at the
-end run one point at a time through the package's scalar ``charpoly`` and
-are the references for its batched sweeps; the scalar valuation sweeps run
-one series tuple at a time through ``TruncCtx`` and are the references for
-the ring-index sweeps of ``subreg``.  The per-box export loop is the
-reference for ``measure.profile_to_csv``, and the scalar Gauss-Jordan
-elimination the reference for ``counting.row_echelon``, and the unfiltered
-modulus search at the very end the reference for ``field._find_modulus``.
+code paths with the package kernels; only ``TruncCtx`` series arithmetic
+runs, and the minors' determinants are memoised per ring.  The scalar
+slice-layer sweeps run one point at a time through the package's scalar
+``charpoly`` and are the references for its batched sweeps.
+``bracket_rank_oracle`` ranks ad_x by scalar Gaussian elimination over F_q
+in ``FieldCtx`` arithmetic, independent of ``row_echelon``: it is the
+reference for ``matrices.ad_ranks``, and ``orbit_jump_oracle``, which
+tests nilpotency by matrix powers in the same arithmetic, the one for
+``slices.audit_orbit_jump``.  The scalar valuation sweeps run one series tuple at a
+time through ``TruncCtx`` and are the references for the ring-index sweeps
+of ``subreg``.  The per-box export loop is the reference for
+``measure.profile_to_csv``, the scalar Gauss-Jordan elimination over F_ell
+the reference for ``matrices.row_echelon``, the brute-force factor search
+the reference for ``field.is_irreducible``, and the unfiltered modulus
+search at the very end the reference for ``field._find_modulus``.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -19,8 +27,7 @@ import numpy as np
 
 from chevalab.counting import _decode_key
 from chevalab.field import TruncCtx, is_irreducible, trunc_make
-from chevalab.matrices import (CharCoeffs, bracket_rank, charpoly, companion,
-                               is_nilpotent_jet, scale_coeffs, shift_scalar)
+from chevalab.matrices import CharCoeffs, charpoly, companion, scale_coeffs, shift_scalar
 from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
 from chevalab.subreg import ValHistogram, mult_fiber_count
 
@@ -46,15 +53,23 @@ def poly_neg(ctx: TruncCtx, a):
     return [ctx.neg(x) for x in a]
 
 
+_MINOR_DETS: dict = {}  # ctx.key() -> {minor entries as tuples: its determinant}
+
+
 def det_poly(ctx: TruncCtx, mat):
-    """Determinant of a matrix of z-polynomials, by first-row cofactors."""
+    """Determinant of a matrix of z-polynomials, by first-row cofactors.
+    The determinants of the (n-1) x (n-1) minors are memoised per ring."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
+    dets = _MINOR_DETS.setdefault(ctx.key(), {})
     total = [ctx.zero]
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = poly_mul(ctx, mat[0][j], det_poly(ctx, minor))
+        key = tuple(tuple(map(tuple, row)) for row in minor)
+        if key not in dets:
+            dets[key] = det_poly(ctx, minor)
+        term = poly_mul(ctx, mat[0][j], dets[key])
         if j % 2:
             term = poly_neg(ctx, term)
         total = poly_add(ctx, total, term)
@@ -139,15 +154,64 @@ def equivariance_exhaustive_oracle(basis, field):
     return True
 
 
+def bracket_rank_oracle(xm, field):
+    """Rank of ad_x over F_q for x an n x n list of F_q codes: the rows
+    [x, E_ab], ranked by scalar Gaussian elimination in FieldCtx arithmetic."""
+    n = len(xm)
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            # vec of [x, E_ab] = x E_ab - E_ab x
+            out = [[0] * n for _ in range(n)]
+            for i in range(n):
+                out[i][b] = field.add(out[i][b], xm[i][a])
+            for j in range(n):
+                out[a][j] = field.sub(out[a][j], xm[b][j])
+            rows.append([v for row in out for v in row])
+    rank = 0
+    for col in range(n * n):
+        p = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _is_nilpotent_oracle(y, field):
+    """Whether y^(2^j) = 0 for 2^j >= n, y an n x n list of F_q codes; the
+    trace is tested first, as it vanishes on every nilpotent y."""
+    n = len(y)
+    if functools.reduce(field.add, (y[i][i] for i in range(n))):
+        return False
+    power = 1
+    while power < n:
+        y = [[functools.reduce(field.add, (field.mul(y[i][l], y[l][j]) for l in range(n)))
+              for j in range(n)] for i in range(n)]
+        power *= 2
+    return not any(any(row) for row in y)
+
+
 def orbit_jump_oracle(partition, field):
-    """slices.audit_orbit_jump one point at a time."""
+    """slices.audit_orbit_jump one point at a time in FieldCtx arithmetic: y is
+    nilpotent when a power y^(2^j), 2^j >= n, vanishes, and is ranked by
+    bracket_rank_oracle."""
     basis = slice_basis(partition, "L")
-    rx = bracket_rank(jordan_matrix(partition, field))
+    x = [[e[0] for e in row] for row in jordan_matrix(partition, field).entries]
+    rx = bracket_rank_oracle(x, field)
     for raw in itertools.product(range(field.q), repeat=len(basis.entries)):
         if not any(raw):
             continue
-        y = slice_point(basis, field, [(c,) for c in raw], 0, None)
-        if is_nilpotent_jet(y) and bracket_rank(y) <= rx:
+        y = [list(row) for row in x]
+        for c, e in zip(raw, basis.entries):
+            y[e.row][e.col] = field.add(y[e.row][e.col], c)
+        if _is_nilpotent_oracle(y, field) and bracket_rank_oracle(y, field) <= rx:
             return False
     return True
 
@@ -227,7 +291,7 @@ def profile_rows_oracle(profile):
 
 # --------------------------------------------------------------------------
 # scalar Gauss-Jordan elimination over F_ell, one system at a time;
-# the reference for counting.row_echelon
+# the reference for matrices.row_echelon
 # --------------------------------------------------------------------------
 
 def gauss_oracle(gens, ell, r):
@@ -252,6 +316,23 @@ def gauss_oracle(gens, ell, r):
 def in_span_oracle(gens, y, ell, r):
     """Whether y lies in the span of the rows gens: adding it keeps the rank."""
     return gauss_oracle(list(gens) + [y], ell, r)[0] == gauss_oracle(gens, ell, r)[0]
+
+
+def is_irreducible_oracle(poly, ell):
+    """Whether the monic poly (low-degree-first, degree >= 1) over Z/ell is no
+    product of two monic polynomials of positive degree, by trying them all."""
+    k = len(poly) - 1
+    for d in range(1, k // 2 + 1):
+        for low_a in itertools.product(range(ell), repeat=d):
+            for low_b in itertools.product(range(ell), repeat=k - d):
+                a, b = list(low_a) + [1], list(low_b) + [1]
+                prod = [0] * (k + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % ell
+                if prod == list(poly):
+                    return False
+    return True
 
 
 def find_modulus_oracle(ell, k):

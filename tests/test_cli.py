@@ -263,6 +263,24 @@ def test_bad_count_option_exit_2(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--n", "0", "--M", "1"],
+    ["density", "--n", "-1", "--M", "1"],
+    ["anfrs", "--n", "0", "--a", "1"],
+    ["anfrs", "--n", "-1", "--a", "0"],
+    ["slice-audit", "--n", "4", "--ell", "3", "--partition", "1,1,1,1", "--samples", "0"],
+    ["slice-audit", "--n", "4", "--ell", "3", "--partition", "1,1,1,1", "--samples", "-3"],
+    ["slice-audit", "--n", "2", "--partition", "1,1", "--samples", "0"],
+    ["subreg", "--n", "3", "--samples", "0"],
+    ["subreg", "--n", "3", "--ell", "5", "--M", "1", "--samples", "-3"],
+])
+def test_bad_size_or_samples_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
+
+
 def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     rec = json.loads(run_query(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone")).to_json())
     rec["bogus"] = 1

@@ -32,7 +32,7 @@ from chevalab.errors import (
     TooLarge,
 )
 from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
-from chevalab.matrices import charpoly
+from chevalab.matrices import charpoly, row_echelon
 from chevalab.measure import refinement_check
 
 from oracles import fiber_counts_oracle, gauss_oracle, in_span_oracle
@@ -504,7 +504,7 @@ def test_row_echelon_matches_scalar_gauss(ell, kind):
     g, r = _SYSTEM_SHAPES[kind]
     gens = np.array([s[0] for s in systems]).transpose(1, 2, 0)
     y = np.array([s[1] for s in systems]).T
-    rank, basis, consistent = counting.row_echelon(gens, ell, y)
+    rank, basis, consistent = row_echelon(gens, ell, y)
     assert basis.shape == (r, r, len(systems))
     for b, (rows, yb) in enumerate(systems):
         want_rank, want_rows = gauss_oracle(rows, ell, r)
@@ -517,7 +517,7 @@ def test_row_echelon_matches_scalar_gauss(ell, kind):
         assert (rank == r).all() and consistent.all()
     if kind == "inconsistent":
         assert not consistent.all()
-    assert counting.row_echelon(gens, ell)[2] is None
+    assert row_echelon(gens, ell)[2] is None
 
 
 def test_count_engine():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from chevalab.field import (
     ts_mul,
     ts_val,
 )
-from oracles import find_modulus_oracle
+from oracles import find_modulus_oracle, is_irreducible_oracle
 
 
 def test_prime_field_basics():
@@ -65,6 +66,15 @@ def test_f9_modulus():
     assert is_irreducible(f9.modulus, 3)
     # lex-least monic irreducible quadratic over F_3 is x^2 + 1
     assert f9.modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize("ell,max_deg", [(2, 4), (3, 4), (5, 2)])
+def test_is_irreducible_matches_factor_search(ell, max_deg):
+    # every monic polynomial of degree 1..max_deg, linear ones included
+    for k in range(1, max_deg + 1):
+        for low in itertools.product(range(ell), repeat=k):
+            poly = list(low) + [1]
+            assert is_irreducible(poly, ell) == is_irreducible_oracle(poly, ell), poly
 
 
 @pytest.mark.parametrize("ell,k", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 4)])

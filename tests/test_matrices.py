@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from chevalab.errors import CtxMismatch, SizeTooSmall
 from chevalab.field import field_make, ring_tables, trunc_make
 from chevalab.matrices import (
     CharCoeffs,
+    ad_ranks,
     bracket_rank,
     charpoly,
     charpoly_batch,
@@ -19,13 +21,12 @@ from chevalab.matrices import (
     mat_make,
     mat_scalar,
     mat_zero,
-    rank_over_field,
     scale_coeffs,
     shift_scalar,
     shift_scalar_audit,
 )
 
-from oracles import charpoly_oracle
+from oracles import bracket_rank_oracle, charpoly_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -192,13 +193,6 @@ def test_ctx_mismatch_rejected():
         a.add(b)
 
 
-def test_rank_over_field():
-    assert rank_over_field([[1, 0], [0, 1]], F2) == 2
-    assert rank_over_field([[1, 1], [1, 1]], F2) == 1
-    assert rank_over_field([[0, 0], [0, 0]], F3) == 0
-    assert rank_over_field([[1, 2], [2, 4]], F3) == 1
-
-
 def test_bracket_rank_values():
     r = trunc_make(F2, 0)
     assert bracket_rank(mat_zero(r, 2)) == 0
@@ -209,6 +203,29 @@ def test_bracket_rank_values():
     assert bracket_rank(j3) == 6
     with pytest.raises(CtxMismatch):
         bracket_rank(mat_zero(trunc_make(F2, 1), 2))
+
+
+@pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 5, 1), (2, 2, 3)])
+def test_ad_ranks_match_scalar_elimination_exhaustive(n, ell, k):
+    # every m = 0 matrix, ranked in one batch against the scalar F_q elimination
+    field = field_make(ell, k)
+    flat = np.array(list(itertools.product(range(field.q), repeat=n * n)), dtype=np.int64)
+    got = ad_ranks(flat.T.reshape(n, n, -1), field)
+    want = [bracket_rank_oracle(codes.reshape(n, n).tolist(), field) for codes in flat]
+    assert got.tolist() == want
+
+
+def test_ad_ranks_f2048_without_ring_tables():
+    # q = 2048 is past the dense-table limit, so only the table-free path runs
+    field = field_make(2, 11)
+    ctx = trunc_make(field, 0)
+    rng = random.Random(2048)
+    mats = [[[rng.randrange(field.q) for _ in range(3)] for _ in range(3)] for _ in range(20)]
+    mats[0] = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]  # regular nilpotent: rank 6
+    got = ad_ranks(np.array(mats, dtype=np.int64).transpose(1, 2, 0), field)
+    want = [bracket_rank_oracle(m, field) for m in mats]
+    assert got.tolist() == want and want[0] == 6
+    assert [bracket_rank(mat_make(ctx, [[(c,) for c in row] for row in m])) for m in mats[:3]] == want[:3]
 
 
 @given(n=st.integers(1, 4), ell_k=st.sampled_from([(2, 1), (3, 1), (2, 2)]),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import chevalab
+import numpy as np
 import pytest
 from chevalab import slices
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,26 @@ def test_transversality_all_partitions_n_le_5(field):
             assert audit_transversality(p, field)
 
 
+@pytest.mark.parametrize("field", [field_make(2, 2), field_make(2, 11)], ids=["q4", "q2048"])
+def test_transversality_extension_fields_n_le_3(field):
+    for n in range(1, 4):
+        for p in all_partitions(n):
+            assert audit_transversality(p, field)
+
+
+@pytest.mark.parametrize("field", [F2, F3, field_make(2, 2)], ids=["q2", "q3", "q4"])
+def test_transversality_fails_on_a_dropped_or_repeated_vector(monkeypatch, field):
+    # dropping a vector loses the span; repeating one, the direct sum
+    full = slices.slice_basis
+    for p in [Partition((1, 1)), Partition((2, 1)), Partition((2, 2)), Partition((3, 1, 1))]:
+        basis = full(p, "L")
+        for i, e in enumerate(basis.entries):
+            for entries in [basis.entries[:i] + basis.entries[i + 1:], basis.entries + (e,)]:
+                bad = dataclasses.replace(basis, entries=entries)
+                monkeypatch.setattr(slices, "slice_basis", lambda *_, b=bad: b)
+                assert not audit_transversality(p, field)
+
+
 def test_slice_point_shape():
     b = slice_basis(Partition((2, 1)))
     pt = slice_point(b, F2, [(1,)] * len(b.entries))
@@ -155,6 +177,15 @@ def test_equivariance_sampled_larger(monkeypatch):
     monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", 1)
     assert audit_equivariance(Partition((2, 2)), "L", F5, samples=200, seed=1)
     assert audit_equivariance(Partition((1, 1, 1)), "M", F3, samples=200, seed=2)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_equivariance_rejects_samples_below_one(monkeypatch, samples):
+    with pytest.raises(BadConfig, match="samples"):
+        audit_equivariance(Partition((1, 1, 1, 1)), "L", F3, samples=samples)
+    monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", 1)
+    with pytest.raises(BadConfig, match="samples"):
+        audit_equivariance(Partition((2, 1)), "L", F2, samples=samples)
 
 
 def test_equivariance_numpy_batch_path():
@@ -202,14 +233,16 @@ def test_orbit_jump(monkeypatch):
 
 
 @pytest.mark.parametrize("parts,field", [((2, 1, 1), F2), ((2, 2), F3), ((3, 1), F3),
-                                         ((1, 1, 1), F2)], ids=["211-q2", "22-q3", "31-q3", "111-q2"])
+                                         ((1, 1, 1), F2), ((1, 1, 1), field_make(2, 2)),
+                                         ((1, 1, 1, 1), F2)],
+                         ids=["211-q2", "22-q3", "31-q3", "111-q2", "111-q4", "1111-q2"])
 def test_orbit_jump_matches_scalar_sweep(parts, field):
     assert audit_orbit_jump(Partition(parts), field) == orbit_jump_oracle(Partition(parts), field)
 
 
 def test_orbit_jump_reaches_nilpotent_points(monkeypatch):
     # with every rank read as 0 no nilpotent y jumps, so the audit must fail
-    monkeypatch.setattr(slices, "bracket_rank", lambda x: 0)
+    monkeypatch.setattr(slices, "ad_ranks", lambda y, field: np.zeros(y.shape[2], dtype=np.int64))
     assert not audit_orbit_jump(Partition((2, 1, 1)), F2)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from chevalab import subreg
 from chevalab.counting import _table_from_counts
-from chevalab.errors import TooLarge, WrongCharacteristic
+from chevalab.errors import BadConfig, TooLarge, WrongCharacteristic
 from chevalab.field import (_row_blocks, enumerate_ring, field_make, ring_tables, ring_val,
                             trunc_make, ts_mul)
 from chevalab.matrices import CharCoeffs
@@ -236,3 +236,12 @@ def test_subreg_guards():
         subreg_slice_density(7, F3, 1)
     with pytest.raises(TooLarge):
         subreg_slice_density(2, F2, 1)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_m1_identity_rejects_samples_below_one(monkeypatch, samples):
+    with pytest.raises(BadConfig, match="samples"):
+        m1_identity_check(2, F2, samples=samples)
+    monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", 1)
+    with pytest.raises(BadConfig, match="samples"):
+        m1_identity_check(3, F5, samples=samples)
