@@ -97,7 +97,7 @@ def _run_count(cfg: RunConfig) -> Report:
     return Report("count", anchors[cfg.target],
                   inputs=query.target_dict() | {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "m": cfg.m},
                   outputs={"count": str(record.count),
-                           "engine": count_engine(cfg.n, cfg.m, cfg.target)})
+                           "engine": count_engine(cfg.n, cfg.target)})
 
 
 def _run_fit_dim(cfg: RunConfig) -> Report:
@@ -123,7 +123,7 @@ def _run_density(cfg: RunConfig) -> Report:
             measure.summary_to_json(summary, cfg.out)
     verdict = {"mass_is_one": profile.mass() == 1}
     return Report("density", "Thm E", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": cfg.level},
-                  summary | {"engine": count_engine(cfg.n, cfg.level - 1, "gi")}, verdict)
+                  summary | {"engine": count_engine(cfg.n, "gi")}, verdict)
 
 
 def _run_anfrs(cfg: RunConfig) -> Report:
@@ -205,8 +205,7 @@ def _run_hist_mult(cfg: RunConfig) -> Report:
 def _run_val_int(cfg: RunConfig) -> Report:
     M = cfg.level
     field = field_make(cfg.ell, cfg.k)
-    ctx = trunc_make(field, M)
-    coeffs = [ctx.make([c]) for c in _parse_ints(cfg.poly, ",", "--poly")]
+    coeffs = [(c,) for c in _parse_ints(cfg.poly, ",", "--poly")]  # val_integral pads them to R_M
     value = subreg.val_integral(coeffs, field, M)
     deg = len(coeffs) - 1
     bound = subreg.val_integral_bound(deg, field, M)

@@ -5,32 +5,30 @@ and a shardable, checkpointed counting kernel.
 Counts are exact Python ints of unbounded size and serialize as decimal
 strings.  ``count_engine`` names the engine that runs each count:
 
-* lift (m >= 1, n >= 2): write A = B + t^h U with h = floor(m/2) + 1 and B
-  in Mat_n(R_(h-1)).  Since 2h >= m+1, c(A) = c(B) + t^h Dc_B(U) exactly,
+* lift (n >= 2): write A = B + t^h U with h = floor(m/2) + 1 and B in
+  Mat_n(R_(h-1)).  Since 2h >= m+1, c(A) = c(B) + t^h Dc_B(U) exactly,
   with Dc_B linear over F_ell in the digits of U.  Only B is enumerated; the
   U with c(A) = x form an empty set or a coset of ker Dc_B, found by one
   batched elimination over F_ell (``matrices.row_echelon``).  The columns
   of Dc_B are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis
   of F_q, from the same kernel.  nilcone and fiber counts (_lift_space) and
-  the n >= 3 fiber table (_lift_counts) run this way.
-* sweep (m = 0): every matrix of a block of indices is decoded into arrays
-  of ring indices and run through the batched Samuelson-Berkowitz kernel
-  ``matrices.charpoly_batch``.  It is also the reference the tests hold the
-  lift engine to at m >= 1 (_sweep_space, _sweep_counts).
+  the n >= 3 fiber table (_lift_counts) run this way.  At m = 0, h = 1 and
+  the top half is empty: B is A, and each A with c(A) = x adds 1.
 * n2-product: the n = 2 fiber table at every m is one integer matrix
   product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c).
-* n1: c_1 = -a is ``field.ring_neg`` on the ring indices, at every ring size.
+* n1: c_1 = -a is a bijection of R_m, so every count is closed form
+  (_n1_space): each fiber is one matrix, at every ring size.
 The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
 (``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
 counts one contiguous slice, so subtotals add up to the full count.  Under
 the lift engine nilcone indexes the bases B in the pruned layout of
-_nilcone_entries at level h-1 and fiber all of Mat_n(R_(h-1)); under a
-sweep they index matrices; gi indexes the characteristic polynomials x,
-each adding N(x)^i read from the one fiber table.  Shards run one after
-another in one process; separate processes, one per shard id, are the way
-to run nilcone and fiber shards in parallel.  A shard's checkpoint is one
+_nilcone_entries at level h-1 and fiber all of Mat_n(R_(h-1)); n = 1
+keeps the same two layouts at level m.  gi indexes the characteristic
+polynomials x, each adding N(x)^i read from the one fiber table.  Shards
+run one after another in one process; separate processes, one per shard
+id, are the way to run nilcone and fiber shards in parallel.  A shard's checkpoint is one
 JSON line holding its latest state, replaced atomically after every chunk.
 """
 
@@ -49,7 +47,7 @@ import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import FieldCtx, TruncCtx, field_make, ring_neg, ring_tables, trunc_make
+from .field import FieldCtx, TruncCtx, field_make, ring_tables, trunc_make
 from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
@@ -187,8 +185,6 @@ def _decode_key(n: int, ctx: TruncCtx, code: int) -> FiberKey:
 
 def _charpoly_keys(n: int, ctx: TruncCtx, entries) -> np.ndarray:
     """Encoded characteristic polynomials (see _encode_key) of a block."""
-    if n == 1:  # c_1 = -a, on rings of any size
-        return ring_neg(ctx, entries[0][0])
     cs = charpoly_batch(n, ring_tables(ctx), entries)
     key = cs[0]
     for c in cs[1:]:
@@ -206,41 +202,38 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
     built once per (n, field.key()) and read-only, since every nilcone shard
     of a run starts from the same bases.  Nilpotent matrices have trace 0, so
     the sweep runs over the other n^2 - 1 entries and sets entry (n-1, n-1),
-    the least significant digit, to minus the rest of the diagonal."""
-    if n == 1:  # the single base 0; q may be too large for dense tables
-        bases = np.zeros((1, 1), dtype=np.int64)
-    else:
-        _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) trace-zero bases")
-        ctx0 = trunc_make(field, 0)
-        q, add, _, neg = ring_tables(ctx0)
-        found = []
-        for idx in _blocks(0, q ** (n * n - 1)):
-            cells = [x for row in _full_entries(n, q, idx * q) for x in row]
-            trace = cells[0]
-            for i in range(1, n - 1):
-                trace = add[trace * q + cells[i * (n + 1)]]
-            cells[-1] = neg[trace]
-            keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == 0
-            found.append(np.stack(cells, axis=1)[keep])
-        bases = np.concatenate(found)
+    the least significant digit, to minus the rest of the diagonal.  n >= 2."""
+    _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) trace-zero bases")
+    ctx0 = trunc_make(field, 0)
+    q, add, _, neg = ring_tables(ctx0)
+    found = []
+    for idx in _blocks(0, q ** (n * n - 1)):
+        cells = [x for row in _full_entries(n, q, idx * q) for x in row]
+        trace = cells[0]
+        for i in range(1, n - 1):
+            trace = add[trace * q + cells[i * (n + 1)]]
+        cells[-1] = neg[trace]
+        keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == 0
+        found.append(np.stack(cells, axis=1)[keep])
+    bases = np.concatenate(found)
     bases.flags.writeable = False
     return bases
 
 
-def count_engine(n: int, m: int, kind: str) -> str:
-    """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m).
+def count_engine(n: int, kind: str) -> str:
+    """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m),
+    the same at every m.
 
-    "n1": the n = 1 sweep, c_1 = -a on ring indices, at every ring size;
+    "n1": the n = 1 closed form, c_1 = -a being a bijection (_n1_space);
     "n2-product": the n = 2 fiber table as one matrix product (gi only);
-    "lift": m >= 1, the low half B of each matrix swept, the top half solved
-    over F_ell (_lift_space, _lift_counts);
-    "sweep": the m = 0 block sweep through charpoly_batch.
+    "lift": the low half B of each matrix swept, the top half solved over
+    F_ell (_lift_space, _lift_counts); at m = 0 the top half is empty.
     gi reads the fiber table, so its engine is the table's (_fiber_counts)."""
     if n == 1:
         return "n1"
     if kind == "gi" and n == 2:
         return "n2-product"
-    return "lift" if m >= 1 else "sweep"
+    return "lift"
 
 
 def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
@@ -250,34 +243,26 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
     The index spaces fix shard boundaries and checkpoints:
     gi: the encoded characteristic polynomials x in _encode_key order, index x
     adding N(x)^i with N(x) read from _fiber_counts;
-    nilcone and fiber under the lift engine: the bases B of _lift_space;
-    nilcone and fiber under a sweep: the matrices of _sweep_space.
+    nilcone and fiber: the bases B of _lift_space for n >= 2 (the matrices
+    themselves at m = 0), the matrices of _n1_space for n = 1.
     """
     if kind == "gi":
         counts = _fiber_counts(n, ctx)
         return len(counts), lambda lo, hi: sum(v ** i for v in counts[lo:hi].tolist())
-    if count_engine(n, ctx.m, kind) == "lift":
-        return _lift_space(n, ctx, kind, x)
-    return _sweep_space(n, ctx, kind, x)
+    if n == 1:
+        return _n1_space(ctx, kind, x)
+    return _lift_space(n, ctx, kind, x)
 
 
-def _sweep_space(n: int, ctx: TruncCtx, kind: str, x=None):
-    """(index count, subtotal) of a nilcone or fiber sweep over whole matrices.
-    nilcone: the pruned layout of _nilcone_entries; fiber: the full matrix
-    space in matrix_from_index order.  The engine at m = 0 and for n = 1, and
-    the test reference of the lift engine at m >= 1."""
+def _n1_space(ctx: TruncCtx, kind: str, x=None):
+    """(index count, subtotal) of an n = 1 count in closed form: c_1 = -a is a
+    bijection of R_m, so nilcone has one hit, a = 0, among its q^m jets of
+    the base 0 (index = ring index), and fiber one, index(-x_1), among all P."""
     if kind == "nilcone":
-        bases = _nilpotent_bases(n, ctx.field)
-        total = len(bases) * ctx.field.q ** (ctx.m * n * n)
-        hit = lambda idx: _charpoly_keys(n, ctx, _nilcone_entries(n, ctx, bases, idx)) == 0
+        total, hit = ctx.field.q ** ctx.m, 0
     else:
-        total, target = matrix_space_size(n, ctx), _encode_key(ctx, _fiber_key(n, ctx, x))
-        hit = lambda idx: _charpoly_keys(n, ctx, _full_entries(n, ctx.size, idx)) == target
-    return total, lambda lo, hi: _count_hits(hit, lo, hi)
-
-
-def _count_hits(hit, lo: int, hi: int) -> int:
-    return sum(int(np.count_nonzero(hit(idx))) for idx in _blocks(lo, hi))
+        total, hit = ctx.size, ctx.index(ctx.neg(_fiber_key(1, ctx, x)[0]))
+    return total, lambda lo, hi: int(lo <= hit < hi)
 
 
 def _count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None) -> int:
@@ -335,7 +320,8 @@ def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
     c(A) = c(B) + t^h Dc_B(U) exactly, Dc_B being F_ell-linear in the
     N = k n^2 (m+1-h) digits of U.  So B contributes ell^(N - rank Dc_B) when
     x - c(B) lies in t^h Im Dc_B (in particular x = c(B) mod t^h), and nothing
-    otherwise; the top digits of A are never enumerated.
+    otherwise; the top digits of A are never enumerated.  At m = 0, h = 1
+    and N = 0: each B with c(B) = x adds 1, with no elimination.
 
     The index space is the B that run: for nilcone the pruned layout of
     _nilcone_entries at level h-1 (the m = 0 nilpotent bases themselves at
@@ -347,16 +333,20 @@ def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
         bases = _nilpotent_bases(n, ctx.field)
         total = len(bases) * low.field.q ** (low.m * n * n)
         decode = lambda idx: _nilcone_entries(n, low, bases, idx)
-        xs = [0] * n
+        code = 0
     else:
         total = matrix_space_size(n, low)
         decode = lambda idx: _full_entries(n, low.size, idx)
-        xs = [int(d) for d in _digits(ctx.size, n, _encode_key(ctx, _fiber_key(n, ctx, x)))]
+        code = _encode_key(ctx, _fiber_key(n, ctx, x))
+    xs = [int(d) for d in _digits(ctx.size, n, code)]
     tabs = ring_tables(ctx)
 
     def subtotal(lo: int, hi: int) -> int:
         found = 0
         for idx in _blocks(lo, hi):
+            if K == 0:  # m = 0: B is A, and each A with c(A) = x adds 1
+                found += int(np.count_nonzero(_charpoly_keys(n, ctx, decode(idx)) == code))
+                continue
             entries = [[e * shift for e in row] for row in decode(idx)]
             c0 = charpoly_batch(n, tabs, entries)
             keep = np.logical_and.reduce([c // shift == xi // shift for c, xi in zip(c0, xs)])
@@ -383,7 +373,8 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     Most B have full rank n K, and their coset is every code sharing the
     high digits of c(B).  Those B only count their high codes, and that
     histogram is spread over all low digits once at the end; the other B
-    scatter their cosets code by code."""
+    scatter their cosets code by code.  At m = 0 (K = 0) each B is its own
+    coset, the code c(B), so no generators are built."""
     low, K = _lift_levels(ctx)
     ell, shift, P, R = ctx.field.ell, ctx.field.ell ** K, ctx.size, n * K
     H = P // shift  # high parts of one c_i
@@ -394,7 +385,11 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     counts = np.zeros(P ** n, dtype=np.int64)
     full_high = np.zeros(H ** n, dtype=np.int64)
     for idx in _blocks(0, total, min(BLOCK, max(1, (1 << 16) // ell ** R))):
-        entries = [[e * shift for e in row] for row in _full_entries(n, low.size, idx)]
+        entries = _full_entries(n, low.size, idx)
+        if R == 0:  # m = 0: B is A, and each A adds 1 to its code c(A)
+            counts += np.bincount(_charpoly_keys(n, ctx, entries), minlength=P ** n)
+            continue
+        entries = [[e * shift for e in row] for row in entries]
         c0 = charpoly_batch(n, tabs, entries)
         rank, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
         full = rank == R
@@ -429,30 +424,23 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     P^n counts; cached per (n, ctx.key()) and read-only, since density levels
     and every gi shard of a run read the same table.
 
-    The engine is count_engine(n, m, "gi"): the n = 2 matrix product
-    (_fiber_table_np) at every m, lifting (_lift_counts) for n >= 3 and
-    m >= 1, and the block sweep of every matrix for n >= 3 at m = 0 and for
-    n = 1.  Each guard bounds the work that runs: P^3 multiply-adds for the
-    product, the bases B for lifting, the whole matrix space for a sweep."""
+    The engine is count_engine(n, "gi"): the n = 2 matrix product
+    (_fiber_table_np) at every m, lifting (_lift_counts) for n >= 3 at every
+    m, m = 0 included, and for n = 1 the closed form, one matrix per code.
+    Each guard bounds the work that runs: P^3 multiply-adds for the product,
+    the bases B for lifting, the P codes for n = 1."""
     P = ctx.size
-    engine = count_engine(n, ctx.m, "gi")
+    engine = count_engine(n, "gi")
     if engine == "n2-product":
         _check_sweep(P ** 3, "P^3 multiply-adds of the n = 2 product")
         counts = _fiber_table_np(ctx)
     elif engine == "lift":
         counts = _lift_counts(n, ctx)
     else:
-        counts = _sweep_counts(n, ctx)
+        _check_sweep(P, "q^(m+1) codes of the n = 1 table")
+        counts = np.ones(P, dtype=np.int64)
     counts.flags.writeable = False
     return counts
-
-
-def _sweep_counts(n: int, ctx: TruncCtx) -> np.ndarray:
-    """The fiber counts by sweeping every matrix: the engine at m = 0 for n >= 3
-    and for n = 1, and the reference of the other engines."""
-    _check_sweep(matrix_space_size(n, ctx), "q^((m+1)n^2)")
-    return sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, ctx.size, idx)), minlength=ctx.size ** n)
-               for idx in _blocks(0, matrix_space_size(n, ctx)))
 
 
 def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
@@ -467,10 +455,10 @@ def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
-    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}.  For m >= 1 and
-    n >= 2 it sums ell^(N - rank Dc_B) over the B of Mat_n(R_(h-1)) with
-    x - c(B) in t^h Im Dc_B (_lift_space); at m = 0 and for n = 1 it sweeps
-    every matrix."""
+    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}.  For n >= 2 it sums
+    ell^(N - rank Dc_B) over the B of Mat_n(R_(h-1)) with x - c(B) in
+    t^h Im Dc_B (_lift_space); at m = 0, N = 0 and that counts the matrices
+    B with c(B) = x.  For n = 1 it is 1 (_n1_space)."""
     return _count(n, ctx, "fiber", x=x)
 
 
@@ -489,10 +477,10 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
     """#J_m(N)(F_q): the fiber over x = 0.  J_m(N) lies over J_0(N), so only
-    jets of the m = 0 nilpotent matrices run: for m >= 1 and n >= 2 the bases
-    B in R_(h-1) of those jets, each adding ell^(N - rank Dc_B) when
-    -c(B) lies in t^h Im Dc_B (_lift_space); at m = 0 and for n = 1 every
-    matrix of the pruned layout is swept."""
+    jets of the m = 0 nilpotent matrices run: for n >= 2 the bases B in
+    R_(h-1) of those jets, each adding ell^(N - rank Dc_B) when -c(B) lies
+    in t^h Im Dc_B (_lift_space), and at m = 0 the nilpotent matrices
+    themselves, 1 each.  For n = 1 it is 1 (_n1_space)."""
     return _count(n, ctx, "nilcone")
 
 
@@ -542,7 +530,7 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     if chunk < 1:
         raise BadConfig(f"chunk {chunk} must be >= 1")
     ctx = query.ctx()
-    swept = _lift_levels(ctx)[0] if count_engine(query.n, query.m, query.kind) == "lift" else ctx
+    swept = _lift_levels(ctx)[0] if count_engine(query.n, query.kind) == "lift" else ctx
     if matrix_space_size(query.n, swept) > SHARD_GUARD:  # before the nilcone base sweep
         raise TooLarge("query exceeds the per-shard-set guard 2^40")
     total, subtotal_of = _target_space(query.n, ctx, query.kind, query.x, query.i)
@@ -568,10 +556,11 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 def _query_sig(query: CountQuery) -> dict:
     # gi and lifted checkpoints name their index space; older ones counted
-    # i-tuples of matrices (gi) or matrices (nilcone and fiber at m >= 1)
+    # i-tuples of matrices (gi) or matrices (nilcone and fiber at m >= 1).
+    # At m = 0 the bases B are those matrices, so the signature stays.
     if query.kind == "gi":
         index = {"index": "charpoly codes"}
-    elif count_engine(query.n, query.m, query.kind) == "lift":
+    elif query.m >= 1 and count_engine(query.n, query.kind) == "lift":
         index = {"index": "lifting bases B"}
     else:
         index = {}

@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CtxMismatch, NoModulusInTable, NonPrime, TooLarge
+from .errors import BadConfig, CtxMismatch, NoModulusInTable, NonPrime, TooLarge
 
 # Valuation sentinel for the zero element ("valuation >= m+1").
 BOTTOM: Optional[int] = None
@@ -302,7 +302,9 @@ def field_make(ell: int, k: int = 1) -> FieldCtx:
     """Construct the field context for F_{ell^k}; deterministic per (ell, k)."""
     if not _is_prime(ell):
         raise NonPrime(f"{ell} is not prime")
-    if k < 1 or ell ** k > MAX_Q:
+    if k < 1:
+        raise BadConfig(f"extension degree k={k}: need k >= 1")
+    if ell ** k > MAX_Q:
         raise TooLarge(f"ell^k = {ell}^{k} exceeds the 2^16 field guard")
     if ell > MAX_ELL or k > MAX_K:
         raise NoModulusInTable(f"modulus table covers ell <= {MAX_ELL}, k <= {MAX_K}")

@@ -11,8 +11,9 @@ characteristic polynomial is Samuelson-Berkowitz in two forms:
 
 * ``charpoly_batch``: Samuelson-Berkowitz over arrays of ring indices with
   the dense tables of ``field.ring_tables``, one matrix per array element.
-  Every exhaustive sweep and shard in ``counting`` and every exhaustive
-  sweep of ``slices`` and ``subreg`` run on it.
+  Every base B of the lift engine in ``counting`` (at m = 0 the matrices
+  themselves) and every exhaustive sweep of ``slices`` and ``subreg`` run
+  on it.
 * ``charpoly`` (also named ``charpoly_berkowitz``): the same algorithm on
   one ``JetMatrix`` at a time, for single matrices and sampled audits.
 

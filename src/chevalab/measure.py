@@ -117,6 +117,8 @@ def insep_probe(field: FieldCtx, limit: int = 3) -> List[InsepTracePoint]:
     coefficients (0, t).  Exploratory output only: no verdict is attached."""
     if field.ell != 2:
         raise WrongCharacteristic("the inseparable probe is specific to characteristic 2")
+    if limit < 1:
+        raise BadConfig(f"limit {limit}: the trace needs at least one box, limit >= 1")
     n = 2
     out = []
     for M in range(1, limit + 1):

@@ -69,6 +69,8 @@ def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
     j == i for one; the pairs j < i inside a block's own rows are subtracted
     again, from bincounts in int64.  Every product still comes from ``ring_mul``,
     so the sweep stays exhaustive and independent of ``closed_form_bucket``."""
+    if M < 0:
+        raise BadConfig(f"resolution M={M}: need M >= 0")
     denom = field.q ** (2 * (M + 1))  # pairs (x, y)
     if denom > HIST_GUARD:
         raise TooLarge("multiplication histogram sweep exceeds its guard")
@@ -89,6 +91,8 @@ def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
 
 def val_integral(coeffs_low: Sequence[tuple], field: FieldCtx, M: int) -> Fraction:
     """Truncated I_M(f) = q^{-(M+1)} sum_z min(val(f(z)), M+1) over R_M, by Horner."""
+    if M < 0:
+        raise BadConfig(f"resolution M={M}: need M >= 0")
     deg = len(coeffs_low) - 1
     if deg > MAX_POLY_DEG:
         raise TooLarge(f"polynomial degree {deg} exceeds {MAX_POLY_DEG}")

@@ -5,7 +5,11 @@ expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
 code paths with the package kernels; only ``TruncCtx`` series arithmetic
 runs, and the minors' determinants are memoised per ring.  The scalar
 slice-layer sweeps run one point at a time through the package's scalar
-``charpoly`` and are the references for its batched sweeps.
+``charpoly`` and are the references for its batched sweeps.  The batched
+block sweep (``sweep_count_oracle``, ``sweep_counts_oracle``) runs every
+matrix of a count through ``charpoly_batch`` and is the reference for the
+lift engine of ``counting``; the n = 1 closed form is held to
+``fiber_counts_oracle``.
 ``bracket_rank_oracle`` ranks ad_x by scalar Gaussian elimination over F_q
 in ``FieldCtx`` arithmetic, independent of ``row_echelon``: it is the
 reference for ``matrices.ad_ranks``, and ``orbit_jump_oracle``, which
@@ -25,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from chevalab.counting import _decode_key
+from chevalab.counting import (_blocks, _charpoly_keys, _decode_key, _encode_key, _fiber_key,
+                               _full_entries, _nilcone_entries, _nilpotent_bases, matrix_space_size)
 from chevalab.field import TruncCtx, is_irreducible, trunc_make
 from chevalab.matrices import CharCoeffs, charpoly, companion, scale_coeffs, shift_scalar
 from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
@@ -108,6 +113,34 @@ def fiber_counts_oracle(ctx: TruncCtx, n):
         key = charpoly_oracle(ctx, mat)
         table[key] = table.get(key, 0) + 1
     return table
+
+
+# --------------------------------------------------------------------------
+# the batched block sweep, every matrix through charpoly_batch;
+# the reference for the lift engine of counting
+# --------------------------------------------------------------------------
+
+def sweep_count_oracle(n, ctx: TruncCtx, kind, x=None):
+    """count_nilcone_jets or count_jet_fiber (n >= 2) by sweeping every matrix:
+    for nilcone the pruned layout of _nilcone_entries, the m = 0 nilpotent
+    bases with every higher coefficient, and for fiber all of Mat_n(R_m)."""
+    if kind == "nilcone":
+        bases = _nilpotent_bases(n, ctx.field)
+        total, target = len(bases) * ctx.field.q ** (ctx.m * n * n), 0
+        decode = lambda idx: _nilcone_entries(n, ctx, bases, idx)  # noqa: E731
+    else:
+        total, target = matrix_space_size(n, ctx), _encode_key(ctx, _fiber_key(n, ctx, x))
+        decode = lambda idx: _full_entries(n, ctx.size, idx)  # noqa: E731
+    return sum(int(np.count_nonzero(_charpoly_keys(n, ctx, decode(idx)) == target))
+               for idx in _blocks(0, total))
+
+
+def sweep_counts_oracle(n, ctx: TruncCtx):
+    """The fiber counts of every code in _encode_key order (n >= 2), by
+    sweeping all of Mat_n(R_m)."""
+    P = ctx.size
+    return sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
+               for idx in _blocks(0, matrix_space_size(n, ctx)))
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_count_sharded_threads(capsys, tmp_path, monkeypatch):
 
 
 def test_count_reports_engine(capsys):
-    for m, engine in (("1", "lift"), ("0", "sweep")):
+    for m, engine in (("1", "lift"), ("0", "lift")):
         code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", m])
         assert code == 0
         assert doc["outputs"]["engine"] == engine
@@ -65,7 +65,7 @@ def test_count_reports_engine(capsys):
 
 def test_density_reports_engine(capsys, tmp_path):
     # the table's engine is reported beside the summary, which --out writes without it
-    for n, M, engine in (("2", "2", "n2-product"), ("3", "1", "sweep"), ("3", "2", "lift")):
+    for n, M, engine in (("2", "2", "n2-product"), ("3", "1", "lift"), ("3", "2", "lift")):
         out = tmp_path / f"summary-{n}-{M}.json"
         code, doc = _main_out(capsys, ["density", "--n", n, "--M", M, "--out", str(out)])
         assert code == 0
@@ -273,6 +273,11 @@ def test_bad_count_option_exit_2(capsys, argv):
     ["slice-audit", "--n", "2", "--partition", "1,1", "--samples", "0"],
     ["subreg", "--n", "3", "--samples", "0"],
     ["subreg", "--n", "3", "--ell", "5", "--M", "1", "--samples", "-3"],
+    ["insep-probe", "--limit", "0"],
+    ["insep-probe", "--limit", "-2"],
+    ["density", "--k", "0", "--M", "1"],
+    ["hist-mult", "--M", "-1"],
+    ["val-int", "--M", "-1", "--poly", "1,1"],
 ])
 def test_bad_size_or_samples_exit_2(capsys, argv):
     code = main(argv)

@@ -35,7 +35,8 @@ from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
 from chevalab.matrices import charpoly, row_echelon
 from chevalab.measure import refinement_check
 
-from oracles import fiber_counts_oracle, gauss_oracle, in_span_oracle
+from oracles import (fiber_counts_oracle, gauss_oracle, in_span_oracle, sweep_count_oracle,
+                     sweep_counts_oracle)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -63,12 +64,10 @@ def test_fiber_table_matches_oracle(n, ell, m):
                                      (3, 1, 1), (3, 1, 2), (2, 2, 0), (2, 2, 1), (2, 3, 0),
                                      (5, 1, 1)])
 def test_fiber_table_n2_matches_block_sweep(ell, k, m):
-    # the factorised n = 2 table against the generic block sweep that n >= 3 runs
+    # the factorised n = 2 table against the block sweep of every matrix
     ctx = trunc_make(field_make(ell, k), m)
     P = ctx.size
-    counts = sum(np.bincount(counting._charpoly_keys(2, ctx, counting._full_entries(2, P, idx)),
-                             minlength=P * P) for idx in counting._blocks(0, P ** 4))
-    swept = counting._table_from_counts(2, ctx, counts)
+    swept = counting._table_from_counts(2, ctx, sweep_counts_oracle(2, ctx))
     table = fiber_table(2, ctx)
     assert table == swept
     assert sum(table.values()) == P ** 4
@@ -124,7 +123,7 @@ def test_nilcone_m0_fine_herstein(n, ell, k):
 
 
 def test_ring_past_table_limit_n1():
-    # no dense tables past the limit: n = 1 sweeps negate ring indices, c_1 = -a
+    # no dense tables past the limit: n = 1 counts are closed form, c_1 = -a
     ctx = trunc_make(F2, 10)
     assert ctx.size > RING_TABLE_LIMIT
     assert count_nilcone_jets(1, ctx) == 1
@@ -137,11 +136,9 @@ def test_ring_past_table_limit_n1():
 
 
 def test_charpoly_keys_past_table_limit_need_tables_from_n2():
-    # n = 1 negates ring indices at any size; n >= 2 needs the dense tables
+    # the n >= 2 kernel needs the dense tables
     ctx = trunc_make(F2, 10)
     a = np.arange(5, dtype=np.int64)
-    assert counting._charpoly_keys(1, ctx, [[a]]).tolist() == [ctx.index(ctx.neg(ctx.from_index(v)))
-                                                              for v in range(5)]
     with pytest.raises(TooLarge):
         counting._charpoly_keys(2, ctx, [[a, a], [a, a]])
 
@@ -149,6 +146,23 @@ def test_charpoly_keys_past_table_limit_need_tables_from_n2():
 def test_nilcone_n1_builds_no_tables():
     # q = 2^11 is past RING_TABLE_LIMIT, so building m = 0 tables would raise
     assert count_nilcone_jets(1, trunc_make(field_make(2, 11), 0)) == 1
+
+
+@pytest.mark.parametrize("ell,m", [(2, 0), (3, 1), (2, 2)])
+def test_n1_closed_form_matches_oracle(ell, m):
+    # c_1 = -a is a bijection: one matrix per fiber, the nilcone the jet a = 0.
+    # Shards split matrix_from_index order, the nilcone its first q^m indices (a = 0 mod t).
+    ctx = trunc_make(field_make(ell), m)
+    oracle = fiber_counts_oracle(ctx, 1)
+    assert fiber_table(1, ctx) == oracle
+    assert count_nilcone_jets(1, ctx) == oracle[(ctx.zero,)] == 1
+    targets = [("nilcone", None, ell ** m, (ctx.zero,))] + [("fiber", x, ctx.size, x) for x in oracle]
+    for kind, x, total, hit in targets:
+        q = CountQuery(1, ell, 1, m, kind, x=x)
+        parts = [count_sharded(q, 3, s).count for s in range(3)]
+        assert parts == [sum(charpoly(matrix_from_index(1, ctx, idx)).c == hit
+                             for idx in range(*_shard_range(total, 3, s))) for s in range(3)]
+        assert sum(parts) == run_query(q).count == 1
 
 
 @pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
@@ -325,21 +339,30 @@ class _Killed(Exception):
     pass
 
 
-def _interrupted(monkeypatch, q, path, chunks_done, chunk=128):
-    """Run shard 1 of 4, killing it when chunk number chunks_done + 1 starts."""
-    real = counting._count_hits
+def _wrap_chunks(monkeypatch, before_chunk):
+    """Make every chunk's subtotal call before_chunk(lo) first."""
+    real = counting._target_space
+
+    def wrapped(*args):
+        total, subtotal = real(*args)
+        return total, lambda lo, hi: before_chunk(lo) or subtotal(lo, hi)
+
+    monkeypatch.setattr(counting, "_target_space", wrapped)
+
+
+def _interrupted(monkeypatch, q, path, chunks_done, chunk=128, shards=4):
+    """Run shard 1 of shards, killing it when chunk number chunks_done + 1 starts."""
     calls = []
 
-    def count_hits(hit, lo, hi):
+    def count_or_kill(lo):
         if len(calls) == chunks_done:
             raise _Killed
         calls.append(lo)
-        return real(hit, lo, hi)
 
-    monkeypatch.setattr(counting, "_count_hits", count_hits)
-    with pytest.raises(_Killed):
-        count_sharded(q, 4, 1, path, chunk=chunk)
-    monkeypatch.setattr(counting, "_count_hits", real)
+    with monkeypatch.context() as patched:
+        _wrap_chunks(patched, count_or_kill)
+        with pytest.raises(_Killed):
+            count_sharded(q, shards, 1, path, chunk=chunk)
 
 
 def test_checkpoint_journal_steps_by_chunk(tmp_path, monkeypatch):
@@ -389,12 +412,28 @@ def test_checkpoint_resumes_multiline_journal(tmp_path, monkeypatch):
     journal.write_text("".join(states))
     journal = str(journal)
     calls = []
-    real = counting._count_hits
-    monkeypatch.setattr(counting, "_count_hits",
-                        lambda hit, lo, hi: calls.append(lo) or real(hit, lo, hi))
+    _wrap_chunks(monkeypatch, calls.append)
     assert count_sharded(q, 4, 1, journal, chunk=128).count == full
     assert calls[0] == _shard_range(3 ** 9, 4, 1)[0] + 3 * 128
     assert len(_checkpoint_lines(journal)) == 1
+
+
+def test_m0_checkpoint_of_older_version_resumes(tmp_path):
+    # at m = 0 the lifting bases B are the matrices older versions swept, so a
+    # fiber checkpoint that names no index space resumes
+    q = _fiber_query_n3()
+    ctx = trunc_make(F3, 0)
+    full = count_sharded(q, 4, 1, chunk=128).count
+    lo, _ = _shard_range(3 ** 9, 4, 1)
+    done = sum(charpoly(matrix_from_index(3, ctx, idx)).c == q.x for idx in range(lo, lo + 256))
+    path = tmp_path / "old-m0.jsonl"
+    path.write_text(json.dumps({
+        "next_index": lo + 256, "query": {"k": 1, "ell": 3, "m": 0, "n": 3,
+                                          "target": {"kind": "fiber", "x": [list(c) for c in q.x]}},
+        "schema_version": 1, "shard_id": 1, "shards": 4, "subtotal": str(done)}) + "\n")
+    assert count_sharded(q, 4, 1, str(path), chunk=128).count == full
+    (state,) = _checkpoint_lines(str(path))
+    assert "index" not in state["query"]
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
@@ -521,10 +560,10 @@ def test_row_echelon_matches_scalar_gauss(ell, kind):
 
 
 def test_count_engine():
-    assert count_engine(1, 3, "nilcone") == count_engine(1, 0, "gi") == "n1"
-    assert count_engine(2, 0, "gi") == count_engine(2, 3, "gi") == "n2-product"
-    assert count_engine(2, 1, "fiber") == count_engine(3, 2, "gi") == "lift"
-    assert count_engine(2, 0, "nilcone") == count_engine(3, 0, "gi") == "sweep"
+    assert count_engine(1, "nilcone") == count_engine(1, "gi") == "n1"
+    assert count_engine(2, "gi") == "n2-product"
+    assert count_engine(2, "fiber") == count_engine(3, "gi") == "lift"
+    assert count_engine(2, "nilcone") == count_engine(3, "fiber") == "lift"
 
 
 @pytest.mark.parametrize("ell,k,m,sample", [(2, 1, 1, None), (2, 1, 3, None), (3, 1, 2, None),
@@ -544,16 +583,14 @@ def test_lift_n2_matches_product(ell, k, m, sample):
 
 def test_lift_n3_matches_sweep():
     ctx = trunc_make(F2, 1)
-    total, subtotal = counting._sweep_space(3, ctx, "nilcone")
-    assert count_nilcone_jets(3, ctx) == subtotal(0, total) == 5632
-    swept = counting._sweep_counts(3, ctx)
+    assert count_nilcone_jets(3, ctx) == sweep_count_oracle(3, ctx, "nilcone") == 5632
+    swept = sweep_counts_oracle(3, ctx)
     assert np.array_equal(counting._fiber_counts(3, ctx), swept)
     assert swept.all()  # every x is the charpoly of its companion matrix: no fiber is empty
     rng = random.Random(3)
     for code in rng.sample(range(len(swept)), 6):
         x = counting._decode_key(3, ctx, code)
-        total, subtotal = counting._sweep_space(3, ctx, "fiber", x)
-        assert count_jet_fiber(3, ctx, x) == subtotal(0, total) == swept[code]
+        assert count_jet_fiber(3, ctx, x) == sweep_count_oracle(3, ctx, "fiber", x) == swept[code]
 
 
 def test_lift_nilcone_n3_q3_m1():
@@ -571,7 +608,7 @@ def test_lift_table_mass_and_refinement(ell, k, m):
 def test_lift_gi_shards_add_up():
     ctx = trunc_make(F2, 1)
     full = count_gi_jets(3, ctx, 2)
-    assert full == sum(v * v for v in counting._sweep_counts(3, ctx).tolist())
+    assert full == sum(v * v for v in sweep_counts_oracle(3, ctx).tolist())
     q = CountQuery(3, 2, 1, 1, "gi", i=2)
     assert sum(count_sharded(q, 5, s).count for s in range(5)) == full
 
@@ -592,23 +629,7 @@ def test_lift_shard_resumes(tmp_path, monkeypatch):
     q = CountQuery(3, 2, 1, 2, "nilcone")  # 2^15 bases B, 2^14 per shard
     full = count_sharded(q, 2, 1, chunk=1000).count
     path = str(tmp_path / "lift.jsonl")
-    real = counting._target_space
-
-    def killed_after_3_chunks(*args):
-        total, subtotal = real(*args)
-        calls = []
-
-        def chunk(lo, hi):
-            if len(calls) == 3:
-                raise _Killed
-            calls.append(lo)
-            return subtotal(lo, hi)
-        return total, chunk
-
-    monkeypatch.setattr(counting, "_target_space", killed_after_3_chunks)
-    with pytest.raises(_Killed):
-        count_sharded(q, 2, 1, path, chunk=1000)
-    monkeypatch.setattr(counting, "_target_space", real)
+    _interrupted(monkeypatch, q, path, 3, chunk=1000, shards=2)
     (state,) = _checkpoint_lines(path)
     assert state["query"]["index"] == "lifting bases B"
     assert state["next_index"] == 2 ** 14 + 3000

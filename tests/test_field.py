@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevalab import field
-from chevalab.errors import NoModulusInTable, NonPrime, TooLarge
+from chevalab.errors import BadConfig, NoModulusInTable, NonPrime, TooLarge
 from chevalab.field import (
     BOTTOM,
     FieldCtx,
@@ -48,8 +48,10 @@ def test_size_guards():
         field_make(257)
     with pytest.raises((TooLarge, NoModulusInTable)):
         field_make(2, 17)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"2\^16 field guard"):
         field_make(251, 9)  # q above 2^16
+    with pytest.raises(BadConfig, match="k=0: need k >= 1"):
+        field_make(2, 0)
 
 
 def test_f4_modulus_is_lex_least():
