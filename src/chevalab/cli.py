@@ -65,7 +65,11 @@ def _parse_ints(text: str, sep: str, flag: str) -> List[int]:
 
 def _parse_coeffs(text: str, ctx) -> tuple:
     # "0;1|1;0" -> one series per c_i, coefficients of t^j separated by ';'
-    return tuple(ctx.make(_parse_ints(part, ";", "--x")) for part in text.split("|"))
+    parts = [_parse_ints(part, ";", "--x") for part in text.split("|")]
+    if any(len(cs) > ctx.m + 1 or not all(0 <= c < ctx.field.q for c in cs) for cs in parts):
+        raise BadConfig(f"--x {text!r}: each c_i takes at most m+1 = {ctx.m + 1} "
+                        f"coefficients in [0, {ctx.field.q})")
+    return tuple(ctx.make(cs) for cs in parts)
 
 
 def _frac_str(f: Fraction) -> str:
@@ -168,7 +172,7 @@ def _run_subreg(cfg: RunConfig) -> Report:
         "m1_identity": subreg.m1_identity_check(cfg.n, field, cfg.samples, cfg.seed),
     }
     outputs = {"mass": str(den.mass()), "sup": _frac_str(den.sup()), "bound": str(bound)}
-    return Report("subreg", "Thm E step 4", {"n": cfg.n, "ell": cfg.ell, "M": cfg.level},
+    return Report("subreg", "Thm E step 4", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": cfg.level},
                   outputs, verdicts)
 
 
@@ -182,7 +186,7 @@ def _run_insep_probe(cfg: RunConfig) -> Report:
     }
     if cfg.out:
         atomic_write_text(cfg.out, json.dumps(outputs, sort_keys=True) + "\n")
-    return Report("insep-probe", "Conj 1.6", {"ell": cfg.ell, "limit": cfg.limit}, outputs)
+    return Report("insep-probe", "Conj 1.6", {"ell": cfg.ell, "k": cfg.k, "limit": cfg.limit}, outputs)
 
 
 def _run_hist_mult(cfg: RunConfig) -> Report:
@@ -211,7 +215,7 @@ def _run_val_int(cfg: RunConfig) -> Report:
     bound = subreg.val_integral_bound(deg, field, M)
     verdicts = {"bounded": value <= bound}
     return Report("val-int", "Lemma 13.6",
-                  {"poly": cfg.poly, "ell": cfg.ell, "M": M},
+                  {"poly": cfg.poly, "ell": cfg.ell, "k": cfg.k, "M": M},
                   {"integral": _frac_str(value), "bound": str(bound)}, verdicts)
 
 

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch,
+from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch, IoError,
                      InsufficientData, ShardOutOfRange, TooLarge)
 from .field import FieldCtx, TruncCtx, field_make, ring_tables, trunc_make
 from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
@@ -590,6 +590,8 @@ def _read_checkpoint(path: str, query: CountQuery, shards: int, shard_id: int,
         return pos, subtotal
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint {path}: {exc}") from exc
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
 def combine_records(partials: Sequence[CountRecord]) -> CountRecord:

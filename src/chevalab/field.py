@@ -243,16 +243,7 @@ class FieldCtx:
         return self._mul_raw(a, b)
 
     def _mul_raw(self, a: int, b: int) -> int:
-        ell = self.ell
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % ell
-        rem = _poly_rem(prod, list(self.modulus), ell)
-        rem += [0] * (self.k - len(rem))
-        return self.encode(rem[: self.k])
+        return self.encode(_poly_mulmod(self.digits(a), self.digits(b), list(self.modulus), self.ell))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -7,15 +7,16 @@ The sign convention for the characteristic polynomial is fixed everywhere as
     charpoly(A)(z) = det(zI - A) = z^n + c_1 z^(n-1) + ... + c_n.
 
 R_m has nilpotents, so all polynomial computations are division-free.  The
-characteristic polynomial is Samuelson-Berkowitz in two forms:
+characteristic polynomial is one Samuelson-Berkowitz body, ``_berkowitz``,
+written against the ring ops it is given, behind two adapters:
 
-* ``charpoly_batch``: Samuelson-Berkowitz over arrays of ring indices with
-  the dense tables of ``field.ring_tables``, one matrix per array element.
-  Every base B of the lift engine in ``counting`` (at m = 0 the matrices
-  themselves) and every exhaustive sweep of ``slices`` and ``subreg`` run
-  on it.
-* ``charpoly`` (also named ``charpoly_berkowitz``): the same algorithm on
-  one ``JetMatrix`` at a time, for single matrices and sampled audits.
+* ``charpoly_batch`` passes the gathers of the dense tables of
+  ``field.ring_tables``, so it runs over arrays of ring indices, one matrix
+  per array element.  Every base B of the lift engine in ``counting`` (at
+  m = 0 the matrices themselves) and every exhaustive sweep of ``slices``
+  and ``subreg`` run on it.
+* ``charpoly`` passes ``TruncCtx`` series arithmetic and runs on one
+  ``JetMatrix`` at a time, for single matrices and sampled audits.
 
 ``row_echelon``, batched over many systems, is the one elimination: over
 F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
@@ -115,77 +116,55 @@ def mat_identity(ctx: TruncCtx, n: int) -> JetMatrix:
     return mat_scalar(ctx, n, ctx.one)
 
 
-def charpoly_berkowitz(A: JetMatrix) -> CharCoeffs:
-    """Samuelson-Berkowitz: valid over any commutative ring, no divisions.
-    The steps of charpoly_batch, on one matrix."""
-    ctx, n, e = A.ctx, A.n, A.entries
+def _berkowitz(n: int, add, mul, neg, e) -> list:
+    """Samuelson-Berkowitz: [c_1, ..., c_n] of the n x n matrix e (e[i][j])
+    over any commutative ring given by add, mul and neg, with no divisions."""
+
+    def dot(xs, ys):
+        acc = mul(xs[0], ys[0])
+        for x, y in zip(xs[1:], ys[1:]):
+            acc = add(acc, mul(x, y))
+        return acc
+
     coeffs: list = []  # c_1..c_i of the leading i x i block; c_0 = 1 is implicit
     for i in range(n):
         row = e[i][:i]
         # toep[j] for j >= 1: -a, -row.col, -row.A.col, ...; toep[0] = 1 is implicit
-        toep = [None, ctx.neg(e[i][i])]
+        toep = [None, neg(e[i][i])]
         w = [e[j][i] for j in range(i)]
         for j in range(2, i + 2):
-            toep.append(ctx.neg(_dot(ctx, row, w)))
+            toep.append(neg(dot(row, w)))
             if j <= i:
-                w = [_dot(ctx, e[r][:i], w) for r in range(i)]
+                w = [dot(e[r][:i], w) for r in range(i)]
         new = []
         for r in range(1, i + 2):
             acc = toep[r]
             for s in range(1, min(r, i) + 1):
-                term = coeffs[s - 1] if s == r else ctx.mul(toep[r - s], coeffs[s - 1])
-                acc = ctx.add(acc, term)
+                acc = add(acc, coeffs[s - 1] if s == r else mul(toep[r - s], coeffs[s - 1]))
             new.append(acc)
         coeffs = new
-    return CharCoeffs(ctx, n, tuple(coeffs))
+    return coeffs
 
 
-charpoly = charpoly_berkowitz
-
-
-def _dot(ctx: TruncCtx, xs, ys) -> tuple:
-    acc = ctx.zero
-    for x, y in zip(xs, ys):
-        acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
+def charpoly(A: JetMatrix) -> CharCoeffs:
+    """Samuelson-Berkowitz on one matrix, in TruncCtx series arithmetic."""
+    ctx = A.ctx
+    return CharCoeffs(ctx, A.n, tuple(_berkowitz(A.n, ctx.add, ctx.mul, ctx.neg, A.entries)))
 
 
 def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
-    """Samuelson-Berkowitz on ring indices, elementwise across a batch.
+    """Samuelson-Berkowitz on ring indices, elementwise across a batch: the
+    body of ``charpoly`` with the gathers of the dense tables as ring ops.
 
     ``entries[i][j]`` is an int64 array of ring indices or a scalar broadcast
     against the others; ``tabs`` is ``field.ring_tables(ctx)``.  Returns
     ``[c_1, ..., c_n]`` as ring-index arrays of the broadcast shape, the
-    same coefficients as ``charpoly_berkowitz`` on each matrix.
+    same coefficients as ``charpoly`` on each matrix.
     """
     P, add, mul, neg = tabs
-
-    def dot(xs, ys):
-        acc = mul[xs[0] * P + ys[0]]
-        for x, y in zip(xs[1:], ys[1:]):
-            acc = add[acc * P + mul[x * P + y]]
-        return acc
-
-    e = entries
-    coeffs: list = []  # c_1..c_i of the leading i x i block; c_0 = 1 is implicit
-    for i in range(n):
-        row = [e[i][j] for j in range(i)]
-        # toep[j] for j >= 1: -a, -row.col, -row.A.col, ...; toep[0] = 1 is implicit
-        toep = [None, neg[e[i][i]]]
-        w = [e[j][i] for j in range(i)]
-        for j in range(2, i + 2):
-            toep.append(neg[dot(row, w)])
-            if j <= i:
-                w = [dot([e[r][s] for s in range(i)], w) for r in range(i)]
-        new = []
-        for r in range(1, i + 2):
-            acc = toep[r]
-            for s in range(1, min(r, i) + 1):
-                term = coeffs[s - 1] if s == r else mul[toep[r - s] * P + coeffs[s - 1]]
-                acc = add[acc * P + term]
-            new.append(acc)
-        coeffs = new
-    shape = np.broadcast_shapes(*(np.shape(x) for r in e for x in r))
+    coeffs = _berkowitz(n, lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y],
+                        neg.__getitem__, entries)
+    shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
     return [np.broadcast_to(c, shape) for c in coeffs]
 
 
@@ -219,45 +198,14 @@ def shift_scalar(A: JetMatrix, z: tuple) -> JetMatrix:
 
 
 def charpoly_shift(f: CharCoeffs, z: tuple) -> CharCoeffs:
-    """Coefficients of f(lambda - z), i.e. the char poly after adding zI."""
+    """Coefficients of f(lambda - z), i.e. the char poly after adding zI:
+    a Horner Taylor shift of [1, c_1, ..., c_n] by -z in series arithmetic."""
     ctx, n = f.ctx, f.n
-    # polynomial in lambda, low-degree-first lists of series
-    lam_minus_z = [ctx.neg(z), ctx.one]
-    result = _poly_const(ctx, ctx.one)
-    for _ in range(n):
-        result = _poly_mul(ctx, result, lam_minus_z)
-    power = _poly_const(ctx, ctx.one)
-    # accumulate c_i * (lambda - z)^(n-i) from i = n down to 1
-    for i in range(n, 0, -1):
-        term = [ctx.mul(f.c[i - 1], p) for p in power]
-        result = _poly_add(ctx, result, term)
-        power = _poly_mul(ctx, power, lam_minus_z)
-    result += [ctx.zero] * (n + 1 - len(result))
-    # result = lambda^n + sum c'_i lambda^(n-i); extract high-to-low tail
-    cs = tuple(result[n - i] for i in range(1, n + 1))
-    return CharCoeffs(ctx, n, cs)
-
-
-def _poly_const(ctx, c):
-    return [c]
-
-
-def _poly_add(ctx, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = ctx.add(out[i], x)
-    return out
-
-
-def _poly_mul(ctx, a, b):
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != ctx.zero:
-            for j, y in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
+    a, s = [ctx.one, *f.c], ctx.neg(z)
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            a[j] = ctx.add(a[j], ctx.mul(s, a[j - 1]))
+    return CharCoeffs(ctx, n, tuple(a[1:]))
 
 
 def shift_scalar_audit(A: JetMatrix, z: tuple) -> bool:

@@ -50,7 +50,11 @@ class Partition:
 
     @staticmethod
     def parse(text: str) -> "Partition":
-        return Partition(tuple(int(p) for p in text.split(",")))
+        try:
+            parts = tuple(int(p) for p in text.split(","))
+        except ValueError as exc:
+            raise BadConfig(f"--partition {text!r}: expected integers separated by ','") from exc
+        return Partition(parts)
 
 
 def all_partitions(n: int) -> List[Partition]:

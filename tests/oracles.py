@@ -3,9 +3,12 @@
 Deliberately naive: the characteristic polynomial is computed by cofactor
 expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
 code paths with the package kernels; only ``TruncCtx`` series arithmetic
-runs, and the minors' determinants are memoised per ring.  The scalar
-slice-layer sweeps run one point at a time through the package's scalar
-``charpoly`` and are the references for its batched sweeps.  The batched
+runs, and the minors' determinants are memoised per ring; ``charpoly_oracle``
+is the independent reference for both ``charpoly`` and ``charpoly_batch``.
+The scalar slice-layer sweeps run one point at a time through the package's
+scalar ``charpoly``, which shares its Samuelson-Berkowitz body with
+``charpoly_batch``; what they check independently of the batched sweeps is
+how the slice and companion entries are built.  The batched
 block sweep (``sweep_count_oracle``, ``sweep_counts_oracle``) runs every
 matrix of a count through ``charpoly_batch`` and is the reference for the
 lift engine of ``counting``; the n = 1 closed form is held to

@@ -127,6 +127,26 @@ def test_checkpoint_write_failure_exit_2(capsys, tmp_path):
     assert err.startswith("error: cannot write")
 
 
+def test_checkpoint_directory_exit_2(capsys, tmp_path):
+    code = main(["count", "--target", "nilcone", "--m", "1", "--shards", "3", "--shard-id", "2",
+                 "--checkpoint", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["subreg", "--n", "3", "--M", "1", "--samples", "5"],
+    ["insep-probe", "--limit", "1"],
+    ["val-int", "--poly", "0,1", "--M", "1"],
+])
+def test_reports_name_k(capsys, argv):
+    for k in (1, 2):
+        code, doc = _main_out(capsys, argv + ["--k", str(k)])
+        assert code == 0
+        assert doc["inputs"]["k"] == k
+
+
 def test_count_emit_and_fit_dim(capsys, tmp_path):
     recs = [run_query(CountQuery(n=2, ell=2, k=k, m=0, kind="nilcone"))
             for k in (1, 2, 3)]
@@ -241,6 +261,10 @@ def test_bad_config_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "--target", "fiber", "--m", "0", "--x", "a|b"],
     ["val-int", "--poly", "1,x"],
+    ["slice-audit", "--n", "3", "--partition", "2,a"],
+    ["slice-audit", "--n", "3", "--partition", ","],
+    ["count", "--target", "fiber", "--m", "0", "--x", "0;1|0"],
+    ["count", "--target", "fiber", "--m", "0", "--x", "2|0"],
 ])
 def test_malformed_number_exit_2(capsys, argv):
     code = main(argv)

@@ -13,7 +13,6 @@ from chevalab.matrices import (
     bracket_rank,
     charpoly,
     charpoly_batch,
-    charpoly_berkowitz,
     charpoly_shift,
     companion,
     is_nilpotent_jet,
@@ -66,15 +65,19 @@ def test_nilpotent_scalar_depends_on_char():
     assert is_nilpotent_jet(b)
 
 
-@pytest.mark.parametrize("n,ell,m", [(2, 2, 0), (2, 3, 1), (3, 2, 1), (4, 3, 0)])
-def test_berkowitz_matches_cofactor_oracle(n, ell, m):
-    ctx = trunc_make(field_make(ell), m)
+@pytest.mark.parametrize("n,ell,k,m", [(2, 2, 1, 0), (2, 3, 1, 1), (3, 2, 1, 1), (4, 3, 1, 0), (3, 2, 2, 1)],
+                         ids=["2-2-0", "2-3-1", "3-2-1", "4-3-0", "3-2-2-1"])
+def test_berkowitz_matches_cofactor_oracle(n, ell, k, m):
+    # both adapters of the one Samuelson-Berkowitz body against cofactor expansion
+    ctx = trunc_make(field_make(ell, k), m)
     rng = random.Random(n * 100 + ell * 10 + m)
-    for _ in range(60):
-        a = rand_matrix(ctx, n, rng)
-        got = charpoly_berkowitz(a).c
-        assert got == charpoly_oracle(ctx, [list(r) for r in a.entries])
-        assert got == charpoly(a).c
+    mats = [rand_matrix(ctx, n, rng) for _ in range(60)]
+    want = [charpoly_oracle(ctx, [list(r) for r in a.entries]) for a in mats]
+    assert [charpoly(a).c for a in mats] == want
+    entries = [[np.array([ctx.index(a.entries[i][j]) for a in mats], dtype=np.int64) for j in range(n)]
+               for i in range(n)]
+    got = charpoly_batch(n, ring_tables(ctx), entries)
+    assert [tuple(ctx.from_index(int(c[b])) for c in got) for b in range(len(mats))] == want
 
 
 def _det_unit(ctx, a):
@@ -184,6 +187,15 @@ def test_charpoly_shift_example():
     g = charpoly_shift(f, (1,))  # (z - 1 + 1)... substitute z -> z + z0 style shift
     a = companion(f)
     assert charpoly(shift_scalar(a, (1,))).c == g.c
+
+
+@pytest.mark.parametrize("n,ell,k,m", [(1, 3, 1, 2), (3, 3, 1, 1), (4, 2, 1, 2), (3, 2, 2, 1)])
+def test_charpoly_shift_matches_shifted_matrix(n, ell, k, m):
+    ctx = trunc_make(field_make(ell, k), m)
+    rng = random.Random(f"shift:{n}:{ell}:{k}:{m}")
+    for _ in range(40):
+        a, z = rand_matrix(ctx, n, rng), ctx.from_index(rng.randrange(ctx.size))
+        assert charpoly_shift(charpoly(a), z).c == charpoly(shift_scalar(a, z)).c
 
 
 def test_ctx_mismatch_rejected():
