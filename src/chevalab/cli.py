@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import measure, slices, subreg
-from .counting import (CountQuery, combine_records, count_engine, count_sharded, fit_dimension,
-                       run_query)
+from .counting import (CountQuery, _whole_count, combine_records, count_engine, count_sharded,
+                       fit_dimension, run_query)
 from .errors import BadConfig, ChevalabError
 from .field import field_make, trunc_make
 from .reporting import Report, atomic_write_text, emit, load_jsonl
@@ -91,6 +91,7 @@ def _run_count(cfg: RunConfig) -> Report:
     if cfg.shard_id is not None:
         record = count_sharded(query, cfg.shards, cfg.shard_id, cfg.checkpoint)
     elif cfg.shards > 1:
+        _whole_count(cfg.n, ctx, cfg.target, x, cfg.i)  # all shards run here: guard their union
         record = combine_records([count_sharded(query, cfg.shards, j, cfg.checkpoint and f"{cfg.checkpoint}.{j}")
                                   for j in range(cfg.shards)])
     else:
@@ -210,6 +211,8 @@ def _run_val_int(cfg: RunConfig) -> Report:
     M = cfg.level
     field = field_make(cfg.ell, cfg.k)
     coeffs = [(c,) for c in _parse_ints(cfg.poly, ",", "--poly")]  # val_integral pads them to R_M
+    if not all(0 <= c < field.q for (c,) in coeffs) or not any(c for (c,) in coeffs):
+        raise BadConfig(f"--poly {cfg.poly!r}: need coefficients in [0, {field.q}), not all 0")
     value = subreg.val_integral(coeffs, field, M)
     deg = len(coeffs) - 1
     bound = subreg.val_integral_bound(deg, field, M)

@@ -23,13 +23,14 @@ The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
 (``_target_space``).  A count is ``subtotal(0, total)``; ``count_sharded``
 counts one contiguous slice, so subtotals add up to the full count.  Under
-the lift engine nilcone indexes the bases B in the pruned layout of
-_nilcone_entries at level h-1 and fiber all of Mat_n(R_(h-1)); n = 1
-keeps the same two layouts at level m.  gi indexes the characteristic
-polynomials x, each adding N(x)^i read from the one fiber table.  Shards
-run one after another in one process; separate processes, one per shard
-id, are the way to run nilcone and fiber shards in parallel.  A shard's checkpoint is one
-JSON line holding its latest state, replaced atomically after every chunk.
+the lift engine nilcone and fiber index the bases B at level h-1 as jets
+of the m = 0 fiber of x mod t (_fiber_bases, _jet_entries), the nilcone
+being the fiber over 0; the m = 0 fiber alone indexes all of Mat_n(F_q).
+gi indexes the characteristic polynomials x, each adding N(x)^i read from
+the one fiber table.  Shards run one after another in one process;
+separate processes, one per shard id, run nilcone and fiber shards in
+parallel.  A shard's checkpoint is one JSON line holding its latest state,
+replaced atomically after every chunk.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def matrix_space_size(n: int, ctx: TruncCtx) -> int:
 def _check_sweep(size: int, what: str, shardable: bool = False) -> None:
     if size > SWEEP_GUARD:
         raise TooLarge(f"{what} = {size} exceeds the sweep guard 2^30"
-                       + ("; shard the run" if shardable else ""))
+                       + ("; shard the run, one process per --shard-id" if shardable else ""))
 
 
 def enumerate_matrices(n: int, ctx: TruncCtx) -> Iterable[JetMatrix]:
@@ -151,9 +152,9 @@ def _full_entries(n: int, P: int, idx: np.ndarray) -> list:
     return _rows(n, _digits(P, n * n, idx))
 
 
-def _nilcone_entries(n: int, ctx: TruncCtx, bases: np.ndarray, idx: np.ndarray) -> list:
-    """Entry arrays of the pruned nilcone layout.  Index idx takes the m = 0
-    nilpotent base matrix bases[idx // q^(m n^2)] and reads the higher
+def _jet_entries(n: int, ctx: TruncCtx, bases: np.ndarray, idx: np.ndarray) -> list:
+    """Entry arrays of the jets of m = 0 bases (_fiber_bases).  Index idx takes
+    the base matrix bases[idx // q^(m n^2)] and reads the higher
     t-coefficients of every entry from the base-q digits of idx % q^(m n^2),
     entry (0,0) and t^1 most significant."""
     Q = ctx.field.q ** ctx.m  # choices of the higher coefficients of one entry
@@ -197,13 +198,14 @@ def _table_from_counts(n: int, ctx: TruncCtx, counts: np.ndarray) -> Dict[FiberK
 
 
 @functools.lru_cache(maxsize=4)
-def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
-    """m = 0 nilpotent matrices in sweep order, one row of n^2 field codes each;
-    built once per (n, field.key()) and read-only, since every nilcone shard
-    of a run starts from the same bases.  Nilpotent matrices have trace 0, so
-    the sweep runs over the other n^2 - 1 entries and sets entry (n-1, n-1),
-    the least significant digit, to minus the rest of the diagonal.  n >= 2."""
-    _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) trace-zero bases")
+def _fiber_bases(n: int, field: FieldCtx, x0: int) -> np.ndarray:
+    """m = 0 matrices B with c(B) = x0 (an _encode_key code) in sweep order, one
+    row of n^2 field codes each; built once per (n, field.key(), x0) and
+    read-only, since every shard of a run starts from the same bases.  As
+    trace B = -c_1, the sweep runs over the other n^2 - 1 entries and sets
+    entry (n-1, n-1), the least significant digit, to -c_1(x0) minus the rest
+    of the diagonal.  n >= 2."""
+    _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) bases of fixed trace")
     ctx0 = trunc_make(field, 0)
     q, add, _, neg = ring_tables(ctx0)
     found = []
@@ -212,8 +214,8 @@ def _nilpotent_bases(n: int, field: FieldCtx) -> np.ndarray:
         trace = cells[0]
         for i in range(1, n - 1):
             trace = add[trace * q + cells[i * (n + 1)]]
-        cells[-1] = neg[trace]
-        keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == 0
+        cells[-1] = neg[add[trace * q + x0 // q ** (n - 1)]]
+        keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == x0
         found.append(np.stack(cells, axis=1)[keep])
     bases = np.concatenate(found)
     bases.flags.writeable = False
@@ -243,8 +245,8 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
     The index spaces fix shard boundaries and checkpoints:
     gi: the encoded characteristic polynomials x in _encode_key order, index x
     adding N(x)^i with N(x) read from _fiber_counts;
-    nilcone and fiber: the bases B of _lift_space for n >= 2 (the matrices
-    themselves at m = 0), the matrices of _n1_space for n = 1.
+    nilcone and fiber: the bases B of _lift_space for n >= 2 (all matrices
+    for the m = 0 fiber), the matrices of _n1_space for n = 1.
     """
     if kind == "gi":
         counts = _fiber_counts(n, ctx)
@@ -265,11 +267,12 @@ def _n1_space(ctx: TruncCtx, kind: str, x=None):
     return total, lambda lo, hi: int(lo <= hit < hi)
 
 
-def _count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None) -> int:
-    """The whole count of a target, subtotal(0, total), guarding the total that runs."""
+def _whole_count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
+    """subtotal(0, total) of a target, not yet run, once the total passes the
+    sweep guard: a whole count, or all shards of one run, runs in one process."""
     total, subtotal = _target_space(n, ctx, kind, x, i)
     _check_sweep(total, f"{kind} index count", shardable=kind != "gi")
-    return subtotal(0, total)
+    return functools.partial(subtotal, 0, total)
 
 
 # --------------------------------------------------------------------------
@@ -323,22 +326,21 @@ def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
     otherwise; the top digits of A are never enumerated.  At m = 0, h = 1
     and N = 0: each B with c(B) = x adds 1, with no elimination.
 
-    The index space is the B that run: for nilcone the pruned layout of
-    _nilcone_entries at level h-1 (the m = 0 nilpotent bases themselves at
-    h = 1), since B mod t must be nilpotent; for fiber all of
-    Mat_n(R_(h-1)) in matrix_from_index order."""
+    The index space is the B that run.  B mod t lies in the m = 0 fiber of
+    x mod t, so B runs over the jets at level h-1 of _fiber_bases(x mod t)
+    (_jet_entries), nilcone being the fiber over 0; at h = 1 they are the
+    bases themselves.  The m = 0 fiber alone sweeps all of Mat_n(F_q) in
+    matrix_from_index order, the index space of its older shards."""
     low, K = _lift_levels(ctx)
-    ell, shift = ctx.field.ell, ctx.field.ell ** K
-    if kind == "nilcone":
-        bases = _nilpotent_bases(n, ctx.field)
-        total = len(bases) * low.field.q ** (low.m * n * n)
-        decode = lambda idx: _nilcone_entries(n, low, bases, idx)
-        code = 0
-    else:
-        total = matrix_space_size(n, low)
-        decode = lambda idx: _full_entries(n, low.size, idx)
-        code = _encode_key(ctx, _fiber_key(n, ctx, x))
+    q, ell, shift = ctx.field.q, ctx.field.ell, ctx.field.ell ** K
+    code = 0 if kind == "nilcone" else _encode_key(ctx, _fiber_key(n, ctx, x))
     xs = [int(d) for d in _digits(ctx.size, n, code)]
+    if kind == "fiber" and ctx.m == 0:
+        total, decode = matrix_space_size(n, ctx), lambda idx: _full_entries(n, ctx.size, idx)
+    else:
+        bases = _fiber_bases(n, ctx.field, sum(xi // q ** ctx.m * q ** (n - 1 - i)  # x mod t
+                                               for i, xi in enumerate(xs)))
+        total, decode = len(bases) * q ** (low.m * n * n), lambda idx: _jet_entries(n, low, bases, idx)
     tabs = ring_tables(ctx)
 
     def subtotal(lo: int, hi: int) -> int:
@@ -456,10 +458,10 @@ def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
     """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}.  For n >= 2 it sums
-    ell^(N - rank Dc_B) over the B of Mat_n(R_(h-1)) with x - c(B) in
-    t^h Im Dc_B (_lift_space); at m = 0, N = 0 and that counts the matrices
-    B with c(B) = x.  For n = 1 it is 1 (_n1_space)."""
-    return _count(n, ctx, "fiber", x=x)
+    ell^(N - rank Dc_B) over the jets B in R_(h-1) of the m = 0 fiber of
+    x mod t with x - c(B) in t^h Im Dc_B (_lift_space); at m = 0, N = 0 and
+    that counts the matrices B with c(B) = x.  For n = 1 it is 1 (_n1_space)."""
+    return _whole_count(n, ctx, "fiber", x=x)()
 
 
 def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
@@ -476,12 +478,11 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
-    """#J_m(N)(F_q): the fiber over x = 0.  J_m(N) lies over J_0(N), so only
-    jets of the m = 0 nilpotent matrices run: for n >= 2 the bases B in
-    R_(h-1) of those jets, each adding ell^(N - rank Dc_B) when -c(B) lies
-    in t^h Im Dc_B (_lift_space), and at m = 0 the nilpotent matrices
-    themselves, 1 each.  For n = 1 it is 1 (_n1_space)."""
-    return _count(n, ctx, "nilcone")
+    """#J_m(N)(F_q): the fiber over x = 0, counted as count_jet_fiber counts
+    any fiber.  J_m(N) lies over J_0(N), so for n >= 2 only the jets B in
+    R_(h-1) of the m = 0 nilpotent matrices (_fiber_bases over 0) run, and
+    at m = 0 those matrices themselves, 1 each.  For n = 1 it is 1."""
+    return _whole_count(n, ctx, "nilcone")()
 
 
 def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
@@ -489,7 +490,7 @@ def count_gi_jets(n: int, ctx: TruncCtx, i: int) -> int:
     characteristic polynomial)."""
     if i < 1:
         raise BadConfig("power i must be >= 1")
-    return _count(n, ctx, "gi", i=i)
+    return _whole_count(n, ctx, "gi", i=i)()
 
 
 # --------------------------------------------------------------------------
@@ -529,13 +530,12 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")
     if chunk < 1:
         raise BadConfig(f"chunk {chunk} must be >= 1")
-    ctx = query.ctx()
-    swept = _lift_levels(ctx)[0] if count_engine(query.n, query.kind) == "lift" else ctx
-    if matrix_space_size(query.n, swept) > SHARD_GUARD:  # before the nilcone base sweep
-        raise TooLarge("query exceeds the per-shard-set guard 2^40")
-    total, subtotal_of = _target_space(query.n, ctx, query.kind, query.x, query.i)
+    total, subtotal_of = _target_space(query.n, query.ctx(), query.kind, query.x, query.i)
+    if total > SHARD_GUARD:
+        raise TooLarge(f"{query.kind} index count = {total} exceeds the per-shard-set guard 2^40")
     lo = shard_id * total // shards
     hi = (shard_id + 1) * total // shards
+    _check_sweep(hi - lo, f"shard {shard_id} index count", shardable=True)
     pos, subtotal = lo, 0
     if checkpoint_path and os.path.exists(checkpoint_path):
         pos, subtotal = _read_checkpoint(checkpoint_path, query, shards, shard_id, lo, hi)
@@ -556,12 +556,12 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 def _query_sig(query: CountQuery) -> dict:
     # gi and lifted checkpoints name their index space; older ones counted
-    # i-tuples of matrices (gi) or matrices (nilcone and fiber at m >= 1).
-    # At m = 0 the bases B are those matrices, so the signature stays.
+    # i-tuples of matrices (gi), or matrices or all bases B (m >= 1).  At
+    # m = 0 the nilcone bases and the fiber's matrices are what they swept.
     if query.kind == "gi":
         index = {"index": "charpoly codes"}
     elif query.m >= 1 and count_engine(query.n, query.kind) == "lift":
-        index = {"index": "lifting bases B"}
+        index = {"index": "lifting bases B" if query.kind == "nilcone" else "jets of fiber bases B"}
     else:
         index = {}
     return {"n": query.n, "ell": query.ell, "k": query.k, "m": query.m,

@@ -210,10 +210,6 @@ class FieldCtx:
         ell = self.ell
         return sum((d % ell) * ell ** i for i, d in enumerate(digits))
 
-    def scalar(self, c: int) -> int:
-        """Embed an integer via the prime field."""
-        return c % self.ell
-
     # -- arithmetic --
     def add(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from chevalab.counting import (_blocks, _charpoly_keys, _decode_key, _encode_key, _fiber_key,
-                               _full_entries, _nilcone_entries, _nilpotent_bases, matrix_space_size)
+                               _fiber_bases, _full_entries, _jet_entries, matrix_space_size)
 from chevalab.field import TruncCtx, is_irreducible, trunc_make
 from chevalab.matrices import CharCoeffs, charpoly, companion, scale_coeffs, shift_scalar
 from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
@@ -125,12 +125,13 @@ def fiber_counts_oracle(ctx: TruncCtx, n):
 
 def sweep_count_oracle(n, ctx: TruncCtx, kind, x=None):
     """count_nilcone_jets or count_jet_fiber (n >= 2) by sweeping every matrix:
-    for nilcone the pruned layout of _nilcone_entries, the m = 0 nilpotent
-    bases with every higher coefficient, and for fiber all of Mat_n(R_m)."""
+    for nilcone the jets (_jet_entries) of the m = 0 nilpotent bases
+    (_fiber_bases over 0) with every higher coefficient, and for fiber all
+    of Mat_n(R_m), independent of the base lists."""
     if kind == "nilcone":
-        bases = _nilpotent_bases(n, ctx.field)
+        bases = _fiber_bases(n, ctx.field, 0)
         total, target = len(bases) * ctx.field.q ** (ctx.m * n * n), 0
-        decode = lambda idx: _nilcone_entries(n, ctx, bases, idx)  # noqa: E731
+        decode = lambda idx: _jet_entries(n, ctx, bases, idx)  # noqa: E731
     else:
         total, target = matrix_space_size(n, ctx), _encode_key(ctx, _fiber_key(n, ctx, x))
         decode = lambda idx: _full_entries(n, ctx.size, idx)  # noqa: E731

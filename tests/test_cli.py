@@ -84,14 +84,41 @@ def test_n2_fiber_count_past_matrix_guard(capsys):
 
 
 def test_nilcone_shards_build_bases_once(capsys):
-    counting._nilpotent_bases.cache_clear()
+    # one build, read by the guard of all shards and by each of the 4 shards
+    counting._fiber_bases.cache_clear()
     code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "1",
                                    "--shards", "4"])
     assert code == 0
     assert doc["outputs"]["count"] == "5632"
-    info = counting._nilpotent_bases.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    assert not counting._nilpotent_bases(3, field_make(2)).flags.writeable
+    info = counting._fiber_bases.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    assert not counting._fiber_bases(3, field_make(2), 0).flags.writeable
+
+
+def test_fiber_shards_build_bases_once(capsys):
+    # the bases over x mod t = (1, 0, 1), code 1 * 4 + 0 * 2 + 1
+    counting._fiber_bases.cache_clear()
+    code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "fiber", "--m", "1",
+                                   "--x", "1;0|0;1|1;1", "--shards", "4"])
+    assert code == 0
+    assert doc["outputs"]["count"] == "1536"
+    info = counting._fiber_bases.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    assert not counting._fiber_bases(3, field_make(2), 5).flags.writeable
+
+
+@pytest.mark.parametrize("shards", [["--shards", "4"], ["--shards", "1", "--shard-id", "0"]])
+def test_shards_in_one_process_guarded(capsys, monkeypatch, shards):
+    # 2^9 matrices of the m = 0 fiber past a guard of 2^8: all shards in this process, or
+    # one shard of them all, exit 2 before sweeping; a shard of 2^7 runs
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 8)
+    argv = ["count", "--n", "3", "--target", "fiber", "--m", "0", "--x", "0|0|0"]
+    code = main(argv + shards)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and "--shard-id" in captured.err
+    code, doc = _main_out(capsys, argv + ["--shards", "4", "--shard-id", "1"])
+    assert code == 0
 
 
 def test_gi_shards_build_table_once(capsys):
@@ -101,7 +128,7 @@ def test_gi_shards_build_table_once(capsys):
     assert code == 0
     assert doc["outputs"]["count"] == "783"
     info = counting._fiber_counts.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 4)
     assert not counting._fiber_counts(2, trunc_make(field_make(3), 0)).flags.writeable
 
 
@@ -265,6 +292,10 @@ def test_bad_config_exit_2(capsys):
     ["slice-audit", "--n", "3", "--partition", ","],
     ["count", "--target", "fiber", "--m", "0", "--x", "0;1|0"],
     ["count", "--target", "fiber", "--m", "0", "--x", "2|0"],
+    ["val-int", "--poly", "0"],
+    ["val-int", "--poly", "0,0"],
+    ["val-int", "--poly", "3,1"],
+    ["val-int", "--poly", "1,-1"],
 ])
 def test_malformed_number_exit_2(capsys, argv):
     code = main(argv)

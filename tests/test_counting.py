@@ -166,32 +166,61 @@ def test_n1_closed_form_matches_oracle(ell, m):
 
 
 @pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
-def test_nilpotent_bases_match_full_sweep(n, ell, k):
-    # the trace-zero sweep keeps the bases, and their order, of a full m = 0 sweep
+def test_fiber_bases_match_full_sweep(n, ell, k):
+    # the fixed-trace sweep keeps the bases, and their order, of a full m = 0 sweep, for
+    # every code x0; the nilcone's are the bases over x0 = 0
     field = field_make(ell, k)
     ctx = trunc_make(field, 0)
-    zero = (ctx.zero,) * n
-    expected = [[ctx.index(e) for row in A.entries for e in row]
-                for A in enumerate_matrices(n, ctx) if charpoly(A).c == zero]
-    assert counting._nilpotent_bases(n, field).tolist() == expected
+    rows = {}
+    for A in enumerate_matrices(n, ctx):
+        rows.setdefault(counting._encode_key(ctx, charpoly(A).c), []).append(
+            [ctx.index(e) for row in A.entries for e in row])
+    for x0 in range(field.q ** n):
+        bases = counting._fiber_bases(n, field, x0)
+        assert bases.tolist() == rows.get(x0, []) and not bases.flags.writeable
+    assert len(counting._fiber_bases(n, field, 0)) == field.q ** (n * n - n)
 
 
 def test_nilcone_guard_counts_pruned_space(monkeypatch):
-    # at m = 2 lifting runs B in R_1: the pruned nilcone space is 2^6 bases x 2^9 lifts
-    # = 2^15 indices, the fiber space all 2^18 matrices over R_1
+    # at m = 2 lifting runs B in R_1: the nilcone, and now the fiber over 0 too, index
+    # 2^6 bases x 2^9 lifts = 2^15 B, not all 2^18 matrices over R_1
     monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 16)
     ctx = trunc_make(F2, 2)
-    assert count_nilcone_jets(3, ctx) == 460_800
+    assert count_nilcone_jets(3, ctx) == count_jet_fiber(3, ctx, (ctx.zero,) * 3) == 460_800
+    assert counting._target_space(3, ctx, "fiber", (ctx.zero,) * 3)[0] == 2 ** 15
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 14)
     with pytest.raises(TooLarge, match="shard the run"):
         count_jet_fiber(3, ctx, (ctx.zero,) * 3)
 
 
-def test_nilpotent_bases_guard_their_sweep(monkeypatch):
-    # the bases sweep q^(n^2 - 1) = 2^8 trace-zero matrices, though the count needs 2^6 indices
-    counting._nilpotent_bases.cache_clear()
+def test_fiber_bases_guard_their_sweep(monkeypatch):
+    # the bases sweep q^(n^2 - 1) = 2^8 matrices of fixed trace, though the count needs 2^6 indices
+    counting._fiber_bases.cache_clear()
     monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 7)
-    with pytest.raises(TooLarge, match="trace-zero bases"):
+    with pytest.raises(TooLarge, match="bases of fixed trace"):
         count_nilcone_jets(3, trunc_make(F2, 0))
+
+
+@pytest.mark.parametrize("n,ell,k,m", [(2, 3, 1, 2), (3, 2, 1, 1), (2, 2, 2, 1), (2, 2, 1, 3)])
+def test_lift_fiber_matches_sweep(n, ell, k, m):
+    # m >= 1 fibers run the jets of the m = 0 fiber of x mod t; the oracle sweeps Mat_n(R_m)
+    ctx = trunc_make(field_make(ell, k), m)
+    rng = random.Random(f"{n}:{ell}:{k}:{m}")
+    xs = [charpoly(matrix_from_index(n, ctx, rng.randrange(ctx.size ** (n * n)))).c for _ in range(3)]
+    xs += [counting._decode_key(n, ctx, rng.randrange(ctx.size ** n)) for _ in range(2)]
+    for x in xs:
+        assert count_jet_fiber(n, ctx, x) == sweep_count_oracle(n, ctx, "fiber", x)
+
+
+@pytest.mark.parametrize("n,ell,k,m,x,expected", [
+    (3, 2, 1, 3, ((1,), (0,), (0,)), 40_370_176),
+    (3, 2, 1, 3, ((1, 1), (0, 1), (1,)), 6_291_456),
+    (2, 3, 1, 4, ((0, 1), (2,)), 78_732),
+])
+def test_lift_fiber_frozen(n, ell, k, m, x, expected):
+    # values of the earlier layout, which swept all of Mat_n(R_(h-1))
+    ctx = trunc_make(field_make(ell, k), m)
+    assert count_jet_fiber(n, ctx, tuple(ctx.make(c) for c in x)) == expected
 
 
 def test_nilcone_matches_zero_fiber():
@@ -634,6 +663,52 @@ def test_lift_shard_resumes(tmp_path, monkeypatch):
     assert state["query"]["index"] == "lifting bases B"
     assert state["next_index"] == 2 ** 14 + 3000
     assert count_sharded(q, 2, 1, path, chunk=1000).count == full
+
+
+def test_lift_fiber_checkpoint_of_older_layout_rejected(tmp_path):
+    # m >= 1 fiber checkpoints that counted all of Mat_n(R_(h-1)) in next_index
+    ctx = trunc_make(F2, 1)
+    q = CountQuery(3, 2, 1, 1, "fiber", x=(ctx.one, ctx.zero, ctx.zero))
+    path = tmp_path / "old-fiber.jsonl"
+    old = dict(counting._query_sig(q), index="lifting bases B")
+    path.write_text(json.dumps({"next_index": 64, "query": old, "schema_version": 1,
+                                "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(q, 1, 0, str(path))
+
+
+@pytest.mark.parametrize("n,m,kind,index", [
+    (1, 0, "nilcone", None), (1, 1, "nilcone", None), (2, 0, "nilcone", None),
+    (2, 1, "nilcone", "lifting bases B"),
+    (1, 0, "fiber", None), (1, 1, "fiber", None), (2, 0, "fiber", None),
+    (2, 1, "fiber", "jets of fiber bases B"),
+    (1, 0, "gi", "charpoly codes"), (1, 1, "gi", "charpoly codes"),
+    (2, 0, "gi", "charpoly codes"), (2, 1, "gi", "charpoly codes"),
+])
+def test_query_sig_names_index_space(n, m, kind, index):
+    # a change of an index layout must rename its checkpoint signature here
+    x = ((0,) * (m + 1),) * n if kind == "fiber" else None
+    sig = counting._query_sig(CountQuery(n, 2, 1, m, kind, x=x, i=2 if kind == "gi" else None))
+    assert sig.get("index") == index
+
+
+def test_shard_guard_bounds_index_count(monkeypatch):
+    # the guard reads the index count that runs: 2^6 nilpotent bases x 2^9 lifts at m = 2
+    q = CountQuery(3, 2, 1, 2, "nilcone")
+    monkeypatch.setattr(counting, "SHARD_GUARD", 2 ** 15)
+    assert sum(count_sharded(q, 4, s).count for s in range(4)) == 460_800
+    monkeypatch.setattr(counting, "SHARD_GUARD", 2 ** 15 - 1)
+    with pytest.raises(TooLarge, match="per-shard-set guard"):
+        count_sharded(q, 64, 5)
+
+
+def test_shard_sweep_guard_bounds_its_range(monkeypatch):
+    # each shard checks the indices it runs: 2^15 B in two shards of 2^14
+    q = CountQuery(3, 2, 1, 2, "nilcone")
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 14)
+    assert sum(count_sharded(q, 2, s).count for s in range(2)) == 460_800
+    with pytest.raises(TooLarge, match="--shard-id"):
+        count_sharded(q, 1, 0)
 
 
 def test_lift_matrix_index_checkpoint_rejected(tmp_path):
