@@ -31,6 +31,12 @@ the one fiber table.  Shards run one after another in one process;
 separate processes, one per shard id, run nilcone and fiber shards in
 parallel.  A shard's checkpoint is one JSON line holding its latest state,
 replaced atomically after every chunk.
+
+Pages, not chunks, are what runs: subtotal(lo, hi) reads slices of the
+BLOCK-aligned pages covering lo..hi-1 from two memos, _charpoly_page (m = 0
+charpoly codes, read by the m = 0 fiber table too) and _lift_page (m >= 1).
+A process evaluates each page at most once, whatever chunks, shards and
+counts cut the index space, and under 2 BLOCK indices outside lo..hi-1.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 SHARD_GUARD = 1 << 40
 SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
 BLOCK = 1 << 11  # matrices per charpoly_batch call; larger blocks add peak memory, not speed
+PAGE_CACHE = 1 << 7  # pages kept per memo: 2^7 pages of BLOCK int64 values are 2 MB
 
 FiberKey = Tuple[tuple, ...]  # (c_1, ..., c_n), each a series tuple
 
@@ -315,6 +322,15 @@ def _lift_gens(n: int, ctx: TruncCtx, K: int, entries: list, c0: list) -> np.nda
     return np.concatenate(gens, axis=2).transpose(1, 0, 2)
 
 
+def _jet_space(n: int, ctx: TruncCtx, code: int):
+    """(index count, decode) of the B that _lift_space runs for the target code:
+    the jets at level h-1 of _fiber_bases(code mod t)."""
+    low, q = _lift_levels(ctx)[0], ctx.field.q
+    x0 = sum(xi // q ** ctx.m * q ** (n - 1 - i) for i, xi in enumerate(_digits(ctx.size, n, code)))
+    bases = _fiber_bases(n, ctx.field, x0)
+    return len(bases) * q ** (low.m * n * n), lambda idx: _jet_entries(n, low, bases, idx)
+
+
 def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
     """(index count, subtotal) of a nilcone or fiber count by lifting.
 
@@ -323,46 +339,66 @@ def _lift_space(n: int, ctx: TruncCtx, kind: str, x=None):
     c(A) = c(B) + t^h Dc_B(U) exactly, Dc_B being F_ell-linear in the
     N = k n^2 (m+1-h) digits of U.  So B contributes ell^(N - rank Dc_B) when
     x - c(B) lies in t^h Im Dc_B (in particular x = c(B) mod t^h), and nothing
-    otherwise; the top digits of A are never enumerated.  At m = 0, h = 1
-    and N = 0: each B with c(B) = x adds 1, with no elimination.
+    otherwise (_lift_page); the top digits of A are never enumerated.  At
+    m = 0, h = 1 and N = 0: each B with c(B) = x adds 1, with no elimination.
 
     The index space is the B that run.  B mod t lies in the m = 0 fiber of
     x mod t, so B runs over the jets at level h-1 of _fiber_bases(x mod t)
-    (_jet_entries), nilcone being the fiber over 0; at h = 1 they are the
-    bases themselves.  The m = 0 fiber alone sweeps all of Mat_n(F_q) in
-    matrix_from_index order, the index space of its older shards."""
-    low, K = _lift_levels(ctx)
-    q, ell, shift = ctx.field.q, ctx.field.ell, ctx.field.ell ** K
+    (_jet_space), nilcone being the fiber over 0; at h = 1 they are the
+    bases themselves, so each m = 0 nilcone index adds 1.  The m = 0 fiber
+    alone sweeps all of Mat_n(F_q) in matrix_from_index order, the index
+    space of its older shards, reading _charpoly_page."""
+    _, K = _lift_levels(ctx)
     code = 0 if kind == "nilcone" else _encode_key(ctx, _fiber_key(n, ctx, x))
+    if K == 0 and kind == "fiber":
+        pages = functools.partial(_charpoly_page, n, ctx)
+        return matrix_space_size(n, ctx), lambda lo, hi: sum(
+            int(np.count_nonzero(codes == code)) for codes in _pages(lo, hi, pages))
+    total, _ = _jet_space(n, ctx, code)
+    if K == 0:
+        return total, lambda lo, hi: hi - lo
+    ell, pages = ctx.field.ell, functools.partial(_lift_page, n, ctx, code)
+    return total, lambda lo, hi: sum(c * ell ** v for nullity in _pages(lo, hi, pages)
+                                     for v, c in enumerate(np.bincount(nullity[nullity >= 0]).tolist()))
+
+
+def _pages(lo: int, hi: int, page) -> Iterator[np.ndarray]:
+    """The values at indices lo..hi-1 as slices of the pages page(p) covering them."""
+    for p in range(lo // BLOCK, -(-hi // BLOCK)):
+        yield page(p)[max(lo - p * BLOCK, 0):hi - p * BLOCK]
+
+
+@functools.lru_cache(maxsize=PAGE_CACHE)
+def _charpoly_page(n: int, ctx: TruncCtx, page: int) -> np.ndarray:
+    """The charpoly codes (_encode_key) of the m = 0 matrices p BLOCK..(p+1) BLOCK-1
+    in matrix_from_index order; read-only, shared by every m = 0 fiber reader."""
+    lo = page * BLOCK
+    idx = np.arange(lo, min(lo + BLOCK, matrix_space_size(n, ctx)), dtype=np.int64)
+    codes = _charpoly_keys(n, ctx, _full_entries(n, ctx.size, idx))
+    codes.flags.writeable = False
+    return codes
+
+
+@functools.lru_cache(maxsize=PAGE_CACHE)
+def _lift_page(n: int, ctx: TruncCtx, code: int, page: int) -> np.ndarray:
+    """N - rank Dc_B for the B at indices p BLOCK..(p+1) BLOCK-1 of _jet_space, or
+    -1 where x - c(B) is not in t^h Im Dc_B (see _lift_space); m >= 1, read-only."""
+    _, K = _lift_levels(ctx)
+    ell, shift, tabs = ctx.field.ell, ctx.field.ell ** K, ring_tables(ctx)
     xs = [int(d) for d in _digits(ctx.size, n, code)]
-    if kind == "fiber" and ctx.m == 0:
-        total, decode = matrix_space_size(n, ctx), lambda idx: _full_entries(n, ctx.size, idx)
-    else:
-        bases = _fiber_bases(n, ctx.field, sum(xi // q ** ctx.m * q ** (n - 1 - i)  # x mod t
-                                               for i, xi in enumerate(xs)))
-        total, decode = len(bases) * q ** (low.m * n * n), lambda idx: _jet_entries(n, low, bases, idx)
-    tabs = ring_tables(ctx)
-
-    def subtotal(lo: int, hi: int) -> int:
-        found = 0
-        for idx in _blocks(lo, hi):
-            if K == 0:  # m = 0: B is A, and each A with c(A) = x adds 1
-                found += int(np.count_nonzero(_charpoly_keys(n, ctx, decode(idx)) == code))
-                continue
-            entries = [[e * shift for e in row] for row in decode(idx)]
-            c0 = charpoly_batch(n, tabs, entries)
-            keep = np.logical_and.reduce([c // shift == xi // shift for c, xi in zip(c0, xs)])
-            if not keep.any():
-                continue
-            entries = [[e[keep] for e in row] for row in entries]
-            c0 = [c[keep] for c in c0]
-            y = (_low_digits(xs, ell, K)[:, None] - _low_digits(c0, ell, K)) % ell
-            rank, _, ok = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell, y)
-            nullity = np.bincount(n * n * K - rank[ok])
-            found += sum(int(c) * ell ** v for v, c in enumerate(nullity.tolist()))
-        return found
-
-    return total, subtotal
+    total, decode = _jet_space(n, ctx, code)
+    idx = np.arange(page * BLOCK, min((page + 1) * BLOCK, total), dtype=np.int64)
+    nullity = np.full(len(idx), -1, dtype=np.int64)
+    entries = [[e * shift for e in row] for row in decode(idx)]
+    c0 = charpoly_batch(n, tabs, entries)
+    keep = np.flatnonzero(np.logical_and.reduce([c // shift == xi // shift for c, xi in zip(c0, xs)]))
+    if len(keep):
+        entries, c0 = [[e[keep] for e in row] for row in entries], [c[keep] for c in c0]
+        y = (_low_digits(xs, ell, K)[:, None] - _low_digits(c0, ell, K)) % ell
+        rank, _, ok = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell, y)
+        nullity[keep[ok]] = n * n * K - rank[ok]
+    nullity.flags.writeable = False
+    return nullity
 
 
 def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
@@ -376,22 +412,21 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     high digits of c(B).  Those B only count their high codes, and that
     histogram is spread over all low digits once at the end; the other B
     scatter their cosets code by code.  At m = 0 (K = 0) each B is its own
-    coset, the code c(B), so no generators are built."""
+    coset, the code c(B), read from _charpoly_page."""
     low, K = _lift_levels(ctx)
     ell, shift, P, R = ctx.field.ell, ctx.field.ell ** K, ctx.size, n * K
     H = P // shift  # high parts of one c_i
     total = matrix_space_size(n, low)
     _check_sweep(total, "q^(h n^2) lifting bases B")
+    if R == 0:  # m = 0: B is A, and each A adds 1 to its code c(A)
+        pages = functools.partial(_charpoly_page, n, ctx)
+        return sum(np.bincount(codes, minlength=P ** n) for codes in _pages(0, total, pages))
     tabs = ring_tables(ctx)
     weights = (ell ** np.arange(K) * P ** np.arange(n - 1, -1, -1)[:, None]).ravel()
     counts = np.zeros(P ** n, dtype=np.int64)
     full_high = np.zeros(H ** n, dtype=np.int64)
     for idx in _blocks(0, total, min(BLOCK, max(1, (1 << 16) // ell ** R))):
-        entries = _full_entries(n, low.size, idx)
-        if R == 0:  # m = 0: B is A, and each A adds 1 to its code c(A)
-            counts += np.bincount(_charpoly_keys(n, ctx, entries), minlength=P ** n)
-            continue
-        entries = [[e * shift for e in row] for row in entries]
+        entries = [[e * shift for e in row] for row in _full_entries(n, low.size, idx)]
         c0 = charpoly_batch(n, tabs, entries)
         rank, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
         full = rank == R
@@ -525,6 +560,8 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     codes x, so gi shards gain nothing from running as parallel processes.
     After every chunk the checkpoint is replaced by one line holding the
     latest state: the query, the shard, the next index and the subtotal.
+    A chunk only sets where a checkpoint falls: it reads slices of the
+    memoised pages (see the module docstring), evaluating no page twice.
     """
     if not (0 <= shard_id < shards):
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")

@@ -8,15 +8,23 @@ The sign convention for the characteristic polynomial is fixed everywhere as
 
 R_m has nilpotents, so all polynomial computations are division-free.  The
 characteristic polynomial is one Samuelson-Berkowitz body, ``_berkowitz``,
-written against the ring ops it is given, behind two adapters:
+written against the ring ops it is given, behind three adapters:
 
-* ``charpoly_batch`` passes the gathers of the dense tables of
-  ``field.ring_tables``, so it runs over arrays of ring indices, one matrix
-  per array element.  Every base B of the lift engine in ``counting`` (at
-  m = 0 the matrices themselves) and every exhaustive sweep of ``slices``
-  and ``subreg`` run on it.
-* ``charpoly`` passes ``TruncCtx`` series arithmetic and runs on one
-  ``JetMatrix`` at a time, for single matrices and sampled audits.
+* table gathers (``charpoly_batch``): ring-index arrays, one matrix per
+  element, over any R_m at three numpy calls per op.  Every base B of the
+  lift engine in ``counting`` and every sweep of ``slices`` and ``subreg``
+  runs in a batch;
+* int64 +, * and - (``charpoly_batch`` when ``_int64_exact``), reduced mod P
+  once, when P is prime, i.e. the ring is F_ell with residues as indices,
+  and (n+1)(n(P-1))^n < 2^63: n <= 5 at ell = 251, n <= 15 at ell = 2;
+* series arithmetic (``charpoly``), one ``JetMatrix`` at a time.
+
+The int64 path is exact: with entries in [0, B], B = P - 1, step i of
+``_berkowitz`` (leading i x i block A_i, i < n) has |A_i^j col| <= (iB)^j B
+entrywise, so toep[j] = -row A_i^(j-2) col and every partial dot product is
+at most (nB)^j; c_s of A_i sums C(i, s) minors of at most s! B^s, so
+|c_s| <= (iB)^s.  A new coefficient sums at most n + 1 products
+toep[r-s] c_s of at most (nB)^n each, so no intermediate exceeds (n+1)(nB)^n.
 
 ``row_echelon``, batched over many systems, is the one elimination: over
 F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
@@ -25,13 +33,14 @@ F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import CtxMismatch, SizeTooSmall
-from .field import FieldCtx, RingTables, TruncCtx, _structure_constants, trunc_make
+from .field import FieldCtx, RingTables, TruncCtx, _is_prime, _structure_constants, trunc_make
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,14 @@ def charpoly(A: JetMatrix) -> CharCoeffs:
     return CharCoeffs(ctx, A.n, tuple(_berkowitz(A.n, ctx.add, ctx.mul, ctx.neg, A.entries)))
 
 
+def _int64_exact(n: int, P: int) -> bool:
+    """Whether charpoly_batch runs on int64 residues (see the module docstring)."""
+    return _is_prime(P) and (n + 1) * (n * (P - 1)) ** n < 2 ** 63
+
+
 def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
     """Samuelson-Berkowitz on ring indices, elementwise across a batch: the
-    body of ``charpoly`` with the gathers of the dense tables as ring ops.
+    body of ``charpoly`` on int64 residues or table gathers (module docstring).
 
     ``entries[i][j]`` is an int64 array of ring indices or a scalar broadcast
     against the others; ``tabs`` is ``field.ring_tables(ctx)``.  Returns
@@ -162,8 +176,11 @@ def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
     same coefficients as ``charpoly`` on each matrix.
     """
     P, add, mul, neg = tabs
-    coeffs = _berkowitz(n, lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y],
-                        neg.__getitem__, entries)
+    if _int64_exact(n, P):
+        coeffs = [c % P for c in _berkowitz(n, operator.add, operator.mul, operator.neg, entries)]
+    else:
+        coeffs = _berkowitz(n, lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y],
+                            neg.__getitem__, entries)
     shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
     return [np.broadcast_to(c, shape) for c in coeffs]
 

@@ -84,26 +84,29 @@ def test_n2_fiber_count_past_matrix_guard(capsys):
 
 
 def test_nilcone_shards_build_bases_once(capsys):
-    # one build, read by the guard of all shards and by each of the 4 shards
+    # one build, read by the guard of all shards, by each of the 4 shards and by
+    # the one lift page of the 2^6 bases
     counting._fiber_bases.cache_clear()
+    counting._lift_page.cache_clear()
     code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "1",
                                    "--shards", "4"])
     assert code == 0
     assert doc["outputs"]["count"] == "5632"
     info = counting._fiber_bases.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert (info.misses, info.hits) == (1, 5)
     assert not counting._fiber_bases(3, field_make(2), 0).flags.writeable
 
 
 def test_fiber_shards_build_bases_once(capsys):
-    # the bases over x mod t = (1, 0, 1), code 1 * 4 + 0 * 2 + 1
+    # the bases over x mod t = (1, 0, 1), code 1 * 4 + 0 * 2 + 1; read as above
     counting._fiber_bases.cache_clear()
+    counting._lift_page.cache_clear()
     code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "fiber", "--m", "1",
                                    "--x", "1;0|0;1|1;1", "--shards", "4"])
     assert code == 0
     assert doc["outputs"]["count"] == "1536"
     info = counting._fiber_bases.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    assert (info.misses, info.hits) == (1, 5)
     assert not counting._fiber_bases(3, field_make(2), 5).flags.writeable
 
 
@@ -134,10 +137,12 @@ def test_gi_shards_build_table_once(capsys):
 
 @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
 def test_count_out_byte_reproducible(capsys, tmp_path, shards):
-    # an m = 0 sweep of 3^9 matrices; an m = 1 nilcone count by lifting can finish within 1 ms
+    # an m = 0 sweep of 3^9 matrices; an m = 1 nilcone count by lifting can finish within 1 ms.
+    # The pages of the sweep are dropped before each run, so that each run sweeps them.
     argv = ["count", "--n", "3", "--ell", "3", "--target", "fiber", "--m", "0", "--x", "0|0|0"] + shards
     outs = []
     for run_id in range(2):
+        counting._charpoly_page.cache_clear()
         out = tmp_path / f"rec{run_id}.jsonl"
         code, doc = _main_out(capsys, argv + ["--out", str(out)])
         assert code == 0

@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import chevalab
 from chevalab import counting
 from chevalab.counting import (
     CountQuery,
@@ -719,6 +722,113 @@ def test_lift_matrix_index_checkpoint_rejected(tmp_path):
         "schema_version": 1, "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
     with pytest.raises(CorruptCheckpoint):
         count_sharded(CountQuery(3, 2, 1, 1, "nilcone"), 1, 0, str(path))
+
+
+def _clear_pages():
+    counting._charpoly_page.cache_clear()
+    counting._lift_page.cache_clear()
+
+
+def _page_targets():
+    ctx0, ctx2 = trunc_make(F3, 0), trunc_make(F3, 2)
+    return [  # (query, shards, per-shard subtotals of the sweep before pages)
+        (CountQuery(3, 3, 1, 0, "fiber", x=charpoly(matrix_from_index(3, ctx0, 12345)).c), 4,
+         [103, 103, 104, 122]),
+        (CountQuery(3, 2, 1, 1, "nilcone"), 3, [2240, 1664, 1728]),
+        (CountQuery(2, 3, 1, 2, "fiber", x=charpoly(matrix_from_index(2, ctx2, 12345)).c), 2,
+         [243, 243]),
+    ]
+
+
+def _run_shards(monkeypatch, q, shards, order, chunk):
+    """{shard: (count, [(next_index, subtotal) of every checkpoint written])}."""
+    written = {}
+    monkeypatch.setattr(counting, "atomic_write_text",
+                        lambda path, text: written.setdefault(path, []).append(json.loads(text)))
+    out = {}
+    for s in order:
+        count = count_sharded(q, shards, s, f"ck{s}", chunk=chunk).count
+        out[s] = count, [(w["next_index"], int(w["subtotal"])) for w in written[f"ck{s}"]]
+    return out
+
+
+def _cold_prefix(q):
+    """(index count, subtotal, prefix sums of subtotal(i, i + 1) over pages built cold)."""
+    total, subtotal = counting._target_space(q.n, q.ctx(), q.kind, q.x)
+    _clear_pages()
+    return total, subtotal, [0] + list(itertools.accumulate(subtotal(i, i + 1) for i in range(total)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128, counting.BLOCK - 1, counting.BLOCK + 1])
+def test_checkpoints_under_pages(monkeypatch, chunk):
+    # pages change what a chunk evaluates, never what a shard returns or writes
+    for q, shards, expected in _page_targets():
+        total, subtotal, prefix = _cold_prefix(q)
+        forward = _run_shards(monkeypatch, q, shards, range(shards), chunk)
+        for s in range(shards):
+            lo, hi = _shard_range(total, shards, s)
+            count, states = forward[s]
+            assert count == expected[s]
+            assert len(states) == -(-(hi - lo) // chunk)
+            assert [j for j, _ in states] == [min(j, hi) for j in range(lo + chunk, hi + chunk, chunk)]
+            assert all(sub == prefix[j] - prefix[lo] for j, sub in states)
+            for j, sub in (states[0], states[-1]):
+                _clear_pages()
+                assert subtotal(lo, j) == sub
+        _clear_pages()
+        assert _run_shards(monkeypatch, q, shards, reversed(range(shards)), chunk) == forward
+        _clear_pages()
+        assert _run_shards(monkeypatch, q, shards, range(shards), chunk) == forward
+
+
+def test_subtotal_windows_match_single_indices():
+    # windows of 7 and of BLOCK + 1 indices, ending at every index: the short ones end
+    # inside a page, the long ones straddle a page edge
+    for q, _, _ in _page_targets():
+        total, subtotal, prefix = _cold_prefix(q)
+        for width in (7, counting.BLOCK + 1):
+            for hi in range(1, total + 1):
+                lo = max(0, hi - width)
+                assert subtotal(lo, hi) == prefix[hi] - prefix[lo]
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (3, 3), (4, 2)])
+def test_nilcone_m0_indices_count_one_each(tmp_path, monkeypatch, n, ell):
+    # every base over 0 is nilpotent, so no charpoly runs once the bases are built
+    field = field_make(ell)
+    counting._fiber_bases(n, field, 0)
+    monkeypatch.setattr(counting, "charpoly_batch", None)
+    q = CountQuery(n, ell, 1, 0, "nilcone")
+    parts = []
+    for s in range(3):
+        path = tmp_path / f"nil{s}.jsonl"
+        parts.append(count_sharded(q, 3, s, str(path), chunk=7))
+        lo, hi = _shard_range(ell ** (n * n - n), 3, s)
+        (state,) = _checkpoint_lines(path)
+        assert (state["next_index"], int(state["subtotal"])) == (hi, hi - lo) == (hi, parts[-1].count)
+        assert count_sharded(q, 3, s, str(path), chunk=7).count == hi - lo
+    assert combine_records(parts).count == ell ** (n * n - n)
+
+
+def test_every_memo_is_bounded():
+    # no lru_cache of the package may grow without bound
+    memos = {}
+    for info in pkgutil.iter_modules(chevalab.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"chevalab.{info.name}")
+        for owner in [module] + [v for v in vars(module).values() if isinstance(v, type)]:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters"):
+                    memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_tables"} <= set(memos)
+    assert [name for name, maxsize in memos.items() if maxsize is None] == []
+
+
+def test_page_memos_bounded():
+    # a page holds BLOCK int64 values; the two memos together hold at most 4 MB
+    for memo in (counting._charpoly_page, counting._lift_page):
+        assert memo.cache_info().maxsize * counting.BLOCK * 8 <= 2 << 20
 
 
 def _nilcone_record(ell, k, m):

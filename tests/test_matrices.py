@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chevalab import matrices
 from chevalab.errors import CtxMismatch, SizeTooSmall
 from chevalab.field import field_make, ring_tables, trunc_make
 from chevalab.matrices import (
@@ -78,6 +79,46 @@ def test_berkowitz_matches_cofactor_oracle(n, ell, k, m):
                for i in range(n)]
     got = charpoly_batch(n, ring_tables(ctx), entries)
     assert [tuple(ctx.from_index(int(c[b])) for c in got) for b in range(len(mats))] == want
+
+
+def _both_paths(monkeypatch, n, tabs, entries):
+    """charpoly_batch on int64 residues and, with that path switched off, on the tables."""
+    assert matrices._int64_exact(n, tabs.P)
+    ints = charpoly_batch(n, tabs, entries)
+    with monkeypatch.context() as patched:
+        patched.setattr(matrices, "_int64_exact", lambda n, P: False)
+        return ints, charpoly_batch(n, tabs, entries)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_int64_path_matches_tables_on_every_matrix(monkeypatch, n, ell):
+    idx = np.arange(ell ** (n * n), dtype=np.int64)
+    digits = [idx // ell ** d % ell for d in range(n * n)]
+    entries = [digits[i * n:(i + 1) * n] for i in range(n)]
+    ints, tables = _both_paths(monkeypatch, n, ring_tables(trunc_make(field_make(ell), 0)), entries)
+    assert all(np.array_equal(a, b) for a, b in zip(ints, tables))
+
+
+def test_int64_path_at_its_bound_matches_oracle(monkeypatch):
+    # n = 5 at ell = 251 is the largest n the int64 path takes there; all-250 is the worst case
+    ctx = trunc_make(field_make(251), 0)
+    rng = random.Random(251)
+    mats = [[[250] * 5 for _ in range(5)]] + [[[rng.randrange(251) for _ in range(5)] for _ in range(5)]
+                                             for _ in range(50)]
+    entries = [[np.array([a[i][j] for a in mats], dtype=np.int64) for j in range(5)] for i in range(5)]
+    want = [tuple(c[0] for c in charpoly_oracle(ctx, [[(e,) for e in row] for row in a])) for a in mats]
+    for got in _both_paths(monkeypatch, 5, ring_tables(ctx), entries):
+        assert [tuple(int(c[b]) for c in got) for b in range(len(mats))] == want
+
+
+def test_int64_path_only_below_its_bound():
+    # (n+1)(n(P-1))^n < 2^63: n <= 5 at 251 and n <= 15 at 2; R_m with q^(m+1) not prime never
+    assert matrices._int64_exact(5, 251) and not matrices._int64_exact(6, 251)
+    assert matrices._int64_exact(15, 2) and not matrices._int64_exact(16, 2)
+    assert not any(matrices._int64_exact(3, P) for P in (4, 8, 9, 25))
+    ctx = trunc_make(field_make(251), 0)  # so n = 6 gathers from the tables, and stays exact
+    got = charpoly_batch(6, ring_tables(ctx), [[250] * 6 for _ in range(6)])
+    assert tuple(int(c) for c in got) == tuple(c[0] for c in charpoly_oracle(ctx, [[(250,)] * 6] * 6))
 
 
 def _det_unit(ctx, a):
