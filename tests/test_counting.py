@@ -740,15 +740,17 @@ def _page_targets():
     ]
 
 
-def _run_shards(monkeypatch, q, shards, order, chunk):
-    """{shard: (count, [(next_index, subtotal) of every checkpoint written])}."""
+def _run_shards(monkeypatch, tmp_path, q, shards, order, chunk):
+    """{shard: (count, [(next_index, subtotal) of every checkpoint written])}; the
+    checkpoints are recorded, not written, so every run starts afresh."""
     written = {}
     monkeypatch.setattr(counting, "atomic_write_text",
                         lambda path, text: written.setdefault(path, []).append(json.loads(text)))
     out = {}
     for s in order:
-        count = count_sharded(q, shards, s, f"ck{s}", chunk=chunk).count
-        out[s] = count, [(w["next_index"], int(w["subtotal"])) for w in written[f"ck{s}"]]
+        path = str(tmp_path / f"ck{s}")
+        count = count_sharded(q, shards, s, path, chunk=chunk).count
+        out[s] = count, [(w["next_index"], int(w["subtotal"])) for w in written[path]]
     return out
 
 
@@ -760,11 +762,11 @@ def _cold_prefix(q):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 128, counting.BLOCK - 1, counting.BLOCK + 1])
-def test_checkpoints_under_pages(monkeypatch, chunk):
+def test_checkpoints_under_pages(tmp_path, monkeypatch, chunk):
     # pages change what a chunk evaluates, never what a shard returns or writes
     for q, shards, expected in _page_targets():
         total, subtotal, prefix = _cold_prefix(q)
-        forward = _run_shards(monkeypatch, q, shards, range(shards), chunk)
+        forward = _run_shards(monkeypatch, tmp_path, q, shards, range(shards), chunk)
         for s in range(shards):
             lo, hi = _shard_range(total, shards, s)
             count, states = forward[s]
@@ -776,9 +778,9 @@ def test_checkpoints_under_pages(monkeypatch, chunk):
                 _clear_pages()
                 assert subtotal(lo, j) == sub
         _clear_pages()
-        assert _run_shards(monkeypatch, q, shards, reversed(range(shards)), chunk) == forward
+        assert _run_shards(monkeypatch, tmp_path, q, shards, reversed(range(shards)), chunk) == forward
         _clear_pages()
-        assert _run_shards(monkeypatch, q, shards, range(shards), chunk) == forward
+        assert _run_shards(monkeypatch, tmp_path, q, shards, range(shards), chunk) == forward
 
 
 def test_subtotal_windows_match_single_indices():
