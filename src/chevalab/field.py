@@ -148,9 +148,6 @@ def is_irreducible(poly: list, ell: int) -> bool:
     return True
 
 
-_MODULUS_CACHE: dict = {}
-
-
 def _has_root(poly: list, ell: int) -> bool:
     """Whether the polynomial (low-degree-first) vanishes at some a in Z/ell."""
     for a in range(ell):
@@ -162,6 +159,7 @@ def _has_root(poly: list, ell: int) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=64)
 def _find_modulus(ell: int, k: int) -> tuple:
     """Lexicographically least monic irreducible of degree k over Z/ell.
 
@@ -170,19 +168,12 @@ def _find_modulus(ell: int, k: int) -> tuple:
     Z/ell has a linear factor, so it is skipped before the Rabin test; that
     drops every candidate with constant term 0, the first half of the order.
     """
-    key = (ell, k)
-    if key in _MODULUS_CACHE:
-        return _MODULUS_CACHE[key]
     if k == 1:
-        mod = (0, 1)
-        _MODULUS_CACHE[key] = mod
-        return mod
+        return (0, 1)
     for lower in itertools.product(range(ell), repeat=k):
         poly = list(lower) + [1]
         if not _has_root(poly, ell) and is_irreducible(poly, ell):
-            mod = tuple(poly)
-            _MODULUS_CACHE[key] = mod
-            return mod
+            return tuple(poly)
     raise NoModulusInTable(f"no irreducible modulus found for ell={ell}, k={k}")
 
 

@@ -162,7 +162,7 @@ def profile_to_csv(profile: DensityProfile, path: str) -> None:
     atomic_write_text(path, "\r\n".join(["box,fiber_count,f_numerator,f_denominator_exp", *lines, ""]))
 
 
-def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
+def profile_summary(profile: DensityProfile) -> dict:
     best = profile.counts.max()
     ctx = trunc_make(profile.field, profile.M - 1)
     return {
@@ -171,7 +171,7 @@ def profile_summary(profile: DensityProfile, t_exponents=(1, 2)) -> dict:
         "k": profile.field.k,
         "M": profile.M,
         "mass": str(profile.mass()),
-        "lt_norms": {str(t): str(lt_norm(profile, t)) for t in t_exponents},
+        "lt_norms": {str(t): str(lt_norm(profile, t)) for t in (1, 2)},
         "sup": str(Fraction(int(best), profile.denom())),
         "argmax": _box_strings(profile.n, ctx, np.flatnonzero(profile.counts == best)),
     }

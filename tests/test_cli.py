@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from chevalab import cli, counting, subreg
-from chevalab.cli import RunConfig, build_parser, main, run
+from chevalab import cli, counting, slices, subreg
+from chevalab.cli import build_parser, main, run
 from chevalab.counting import CountQuery, run_query
-from chevalab.errors import BadConfig
 from chevalab.field import field_make, trunc_make
 from chevalab.reporting import Report, emit, load_jsonl
 
@@ -398,16 +397,20 @@ def test_missing_required_option_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("part", ["enum-scalar", "shard-checkpoint", "small-ring", "tiny"])
-def test_bench_job_argvs_parse(tmp_path, monkeypatch, part):
+def test_bench_job_argvs_parse(capsys, tmp_path, monkeypatch, part):
+    # every CLI job of the benchmark runs at seed 0 and passes the benchmark's own gate
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
     spec.loader.exec_module(workloads)
-    jobs = workloads.build_part(part, 0, str(tmp_path))
-    for job in jobs:
-        if job.argv:  # the resume job calls count_sharded directly
-            build_parser().parse_args(job.argv)
+    expected = workloads.load_expected()
+    for job in workloads.build_part(part, 0, str(tmp_path)):
+        if not job.argv:  # the resume job calls count_sharded directly
+            continue
+        job.part = part
+        result = {"rc": main(job.argv), "stdout": capsys.readouterr().out}
+        assert workloads.check(job, result, 0, expected) == [], job.id
 
 
 def test_build_parser_is_cached():
@@ -485,14 +488,62 @@ def test_explicit_input_not_replaced_exit_2(capsys, tmp_path, monkeypatch, argv)
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
-    with pytest.raises(BadConfig):
-        run(RunConfig(subcommand="frobnicate"))
 
 
-def test_failed_verdict_exit_1(capsys):
-    rep = Report("x", "Thm A", {}, {}, {"ok": False})
-    assert not rep.passed()
-    assert rep.to_dict()["verdicts"] == {"ok": False}
+def test_failed_verdict_exit_1(capsys, monkeypatch):
+    # a false verdict still prints the whole report, and the exit code is 1
+    monkeypatch.setattr(subreg, "m1_identity_check", lambda *args: False)
+    code, doc = _main_out(capsys, ["subreg", "--n", "3", "--M", "1", "--samples", "5"])
+    assert code == 1
+    assert doc["verdicts"] == {"mass_is_one": True, "dual_path_equal": True, "sup_bounded": True,
+                               "m1_identity": False}
+    assert doc["outputs"]["mass"] == "1"
+
+
+def test_slice_audit_wrong_closed_form_exit_1(capsys, monkeypatch):
+    # exponent_sum raises on a wrong closed form: a false verdict with the report, not a config error
+    formula = slices.exponent_sum_formula
+    monkeypatch.setattr(slices, "exponent_sum_formula", lambda p: formula(p) + 1)
+    code, doc = _main_out(capsys, ["slice-audit", "--n", "3", "--ell", "2", "--partition", "2,1"])
+    assert code == 1
+    assert doc["verdicts"]["exponent_sum_formula"] is False
+    assert doc["verdicts"]["transversality"] and doc["outputs"]["total"] == 7
+
+
+class _Declared:
+    """A parsed namespace that fails on any name its subparser does not declare,
+    also through getattr(ns, name, default)."""
+
+    def __init__(self, args):
+        self._names = vars(args)
+
+    def __getattr__(self, name):
+        if name not in self._names:
+            raise LookupError(f"undeclared option {name!r} read")
+        return self._names[name]
+
+
+def test_handlers_read_only_declared_options(tmp_path):
+    recs = tmp_path / "recs.jsonl"
+    emit([run_query(CountQuery(n=2, ell=2, k=k, m=0, kind="nilcone")) for k in (1, 2)], "json", str(recs))
+    out = str(tmp_path / "out")
+    argvs = [
+        ["count", "--target", "fiber", "--m", "1", "--x", "0|0", "--shards", "2", "--threads", "2",
+         "--checkpoint", str(tmp_path / "ck"), "--out", out, "--format", "csv"],
+        ["count", "--target", "gi", "--m", "0", "--i", "2", "--shards", "2", "--shard-id", "1"],
+        ["fit-dim", "--in", str(recs), "--out", out],
+        ["density", "--M", "1", "--out", out, "--format", "csv"],
+        ["anfrs", "--a", "1"],
+        ["slice-audit", "--n", "3", "--partition", "2,1", "--kind", "M", "--samples", "5", "--out", out],
+        ["subreg", "--n", "3", "--M", "1", "--samples", "5"],
+        ["insep-probe", "--limit", "1", "--out", out],
+        ["hist-mult", "--M", "1"],
+        ["val-int", "--poly", "0,1", "--M", "1"],
+    ]
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "subcommand")
+    assert {argv[0] for argv in argvs} == set(subcommands)
+    for argv in argvs:
+        assert run(_Declared(build_parser().parse_args(argv))).passed(), argv
 
 
 def test_report_passed_semantics():

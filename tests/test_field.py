@@ -231,13 +231,13 @@ MODULUS_GRID = [(ell, k) for ell in range(2, 252) if field._is_prime(ell)
 
 
 @pytest.mark.parametrize("ell,k", MODULUS_GRID)
-def test_find_modulus_matches_unfiltered_search(ell, k, monkeypatch):
-    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+def test_find_modulus_matches_unfiltered_search(ell, k):
+    field._find_modulus.cache_clear()
     assert field._find_modulus(ell, k) == find_modulus_oracle(ell, k)
 
 
-def test_f2_16_modulus(monkeypatch):
-    monkeypatch.setattr(field, "_MODULUS_CACHE", {})
+def test_f2_16_modulus():
+    field._find_modulus.cache_clear()
     assert field_make(2, 16).modulus == F2_16_MODULUS
 
 
