@@ -30,7 +30,7 @@ gi indexes the characteristic polynomials x, each adding N(x)^i read from
 the one fiber table.  Shards run one after another in one process;
 separate processes, one per shard id, run nilcone and fiber shards in
 parallel.  A shard's checkpoint is one JSON line holding its latest state,
-replaced atomically after every chunk.
+replaced atomically after every chunk; chunks end on page boundaries.
 
 Pages, not chunks, are what runs: subtotal(lo, hi) reads slices of the
 BLOCK-aligned pages covering lo..hi-1 from two memos, _charpoly_page (m = 0
@@ -562,6 +562,10 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     latest state: the query, the shard, the next index and the subtotal.
     A chunk only sets where a checkpoint falls: it reads slices of the
     memoised pages (see the module docstring), evaluating no page twice.
+    A chunk spans at least ``chunk`` indices and ends on the next page
+    boundary (or at the shard's end): a resume re-evaluates the whole page
+    holding its start, so a checkpoint inside a page saves no work and
+    costs an fsync.
     """
     if not (0 <= shard_id < shards):
         raise ShardOutOfRange(f"shard {shard_id} outside [0, {shards})")
@@ -577,7 +581,7 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
     if checkpoint_path and os.path.exists(checkpoint_path):
         pos, subtotal = _read_checkpoint(checkpoint_path, query, shards, shard_id, lo, hi)
     while pos < hi:
-        end = min(pos + chunk, hi)
+        end = min(-(-(pos + chunk) // BLOCK) * BLOCK, hi)
         subtotal += subtotal_of(pos, end)
         pos = end
         if checkpoint_path:
@@ -615,16 +619,22 @@ def _read_checkpoint(path: str, query: CountQuery, shards: int, shard_id: int,
         if not lines:
             return lo, 0
         last = json.loads(lines[-1])
+        if not isinstance(last, dict):
+            raise CorruptCheckpoint(f"checkpoint {path} holds no JSON object")
         if (last.get("schema_version") != SCHEMA_VERSION
                 or last.get("query") != _query_sig(query)
                 or last.get("shards") != shards
                 or last.get("shard_id") != shard_id):
             raise CorruptCheckpoint(f"checkpoint {path} does not match this query/shard")
-        pos = int(last["next_index"])
-        subtotal = int(last["subtotal"])
+        pos, text = last["next_index"], last["subtotal"]
+        if type(pos) is not int:  # bool is an int subclass, so isinstance would pass True
+            raise CorruptCheckpoint(f"checkpoint position {pos!r} is not an integer")
         if not (lo <= pos <= hi):
             raise CorruptCheckpoint(f"checkpoint position {pos} outside shard range")
-        return pos, subtotal
+        # count_sharded writes str(subtotal) of a count, never negative
+        if not isinstance(text, str) or not text.isdigit() or str(int(text)) != text:
+            raise CorruptCheckpoint(f"checkpoint subtotal {text!r} is not a non-negative decimal")
+        return pos, int(text)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint {path}: {exc}") from exc
     except OSError as exc:

@@ -6,6 +6,7 @@ temp, rename) and byte-reproducible for identical inputs; wall time lives in
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -75,15 +76,20 @@ class Report:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path verbatim: temp file, fsync, rename."""
+    """Write text to path verbatim: temp file, fsync, rename.  On failure the
+    temp file is removed and path keeps its old content."""
+    tmp, created = path + ".tmp", False
     try:
-        tmp = path + ".tmp"
         with open(tmp, "w", newline="") as fh:
+            created = True
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
+        if created:  # a temp file that open refused is not ours to remove
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 

@@ -9,9 +9,10 @@ import pytest
 
 from chevalab import cli, counting, slices, subreg
 from chevalab.cli import build_parser, main, run
-from chevalab.counting import CountQuery, run_query
+from chevalab.counting import CountQuery, count_sharded, run_query
 from chevalab.field import field_make, trunc_make
-from chevalab.reporting import Report, emit, load_jsonl
+from chevalab.errors import IoError
+from chevalab.reporting import Report, atomic_write_text, emit, load_jsonl
 
 
 def _main_out(capsys, argv):
@@ -156,6 +157,31 @@ def test_checkpoint_write_failure_exit_2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot write")
+
+
+def test_failed_write_leaves_no_temp_file(capsys, tmp_path):
+    # the temp file is written, but renaming it over a directory fails
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["count", "--n", "2", "--ell", "2", "--m", "0", "--target", "nilcone", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(out.iterdir()) == []
+
+
+def test_failed_fsync_keeps_old_content(tmp_path, monkeypatch):
+    path = tmp_path / "ck"
+    path.write_text("old\n")
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(IoError, match="disk full"):
+        atomic_write_text(str(path), "new\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
 
 def test_checkpoint_directory_exit_2(capsys, tmp_path):
@@ -398,7 +424,7 @@ def test_missing_required_option_rejected(capsys, argv):
 
 @pytest.mark.parametrize("part", ["enum-scalar", "shard-checkpoint", "small-ring", "tiny"])
 def test_bench_job_argvs_parse(capsys, tmp_path, monkeypatch, part):
-    # every CLI job of the benchmark runs at seed 0 and passes the benchmark's own gate
+    # every job of the benchmark runs at seed 0 and passes the benchmark's own gate
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -406,10 +432,16 @@ def test_bench_job_argvs_parse(capsys, tmp_path, monkeypatch, part):
     spec.loader.exec_module(workloads)
     expected = workloads.load_expected()
     for job in workloads.build_part(part, 0, str(tmp_path)):
-        if not job.argv:  # the resume job calls count_sharded directly
-            continue
         job.part = part
-        result = {"rc": main(job.argv), "stdout": capsys.readouterr().out}
+        if job.is_resume:  # a count, then a resume from its checkpoint, as the benchmark runs them
+            p = job.params
+            query = CountQuery(p["n"], p["ell"], 1, p["m"], "fiber", x=tuple((c,) for c in p["x"]))
+            first, second = (count_sharded(query, p["shards"], p["shard_id"], p["checkpoint"],
+                                           chunk=p["chunk"]).count for _ in range(2))
+            with open(p["checkpoint"], "rb") as fh:
+                result = {"first": first, "second": second, "journal_lines": fh.read().count(b"\n")}
+        else:
+            result = {"rc": main(job.argv), "stdout": capsys.readouterr().out}
         assert workloads.check(job, result, 0, expected) == [], job.id
 
 

@@ -1,12 +1,14 @@
 import importlib
 import itertools
 import json
+import math
 import os
 import pkgutil
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chevalab
 from chevalab import counting
@@ -382,8 +384,8 @@ def _wrap_chunks(monkeypatch, before_chunk):
     monkeypatch.setattr(counting, "_target_space", wrapped)
 
 
-def _interrupted(monkeypatch, q, path, chunks_done, chunk=128, shards=4):
-    """Run shard 1 of shards, killing it when chunk number chunks_done + 1 starts."""
+def _interrupted(monkeypatch, q, path, chunks_done, chunk=128, shards=4, shard=1):
+    """Run shard of shards, killing it when chunk number chunks_done + 1 starts."""
     calls = []
 
     def count_or_kill(lo):
@@ -394,19 +396,31 @@ def _interrupted(monkeypatch, q, path, chunks_done, chunk=128, shards=4):
     with monkeypatch.context() as patched:
         _wrap_chunks(patched, count_or_kill)
         with pytest.raises(_Killed):
-            count_sharded(q, shards, 1, path, chunk=chunk)
+            count_sharded(q, shards, shard, path, chunk=chunk)
+
+
+def _chunk_ends(lo, hi, chunk):
+    """Where a shard lo..hi-1 checkpoints: e_(i+1) = min(hi, ceil((e_i + chunk) / BLOCK) BLOCK)."""
+    ends, e = [], lo
+    while e < hi:
+        e = min(hi, math.ceil((e + chunk) / counting.BLOCK) * counting.BLOCK)
+        ends.append(e)
+    return ends
 
 
 def test_checkpoint_journal_steps_by_chunk(tmp_path, monkeypatch):
+    # shard 1 of 2 (9842 indices) checkpoints 6 times at chunk 128, one of 4 only 3 times
     q = _fiber_query_n3()
-    full = count_sharded(q, 4, 1, chunk=128).count
-    lo, _ = _shard_range(3 ** 9, 4, 1)
+    full = count_sharded(q, 2, 1, chunk=128).count
+    lo, hi = _shard_range(3 ** 9, 2, 1)
+    ends = _chunk_ends(lo, hi, 128)
+    assert ends == [10240, 12288, 14336, 16384, 18432, hi]
     for k in (1, 3):
         path = str(tmp_path / f"steps{k}.jsonl")
-        _interrupted(monkeypatch, q, path, k)
+        _interrupted(monkeypatch, q, path, k, shards=2)
         (state,) = _checkpoint_lines(path)
-        assert state["next_index"] == lo + k * 128
-        assert count_sharded(q, 4, 1, path, chunk=128).count == full
+        assert state["next_index"] == ends[k - 1]
+        assert count_sharded(q, 2, 1, path, chunk=128).count == full
 
 
 def test_shard_out_of_range(tmp_path):
@@ -434,19 +448,19 @@ def test_checkpoint_resume(tmp_path):
 def test_checkpoint_resumes_multiline_journal(tmp_path, monkeypatch):
     # Older versions appended one state line per chunk; the last line counts.
     q = _fiber_query_n3()
-    full = count_sharded(q, 4, 1, chunk=128).count
+    full = count_sharded(q, 2, 1, chunk=128).count
     states = []
     for k in (1, 2, 3):
         path = tmp_path / f"part{k}.jsonl"
-        _interrupted(monkeypatch, q, str(path), k)
+        _interrupted(monkeypatch, q, str(path), k, shards=2)
         states.append(path.read_text())
     journal = tmp_path / "journal.jsonl"
     journal.write_text("".join(states))
     journal = str(journal)
     calls = []
     _wrap_chunks(monkeypatch, calls.append)
-    assert count_sharded(q, 4, 1, journal, chunk=128).count == full
-    assert calls[0] == _shard_range(3 ** 9, 4, 1)[0] + 3 * 128
+    assert count_sharded(q, 2, 1, journal, chunk=128).count == full
+    assert calls[0] == _chunk_ends(*_shard_range(3 ** 9, 2, 1), 128)[2]
     assert len(_checkpoint_lines(journal)) == 1
 
 
@@ -507,6 +521,34 @@ def test_gi_tuple_checkpoint_rejected(tmp_path):
 def test_chunk_below_one_rejected(chunk):
     with pytest.raises(BadConfig):
         count_sharded(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone"), 1, 0, chunk=chunk)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("subtotal", "-5"),  # once resumed shard 0 of 2 of the (3, 2, m = 0) nilcone to 27, not 32
+    ("subtotal", "+5"), ("subtotal", " 5"), ("subtotal", "05"), ("subtotal", "1_0"), ("subtotal", "0x5"),
+    ("subtotal", "\u0665"), ("subtotal", 5), ("subtotal", 5.0), ("subtotal", None),
+    ("next_index", 16.0), ("next_index", True), ("next_index", "16"),
+])
+def test_checkpoint_malformed_state_rejected(tmp_path, key, value):
+    q = CountQuery(n=3, ell=2, k=1, m=0, kind="nilcone")
+    path = tmp_path / "ck.jsonl"
+    count_sharded(q, 2, 0, str(path))
+    (state,) = _checkpoint_lines(path)
+    state.update(next_index=0, subtotal="0")
+    path.write_text(json.dumps(state) + "\n")
+    assert count_sharded(q, 2, 0, str(path)).count == 32
+    state[key] = value
+    path.write_text(json.dumps(state) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(q, 2, 0, str(path))
+
+
+@pytest.mark.parametrize("line", ["[]", '"32"', "32", "null"])
+def test_checkpoint_not_an_object_rejected(tmp_path, line):
+    path = tmp_path / "ck.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(CountQuery(n=3, ell=2, k=1, m=0, kind="nilcone"), 2, 0, str(path))
 
 
 def test_checkpoint_garbage_rejected(tmp_path):
@@ -664,7 +706,8 @@ def test_lift_shard_resumes(tmp_path, monkeypatch):
     _interrupted(monkeypatch, q, path, 3, chunk=1000, shards=2)
     (state,) = _checkpoint_lines(path)
     assert state["query"]["index"] == "lifting bases B"
-    assert state["next_index"] == 2 ** 14 + 3000
+    # each chunk of 1000 runs on to the end of its page of 2^11
+    assert state["next_index"] == 2 ** 14 + 3 * 2 ** 11 == _chunk_ends(2 ** 14, 2 ** 15, 1000)[2]
     assert count_sharded(q, 2, 1, path, chunk=1000).count == full
 
 
@@ -771,8 +814,7 @@ def test_checkpoints_under_pages(tmp_path, monkeypatch, chunk):
             lo, hi = _shard_range(total, shards, s)
             count, states = forward[s]
             assert count == expected[s]
-            assert len(states) == -(-(hi - lo) // chunk)
-            assert [j for j, _ in states] == [min(j, hi) for j in range(lo + chunk, hi + chunk, chunk)]
+            assert [j for j, _ in states] == _chunk_ends(lo, hi, chunk)
             assert all(sub == prefix[j] - prefix[lo] for j, sub in states)
             for j, sub in (states[0], states[-1]):
                 _clear_pages()
@@ -781,6 +823,63 @@ def test_checkpoints_under_pages(tmp_path, monkeypatch, chunk):
         assert _run_shards(monkeypatch, tmp_path, q, shards, reversed(range(shards)), chunk) == forward
         _clear_pages()
         assert _run_shards(monkeypatch, tmp_path, q, shards, range(shards), chunk) == forward
+
+
+def _record_pages(monkeypatch):
+    """The page numbers that the two page memos are asked for from now on."""
+    read = []
+    for name in ("_charpoly_page", "_lift_page"):
+        memo = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *args, memo=memo: read.append(args[-1]) or memo(*args))
+    return read
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lifted=st.booleans(), shard=st.integers(0, 1), chunk=st.integers(1, 3 * counting.BLOCK),
+       kill=st.integers(0, 15))
+def test_resume_after_kill_skips_finished_pages(tmp_path, monkeypatch, lifted, shard, chunk, kill):
+    # a kill at the start of any chunk resumes to the uninterrupted count, and the
+    # resumed run evaluates no page that the killed run had finished
+    q = CountQuery(3, 2, 1, 2, "nilcone") if lifted else _fiber_query_n3()
+    total, _ = counting._target_space(q.n, q.ctx(), q.kind, q.x)
+    lo, hi = _shard_range(total, 2, shard)
+    kill %= len(_chunk_ends(lo, hi, chunk))
+    full = count_sharded(q, 2, shard).count
+    path = tmp_path / "killed.jsonl"
+    path.unlink(missing_ok=True)
+    _clear_pages()
+    with monkeypatch.context() as patched:
+        finished = _record_pages(patched)
+        _interrupted(patched, q, str(path), kill, chunk=chunk, shards=2, shard=shard)
+    _clear_pages()
+    with monkeypatch.context() as patched:
+        resumed = _record_pages(patched)
+        assert count_sharded(q, 2, shard, str(path), chunk=chunk).count == full
+    assert set(finished).isdisjoint(resumed)
+    assert set(finished + resumed) == set(range(lo // counting.BLOCK, -(-hi // counting.BLOCK)))
+
+
+def test_bench_resume_pair_writes_three_checkpoints(tmp_path, monkeypatch):
+    # the benchmark's resume pair, shard 1 of 4 of the (3, 3, m = 0) fiber at chunk 128,
+    # spans 3 pages: it writes 3 checkpoints, where one per 128 indices wrote 39
+    written = []
+    monkeypatch.setattr(counting, "atomic_write_text", lambda path, text: written.append(text))
+    count_sharded(_fiber_query_n3(), 4, 1, str(tmp_path / "ck.jsonl"), chunk=128)
+    assert len(written) == 3
+
+
+@pytest.mark.parametrize("total,shards,shard", [(5 * 2 ** 16 + 12345, 1, 0), (3 * 2 ** 20, 3, 1)])
+def test_default_chunk_cadence_on_page_aligned_shards(tmp_path, monkeypatch, total, shards, shard):
+    # the CLI's chunk, 2^16, is a multiple of BLOCK: a shard that starts on a page
+    # boundary still checkpoints after every 2^16 indices and at its end
+    monkeypatch.setattr(counting, "_target_space", lambda *args: (total, lambda lo, hi: hi - lo))
+    written = []
+    monkeypatch.setattr(counting, "atomic_write_text", lambda path, text: written.append(json.loads(text)))
+    lo, hi = _shard_range(total, shards, shard)
+    assert lo % counting.BLOCK == 0
+    count_sharded(CountQuery(2, 2, 1, 0, "nilcone"), shards, shard, str(tmp_path / "ck.jsonl"))
+    assert [w["next_index"] for w in written] == list(range(lo + 2 ** 16, hi, 2 ** 16)) + [hi]
+    assert [int(w["subtotal"]) for w in written] == [j - lo for j in range(lo + 2 ** 16, hi, 2 ** 16)] + [hi - lo]
 
 
 def test_subtotal_windows_match_single_indices():
