@@ -8,11 +8,8 @@ statistics, all in exact arithmetic.
 from .counting import (CountQuery, CountRecord, count_gi_jets, count_jet_fiber,
                        count_nilcone_jets, count_sharded, fiber_table,
                        fit_dimension)
-from .field import (BOTTOM, FieldCtx, TruncCtx, enumerate_ring, field_make,
-                    trunc_make, ts_mul, ts_val)
-from .matrices import (CharCoeffs, JetMatrix, bracket_rank, charpoly,
-                       companion, is_nilpotent_jet, shift_scalar,
-                       shift_scalar_audit)
+from .field import BOTTOM, FieldCtx, TruncCtx, field_make, trunc_make
+from .matrices import CharCoeffs, JetMatrix, charpoly
 from .measure import (DensityProfile, anfrs_ratio, density_profile,
                       insep_probe, lt_norm, sup_density)
 from .slices import (Partition, SliceBasis, audit_equivariance,

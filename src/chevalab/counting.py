@@ -42,19 +42,19 @@ counts cut the index space, and under 2 BLOCK indices outside lo..hi-1.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
+import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch, IoError,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import FieldCtx, TruncCtx, field_make, ring_tables, trunc_make
+from .field import FieldCtx, TruncCtx, field_make, ring_neg, ring_tables, trunc_make
 from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
@@ -116,13 +116,6 @@ def _check_sweep(size: int, what: str, shardable: bool = False) -> None:
                        + ("; shard the run, one process per --shard-id" if shardable else ""))
 
 
-def enumerate_matrices(n: int, ctx: TruncCtx) -> Iterable[JetMatrix]:
-    """All matrices, entry (0,0) outermost, each entry in ring order."""
-    for flat in itertools.product(ctx.elements(), repeat=n * n):
-        rows = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        yield JetMatrix(ctx, n, rows)
-
-
 def matrix_from_index(n: int, ctx: TruncCtx, idx: int) -> JetMatrix:
     P = ctx.size
     cells = []
@@ -142,6 +135,16 @@ def _blocks(lo: int, hi: int, size: int = BLOCK) -> Iterator[np.ndarray]:
     """The indices lo..hi-1 as int64 arrays of at most size entries."""
     for start in range(lo, hi, size):
         yield np.arange(start, min(start + size, hi), dtype=np.int64)
+
+
+def _draws(seed: int, highs: Sequence[int], samples: int) -> Iterator[list]:
+    """samples points of random.Random(seed), digit d of each drawn from
+    range(highs[d]), in blocks of at most BLOCK points, each block a list of
+    one int64 array per digit."""
+    rng = random.Random(seed)
+    for start in range(0, samples, BLOCK):
+        block = [[rng.randrange(h) for h in highs] for _ in range(min(BLOCK, samples - start))]
+        yield list(np.array(block, dtype=np.int64).T)
 
 
 def _rows(n: int, cells: list) -> list:
@@ -270,7 +273,7 @@ def _n1_space(ctx: TruncCtx, kind: str, x=None):
     if kind == "nilcone":
         total, hit = ctx.field.q ** ctx.m, 0
     else:
-        total, hit = ctx.size, ctx.index(ctx.neg(_fiber_key(1, ctx, x)[0]))
+        total, hit = ctx.size, ring_neg(ctx, ctx.index(_fiber_key(1, ctx, x)[0]))
     return total, lambda lo, hi: int(lo <= hit < hi)
 
 
@@ -678,11 +681,12 @@ class DimFit:
 def expected_dimension_rate(n: int, target: dict) -> int:
     """Per-jet-order dimension growth: n^2 - n for nilcone/fiber targets,
     i(n^2 - n) + n for the i-fold fiber power."""
-    if target["kind"] in ("nilcone", "fiber"):
+    kind, i = target.get("kind"), target.get("i")
+    if kind in ("nilcone", "fiber"):
         return n * n - n
-    if target["kind"] == "gi":
-        return target["i"] * (n * n - n) + n
-    raise BadConfig(f"no expected dimension for target {target['kind']}")
+    if kind == "gi" and type(i) is int:
+        return i * (n * n - n) + n
+    raise BadConfig(f"no expected dimension for target {target}")
 
 
 def _log_q(count: int, q: int):
@@ -699,9 +703,9 @@ def fit_dimension(records: Sequence[CountRecord]) -> DimFit:
     if not records:
         raise InsufficientData("no records")
     head = records[0]
-    kind = head.target["kind"]
+    kind = head.target.get("kind")
     for r in records:
-        if (r.n, r.ell, r.target["kind"]) != (head.n, head.ell, kind):
+        if (r.n, r.ell, r.target.get("kind")) != (head.n, head.ell, kind):
             raise BadConfig("fit_dimension needs consistent (n, ell, target)")
     fit = DimFit(head.n, head.ell, kind)
     d_rate = expected_dimension_rate(head.n, head.target)

@@ -21,10 +21,6 @@ class CtxMismatch(ChevalabError):
     pass
 
 
-class SizeTooSmall(ChevalabError):
-    pass
-
-
 class InsufficientData(ChevalabError):
     pass
 

@@ -43,7 +43,6 @@ BOTTOM: Optional[int] = None
 
 MAX_Q = 1 << 16
 MAX_M = 31
-MAX_ENUM = 1 << 40
 MAX_ELL = 251
 MAX_K = 16
 
@@ -327,11 +326,6 @@ class TruncCtx:
             cs = cs[: self.m + 1]
         return cs + (0,) * (self.m + 1 - len(cs))
 
-    def t_power(self, j: int) -> tuple:
-        if j > self.m:
-            return self.zero
-        return (0,) * j + (1,) + (0,) * (self.m - j)
-
     def check(self, a: tuple) -> None:
         if len(a) != self.m + 1:
             raise CtxMismatch(f"series of length {len(a)} in ring with m={self.m}")
@@ -586,19 +580,3 @@ def ring_tables(ctx: TruncCtx) -> RingTables:
         arr.flags.writeable = False
     return tabs
 
-
-def ts_mul(ctx: TruncCtx, a: tuple, b: tuple) -> tuple:
-    ctx.check(a)
-    ctx.check(b)
-    return ctx.mul(a, b)
-
-
-def ts_val(ctx: TruncCtx, a: tuple) -> Optional[int]:
-    return ctx.val(a)
-
-
-def enumerate_ring(ctx: TruncCtx) -> Iterator[tuple]:
-    """All q^(m+1) series exactly once, lexicographic, t^0 coefficient outermost."""
-    if ctx.size > MAX_ENUM:
-        raise TooLarge(f"ring of size {ctx.size} exceeds the single-shard guard 2^40")
-    return ctx.elements()

@@ -1,6 +1,5 @@
-"""Matrices over R_m: division-free characteristic polynomials, companion
-matrices, scalar shifts, and the one elimination over F_ell with the ad-ranks
-built on it.
+"""Matrices over R_m: division-free characteristic polynomials, and the one
+elimination over F_ell with the ad-ranks built on it.
 
 The sign convention for the characteristic polynomial is fixed everywhere as
 
@@ -8,16 +7,23 @@ The sign convention for the characteristic polynomial is fixed everywhere as
 
 R_m has nilpotents, so all polynomial computations are division-free.  The
 characteristic polynomial is one Samuelson-Berkowitz body, ``_berkowitz``,
-written against the ring ops it is given, behind three adapters:
+written against the ring ops it is given, behind four adapters:
 
-* table gathers (``charpoly_batch``): ring-index arrays, one matrix per
-  element, over any R_m at three numpy calls per op.  Every base B of the
-  lift engine in ``counting`` and every sweep of ``slices`` and ``subreg``
-  runs in a batch;
+* table gathers (``charpoly_batch`` over ``table_ops``): ring-index arrays,
+  one matrix per element, over any R_m with dense tables
+  (``field.RING_TABLE_LIMIT``) at three numpy calls per op.  Every base B of
+  the lift engine in ``counting`` and every exhaustive sweep of ``slices``
+  and ``subreg`` runs in a batch;
 * int64 +, * and - (``charpoly_batch`` when ``_int64_exact``), reduced mod P
   once, when P is prime, i.e. the ring is F_ell with residues as indices,
   and (n+1)(n(P-1))^n < 2^63: n <= 5 at ell = 251, n <= 15 at ell = 2;
-* series arithmetic (``charpoly``), one ``JetMatrix`` at a time.
+* the table-free ring ops (``charpoly_ring`` over ``ring_ops``):
+  ``field.ring_add``, ``ring_mul`` and ``ring_neg`` on ring-index arrays,
+  for any ring whose indices fit int64.  The sampled audits of ``slices``
+  and ``subreg`` run their batches of R_1 points this way, past the tables;
+* series arithmetic (``charpoly``), one ``JetMatrix`` at a time in
+  ``TruncCtx`` arithmetic.  No program path runs it: it stays for the
+  benchmark's per-matrix probe and for the oracles and property tests.
 
 The int64 path is exact: with entries in [0, B], B = P - 1, step i of
 ``_berkowitz`` (leading i x i block A_i, i < n) has |A_i^j col| <= (iB)^j B
@@ -33,14 +39,15 @@ F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import CtxMismatch, SizeTooSmall
-from .field import FieldCtx, RingTables, TruncCtx, _is_prime, _structure_constants, trunc_make
+from .field import (FieldCtx, RingTables, TruncCtx, _is_prime, _structure_constants, ring_add,
+                    ring_mul, ring_neg, trunc_make)
 
 
 @dataclass(frozen=True)
@@ -49,80 +56,12 @@ class JetMatrix:
     n: int
     entries: tuple  # n tuples of n series, row-major
 
-    def entry(self, i: int, j: int) -> tuple:
-        return self.entries[i][j]
-
-    def add(self, other: "JetMatrix") -> "JetMatrix":
-        _same_ctx(self, other)
-        ctx = self.ctx
-        rows = tuple(
-            tuple(ctx.add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return JetMatrix(ctx, self.n, rows)
-
-    def matmul(self, other: "JetMatrix") -> "JetMatrix":
-        _same_ctx(self, other)
-        ctx, n = self.ctx, self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ctx.zero
-                for l in range(n):
-                    acc = ctx.add(acc, ctx.mul(self.entries[i][l], other.entries[l][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return JetMatrix(ctx, n, tuple(rows))
-
-    def scale(self, c: int) -> "JetMatrix":
-        ctx = self.ctx
-        rows = tuple(tuple(ctx.smul(c, e) for e in row) for row in self.entries)
-        return JetMatrix(ctx, self.n, rows)
-
 
 @dataclass(frozen=True)
 class CharCoeffs:
     ctx: TruncCtx
     n: int
     c: tuple  # (c_1, ..., c_n), each a series
-
-    def is_zero(self) -> bool:
-        return all(ci == self.ctx.zero for ci in self.c)
-
-
-def _same_ctx(a, b) -> None:
-    if a.ctx.key() != b.ctx.key():
-        raise CtxMismatch(f"{a.ctx} vs {b.ctx}")
-
-
-def mat_make(ctx: TruncCtx, rows: Sequence[Sequence]) -> JetMatrix:
-    n = len(rows)
-    ent = []
-    for row in rows:
-        if len(row) != n:
-            raise CtxMismatch("matrix must be square")
-        r = []
-        for e in row:
-            ctx.check(e)
-            r.append(tuple(e))
-        ent.append(tuple(r))
-    return JetMatrix(ctx, n, tuple(ent))
-
-
-def mat_zero(ctx: TruncCtx, n: int) -> JetMatrix:
-    return JetMatrix(ctx, n, tuple(tuple(ctx.zero for _ in range(n)) for _ in range(n)))
-
-
-def mat_scalar(ctx: TruncCtx, n: int, z: tuple) -> JetMatrix:
-    rows = [[ctx.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = z
-    return JetMatrix(ctx, n, tuple(tuple(r) for r in rows))
-
-
-def mat_identity(ctx: TruncCtx, n: int) -> JetMatrix:
-    return mat_scalar(ctx, n, ctx.one)
 
 
 def _berkowitz(n: int, add, mul, neg, e) -> list:
@@ -166,6 +105,23 @@ def _int64_exact(n: int, P: int) -> bool:
     return _is_prime(P) and (n + 1) * (n * (P - 1)) ** n < 2 ** 63
 
 
+def table_ops(tabs: RingTables) -> tuple:
+    """(add, mul, neg) on ring indices, gathered from the dense tables ``tabs``."""
+    P, add, mul, neg = tabs
+    return lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y], neg.__getitem__
+
+
+def ring_ops(ctx: TruncCtx) -> tuple:
+    """(add, mul, neg) on the ring indices of ``ctx`` with no table:
+    ``field.ring_add``, ``ring_mul`` and ``ring_neg``."""
+    return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
+
+
+def _broadcast(coeffs: list, entries) -> List[np.ndarray]:
+    shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
+    return [np.broadcast_to(c, shape) for c in coeffs]
+
+
 def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
     """Samuelson-Berkowitz on ring indices, elementwise across a batch: the
     body of ``charpoly`` on int64 residues or table gathers (module docstring).
@@ -175,73 +131,18 @@ def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
     ``[c_1, ..., c_n]`` as ring-index arrays of the broadcast shape, the
     same coefficients as ``charpoly`` on each matrix.
     """
-    P, add, mul, neg = tabs
+    P = tabs.P
     if _int64_exact(n, P):
         coeffs = [c % P for c in _berkowitz(n, operator.add, operator.mul, operator.neg, entries)]
     else:
-        coeffs = _berkowitz(n, lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y],
-                            neg.__getitem__, entries)
-    shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
-    return [np.broadcast_to(c, shape) for c in coeffs]
+        coeffs = _berkowitz(n, *table_ops(tabs), entries)
+    return _broadcast(coeffs, entries)
 
 
-def is_nilpotent_jet(A: JetMatrix) -> bool:
-    """Scheme-theoretic test: all characteristic coefficients vanish in R_m."""
-    return charpoly(A).is_zero()
-
-
-def companion(f: CharCoeffs, alpha: Optional[tuple] = None) -> JetMatrix:
-    """Companion matrix with coefficients down the first column and ones on
-    the superdiagonal; with alpha, the (n-1, n) superdiagonal entry becomes
-    alpha instead of 1 (the one-parameter deformation of the slice)."""
-    ctx, n = f.ctx, f.n
-    if alpha is not None and n < 2:
-        raise SizeTooSmall("alpha deformation needs n >= 2")
-    rows = [[ctx.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][0] = ctx.neg(f.c[i])
-    for i in range(n - 1):
-        rows[i][i + 1] = ctx.one
-    if alpha is not None:
-        ctx.check(alpha)
-        rows[n - 2][n - 1] = alpha
-    return JetMatrix(ctx, n, tuple(tuple(r) for r in rows))
-
-
-def shift_scalar(A: JetMatrix, z: tuple) -> JetMatrix:
-    """A + zI."""
-    A.ctx.check(z)
-    return A.add(mat_scalar(A.ctx, A.n, z))
-
-
-def charpoly_shift(f: CharCoeffs, z: tuple) -> CharCoeffs:
-    """Coefficients of f(lambda - z), i.e. the char poly after adding zI:
-    a Horner Taylor shift of [1, c_1, ..., c_n] by -z in series arithmetic."""
-    ctx, n = f.ctx, f.n
-    a, s = [ctx.one, *f.c], ctx.neg(z)
-    for i in range(n):
-        for j in range(1, n - i + 1):
-            a[j] = ctx.add(a[j], ctx.mul(s, a[j - 1]))
-    return CharCoeffs(ctx, n, tuple(a[1:]))
-
-
-def shift_scalar_audit(A: JetMatrix, z: tuple) -> bool:
-    """Check charpoly(A + zI)(lambda) = charpoly(A)(lambda - z) coefficientwise."""
-    lhs = charpoly(shift_scalar(A, z))
-    rhs = charpoly_shift(charpoly(A), z)
-    return lhs.c == rhs.c
-
-
-def scale_coeffs(f: CharCoeffs, lam: int) -> CharCoeffs:
-    """The weight-(1,...,n) scaling action: c_i -> lam^i c_i."""
-    ctx = f.ctx
-    field = ctx.field
-    out = []
-    p = 1
-    for ci in f.c:
-        p = field.mul(p, lam)
-        out.append(ctx.smul(p, ci))
-    return CharCoeffs(ctx, f.n, tuple(out))
+def charpoly_ring(n: int, ctx: TruncCtx, entries) -> List[np.ndarray]:
+    """``charpoly_batch`` with no table: the same body over ``ring_ops(ctx)``,
+    for rings past ``field.RING_TABLE_LIMIT``, such as R_1 of F_37."""
+    return _broadcast(_berkowitz(n, *ring_ops(ctx), entries), entries)
 
 
 # --- linear algebra over F_ell ---
@@ -302,10 +203,3 @@ def ad_ranks(y: np.ndarray, field: FieldCtx) -> np.ndarray:
     field codes, from one row_echelon of ad_digits."""
     return row_echelon(ad_digits(y, field), field.ell)[0] // field.k
 
-
-def bracket_rank(x: JetMatrix) -> int:
-    """Rank of ad_x : gl_n(F_q) -> gl_n(F_q); requires m = 0."""
-    if x.ctx.m != 0:
-        raise CtxMismatch("ad_x is taken at jet order m = 0")
-    y = np.array([[e[0] for e in row] for row in x.entries], dtype=np.int64)
-    return int(ad_ranks(y[:, :, None], x.ctx.field)[0])

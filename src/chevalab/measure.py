@@ -123,7 +123,7 @@ def insep_probe(field: FieldCtx, limit: int = 3) -> List[InsepTracePoint]:
     out = []
     for M in range(1, limit + 1):
         ctx = trunc_make(field, M - 1)
-        x = (ctx.zero, ctx.t_power(1))
+        x = (ctx.zero, ctx.make((0, 1)))
         count = count_jet_fiber(n, ctx, x)
         out.append(InsepTracePoint(M, x, count, Fraction(count, field.q ** (M * (n * n - n)))))
     return out

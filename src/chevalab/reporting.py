@@ -40,14 +40,24 @@ class CountRecord:
 
     @staticmethod
     def from_json(line: str) -> "CountRecord":
+        """The record of a line as ``to_json`` writes it; BadConfig for any other line."""
         try:
             d = json.loads(line)
-            if "schema_version" not in d:
-                raise BadConfig("record missing schema_version")
-            d["count"] = int(d["count"])
+            if not isinstance(d, dict):
+                raise BadConfig("not a JSON object")
             d.pop("elapsed_ms", None)  # wall time that older records carried
-            return CountRecord(**d)
-        except (ValueError, TypeError, KeyError) as exc:  # ValueError covers bad JSON
+            count = d["count"]
+            if not (isinstance(count, str) and count.isascii() and count.isdigit()
+                    and str(int(count)) == count):
+                raise BadConfig(f"count {count!r} is not a non-negative decimal string")
+            for key in ("n", "ell", "k", "m", "shards", "shard_id"):
+                # bool is an int subclass, so isinstance would pass True; shard_id may be null
+                if key in d and type(d[key]) is not int and (key != "shard_id" or d[key] is not None):
+                    raise BadConfig(f"{key} {d[key]!r} is not an integer")
+            if not isinstance(d.get("target"), dict):
+                raise BadConfig(f"target {d.get('target')!r} is not an object")
+            return CountRecord(**(d | {"count": int(count)}))  # TypeError: a missing or unknown key
+        except (BadConfig, ValueError, TypeError, KeyError) as exc:
             raise BadConfig(f"malformed count record: {exc}") from exc
 
 
@@ -99,8 +109,10 @@ def emit_jsonl(records: Sequence[CountRecord], path: str) -> None:
 
 def load_jsonl(path: str) -> List[CountRecord]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return [CountRecord.from_json(line) for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise BadConfig(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 

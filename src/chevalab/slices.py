@@ -5,21 +5,27 @@ properties (transversality, equivariance, orbit jumps, weight thresholds).
 Weight convention: the torus acts by lambda * A = lambda . t(lambda) A
 t(lambda)^{-1} with t(lambda) = diag(1, lambda, ..., lambda^{n_i - 1}) per
 Jordan block, which gives the column-1 entry at in-block row r weight r.
+
+The audits build their points as ring-index arrays (``_slice_entries``) and
+run them in blocks of at most ``counting.BLOCK``.  Equivariance sweeps
+every point at m = 0 on the ring tables while the sweep fits its limit,
+and past it samples seeded points at m = 1, R_1 ring indices on the
+table-free ring ops; one body serves both branches.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .counting import BLOCK, _blocks, _digits
+from .counting import BLOCK, _blocks, _digits, _draws
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
-from .field import FieldCtx, RingTables, TruncCtx, ring_tables, trunc_make
-from .matrices import (JetMatrix, ad_digits, ad_ranks, bracket_rank, charpoly,
-                       charpoly_batch, row_echelon, scale_coeffs)
+from .field import FieldCtx, ring_tables, trunc_make
+from .matrices import (JetMatrix, ad_digits, ad_ranks, charpoly_batch, charpoly_ring, ring_ops,
+                       row_echelon, table_ops)
 
 EQUIVARIANCE_EXHAUSTIVE_LIMIT = 1 << 20  # (q-1) q^dim points and weights lambda
 ORBIT_JUMP_GUARD = 1 << 24  # q^dim slice points
@@ -106,17 +112,19 @@ class SliceBasis:
         return out
 
 
+def _jordan_codes(partition: Partition) -> np.ndarray:
+    """The field codes (n, n) of the Jordan nilpotent: ones on the superdiagonal
+    inside each block, blocks in order."""
+    x = np.eye(partition.n, k=1, dtype=np.int64)
+    ends = np.cumsum(partition.parts)[:-1]  # the first row of every block but the first
+    x[ends - 1, ends] = 0
+    return x
+
+
 def jordan_matrix(partition: Partition, field: FieldCtx) -> JetMatrix:
     """Block-diagonal nilpotent in Jordan form at m = 0, blocks in order."""
-    ctx = trunc_make(field, 0)
-    n = partition.n
-    rows = [[ctx.zero] * n for _ in range(n)]
-    offset = 0
-    for p in partition.parts:
-        for r in range(p - 1):
-            rows[offset + r][offset + r + 1] = ctx.one
-        offset += p
-    return JetMatrix(ctx, n, tuple(tuple(r) for r in rows))
+    rows = _jordan_codes(partition).tolist()
+    return JetMatrix(trunc_make(field, 0), partition.n, tuple(tuple((c,) for c in row) for row in rows))
 
 
 def slice_basis(partition: Partition, kind: str = "L") -> SliceBasis:
@@ -210,37 +218,28 @@ def subregular_threshold(partition: Partition) -> Dict[str, bool]:
 
 
 # --------------------------------------------------------------------------
-# slice points
-# --------------------------------------------------------------------------
-
-def slice_point(basis: SliceBasis, field: FieldCtx, coords, m: int = 0,
-                z: Optional[tuple] = None) -> JetMatrix:
-    """x + sum coords[e] * E_e (+ z*I for kind M), over R_m."""
-    ctx = trunc_make(field, m)
-    n = basis.n
-    x = jordan_matrix(basis.partition, field)
-    rows = [[ctx.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = ctx.make(x.entries[i][j])
-    for e, c in zip(basis.entries, coords):
-        rows[e.row][e.col] = ctx.add(rows[e.row][e.col], c)
-    if basis.has_center and z is not None:
-        for i in range(n):
-            rows[i][i] = ctx.add(rows[i][i], z)
-    return JetMatrix(ctx, n, tuple(tuple(r) for r in rows))
-
-
-def _scaled_coords(basis: SliceBasis, field: FieldCtx, ctx: TruncCtx, coords, lam: int):
-    out = []
-    for e, c in zip(basis.entries, coords):
-        out.append(ctx.smul(field.pow(lam, e.exponent), c))
-    return out
-
-
-# --------------------------------------------------------------------------
 # audits
 # --------------------------------------------------------------------------
+
+def _slice_entries(basis: SliceBasis, ops, one: int, coords: list, lam) -> list:
+    """Entry arrays of the slice points lam * (x + sum coords[e] E_e (+ zI)) over the
+    ring whose (add, mul, neg) on ring indices are ``ops`` and whose 1 has index
+    ``one``: coordinate e scaled by lam^(its weight), the kind-M center z (last)
+    by lam.  lam is the ring index of a unit of F_q, an int or an array
+    broadcasting against coords; lam = one leaves the points unscaled."""
+    add, mul, _ = ops
+    powers = [one]
+    for _ in range(max(basis.exponents())):
+        powers.append(mul(powers[-1], lam))
+    ent = (_jordan_codes(basis.partition) * one).tolist()
+    for c, e in zip(coords, basis.entries):
+        ent[e.row][e.col] = add(ent[e.row][e.col], mul(c, powers[e.exponent]))
+    if basis.has_center:
+        z = mul(coords[-1], powers[1])
+        for i in range(basis.n):
+            ent[i][i] = add(ent[i][i], z)
+    return ent
+
 
 def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
     """span([gl_n, x]) + L_x = gl_n over F_q, by ranks at m = 0.
@@ -251,8 +250,7 @@ def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
     the second rank is n^2 k, and it is direct when rank ad_x + dim = n^2."""
     basis = slice_basis(partition, "L")
     n, k = partition.n, field.k
-    x = np.array([[e[0] for e in row] for row in jordan_matrix(partition, field).entries])
-    ad = ad_digits(x[:, :, None], field)[:, :, 0]
+    ad = ad_digits(_jordan_codes(partition)[:, :, None], field)[:, :, 0]
     slice_rows = np.eye(n * n * k, dtype=np.int64)[
         [(e.row * n + e.col) * k + f for e in basis.entries for f in range(k)]]
     gens = np.stack([np.concatenate([ad, 0 * slice_rows]), np.concatenate([ad, slice_rows])], axis=2)
@@ -265,66 +263,35 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     """charpoly(lambda * (x + A)) = lambda . charpoly(x + A), with lambda
     acting on coefficients by weights (1, ..., n).
 
-    Exhaustive at m=0 through charpoly_batch when the sweep fits the limit,
-    else seeded samples with series coordinates at m = 1.
-    """
+    Exhaustive at m = 0 on the ring tables (``charpoly_batch``) while the
+    (q-1) q^dim pairs of a point and a lambda fit the limit; else ``samples``
+    seeded R_1 points, one random lambda each, on the table-free ring ops
+    (``charpoly_ring``), so every q <= 2^16 runs; BLOCK points at a time."""
     if samples < 1:
         raise BadConfig(f"samples={samples}: need at least 1 sample")
     basis = slice_basis(partition, kind)
-    if (field.q - 1) * field.q ** basis.dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
-        return _equivariance_exhaustive_np(basis, field)
-    return _equivariance_sampled(basis, field, samples, seed)
-
-
-def _equivariance_sampled(basis: SliceBasis, field: FieldCtx,
-                          samples: int, seed: int) -> bool:
-    rng = random.Random(seed)
-    ctx = trunc_make(field, 1)
-    for _ in range(samples):
-        coords = [ctx.make([rng.randrange(field.q), rng.randrange(field.q)])
-                  for _ in basis.entries]
-        z = (ctx.make([rng.randrange(field.q), rng.randrange(field.q)])
-             if basis.has_center else None)
-        lam = rng.randrange(1, field.q)
-        A = slice_point(basis, field, coords, 1, z)
-        sc = _scaled_coords(basis, field, ctx, coords, lam)
-        sz = ctx.smul(lam, z) if z is not None else None
-        As = slice_point(basis, field, sc, 1, sz)
-        if charpoly(As).c != scale_coeffs(charpoly(A), lam).c:
-            return False
-    return True
-
-
-def _slice_entries(basis: SliceBasis, field: FieldCtx, tabs: RingTables,
-                   coords: list, lam: int = 1) -> list:
-    """Entry arrays of the m = 0 slice points lam * (x + sum coords[e] E_e (+ zI)):
-    coordinate e scaled by lam^(its weight), the kind-M center z (last) by lam."""
-    P, add, mul, _ = tabs
-    n = basis.n
-    ent = [[e[0] for e in row] for row in jordan_matrix(basis.partition, field).entries]
-    for c, e in zip(coords, basis.entries):
-        c = mul[c * P + field.pow(lam, e.exponent)]
-        ent[e.row][e.col] = add[ent[e.row][e.col] * P + c]
-    if basis.has_center:
-        z = mul[coords[-1] * P + lam]
-        for i in range(n):
-            ent[i][i] = add[ent[i][i] * P + z]
-    return ent
-
-
-def _equivariance_exhaustive_np(basis: SliceBasis, field: FieldCtx) -> bool:
-    """Vectorized m=0 exhaustive sweep through charpoly_batch."""
-    P, _, mul, _ = tabs = ring_tables(trunc_make(field, 0))
-    n = basis.n
-    coords = _digits(P, basis.dim, np.arange(P ** basis.dim, dtype=np.int64))
-    base_cp = charpoly_batch(n, tabs, _slice_entries(basis, field, tabs, coords))
-    for lam in range(1, P):
-        cp = charpoly_batch(n, tabs, _slice_entries(basis, field, tabs, coords, lam))
-        w = 1
-        for i in range(n):
-            w = field.mul(w, lam)
-            if not np.array_equal(cp[i], mul[base_cp[i] * P + w]):
-                return False
+    n, q, dim = basis.n, field.q, basis.dim
+    if (q - 1) * q ** dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
+        ctx = trunc_make(field, 0)
+        tabs = ring_tables(ctx)
+        ops, charpolys = table_ops(tabs), functools.partial(charpoly_batch, n, tabs)
+        points = ((_digits(q, dim, idx), range(1, q)) for idx in _blocks(0, q ** dim))
+    else:
+        ctx = trunc_make(field, 1)
+        ops, charpolys = ring_ops(ctx), functools.partial(charpoly_ring, n, ctx)
+        points = ((coords, [lam + 1]) for *coords, lam in
+                  _draws(seed, [ctx.size] * dim + [q - 1], samples))
+    one, mul = ctx.index(ctx.one), ops[1]
+    for coords, lams in points:
+        base = charpolys(_slice_entries(basis, ops, one, coords, one))
+        for lam in lams:
+            lam = lam * one
+            scaled = charpolys(_slice_entries(basis, ops, one, coords, lam))
+            w = one
+            for got, c in zip(scaled, base):
+                w = mul(w, lam)
+                if not np.array_equal(got, mul(c, w)):
+                    return False
     return True
 
 
@@ -337,10 +304,10 @@ def audit_orbit_jump(partition: Partition, field: FieldCtx) -> bool:
     if q ** dim > ORBIT_JUMP_GUARD:
         raise TooLarge("orbit-jump sweep exceeds the q^dim guard")
     tabs = ring_tables(trunc_make(field, 0))  # TooLarge past RING_TABLE_LIMIT
-    rx = bracket_rank(jordan_matrix(partition, field))
+    rx = ad_ranks(_jordan_codes(partition)[:, :, None], field)[0]
     block = min(BLOCK, max(1, AD_BATCH // (n * n * field.k) ** 2))
     for idx in _blocks(1, q ** dim, block):  # index 0 is l = 0
-        entries = _slice_entries(basis, field, tabs, _digits(q, dim, idx))
+        entries = _slice_entries(basis, table_ops(tabs), 1, _digits(q, dim, idx), 1)
         nil = np.logical_and.reduce([c == 0 for c in charpoly_batch(n, tabs, entries)])
         if nil.any():
             y = np.array([[np.broadcast_to(e, nil.shape)[nil] for e in row] for row in entries])

@@ -6,7 +6,10 @@ truncated value because capping only lowers the integral.
 
 Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
 the density's analytic path uses the ring tables alone, so its two paths stay
-independent.  The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
+independent.  Past its exhaustive limit the m = 1 identity check samples
+seeded points of R_1 ring indices, batched in blocks of at most
+``counting.BLOCK`` on the table-free ring ops; one body serves both branches.
+The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
 run ``field.ring_mul`` on blocks of ring indices, which builds only its
 small packed layout and unpack tables per ring, never the dense ring
 tables.  The histogram multiplies each unordered pair of the P ring
@@ -23,17 +26,18 @@ dual-path comparison run on the arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
 
 import numpy as np
 
-from .counting import _blocks, _charpoly_keys, _digits
+from .counting import _blocks, _charpoly_keys, _digits, _draws
 from .errors import BadConfig, LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
-from .field import (FieldCtx, RingTables, TruncCtx, _row_blocks, ring_add, ring_mul,
-                    ring_tables, ring_val, trunc_make)
-from .matrices import CharCoeffs, charpoly, charpoly_batch, companion
+from .field import (FieldCtx, TruncCtx, _row_blocks, ring_add, ring_mul, ring_tables, ring_val,
+                    trunc_make)
+from .matrices import CharCoeffs, charpoly_batch, charpoly_ring, ring_ops, table_ops
 
 HIST_GUARD = 1 << 34
 VAL_GUARD = 1 << 24
@@ -182,11 +186,11 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
         raise TooLarge("subregular slice sweep exceeds its guard")
     ctx = trunc_make(field, M - 1)
     P, add, mul, _ = tabs = ring_tables(ctx)
-    one = ctx.index(ctx.one)
+    ops, one = table_ops(tabs), ctx.index(ctx.one)
     direct = np.zeros(P ** n, dtype=np.int64)
     for idx in _blocks(0, P ** (n + 2)):
         *f, alpha, z = _digits(P, n + 2, idx)
-        keys = _charpoly_keys(n, ctx, _companion_entries(n, tabs, one, f, alpha, z))
+        keys = _charpoly_keys(n, ctx, _companion_entries(n, ops, one, f, alpha, z))
         direct += np.bincount(keys, minlength=P ** n)
     fiber = np.array([mult_fiber_count(w, ctx) for w in ctx.elements()])  # by ring index
     zs = np.arange(P)
@@ -199,14 +203,16 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     return SubregDensity(n, field, M, direct, analytic)
 
 
-def _companion_entries(n: int, tabs: RingTables, one: int, f, alpha, z=0) -> list:
-    """Entry arrays of companion(f, alpha) + zI: -f_i down the first column,
-    ones on the superdiagonal but alpha at (n-2, n-1), z added on the diagonal."""
-    P, add, _, neg = tabs
+def _companion_entries(n: int, ops, one: int, f, alpha, z=0) -> list:
+    """Entry arrays of c(f) + (alpha - 1) e_{n-1,n} + zI over the ring whose (add,
+    mul, neg) on ring indices are ``ops`` and whose 1 has index ``one``: -f_i down
+    the first column, ones on the superdiagonal but alpha at (n-2, n-1), z
+    added on the diagonal."""
+    add, _, neg = ops
     e = [[0] * n for _ in range(n)]
     for i in range(n):
-        e[i][0] = neg[f[i]]
-        e[i][i] = add[e[i][i] * P + z]
+        e[i][0] = neg(f[i])
+        e[i][i] = add(e[i][i], z)
         if i < n - 1:
             e[i][i + 1] = alpha if i == n - 2 else one
     return e
@@ -215,32 +221,28 @@ def _companion_entries(n: int, tabs: RingTables, one: int, f, alpha, z=0) -> lis
 def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 0) -> bool:
     """charpoly(c(f) + (alpha-1) e_{n-1,n}) = f - f(0) + alpha * f(0).
 
-    Exhaustive at m = 0 through charpoly_batch when the q^(n+1) points fit
-    M1_EXHAUSTIVE_LIMIT, else seeded samples with series coordinates at m = 1.
-    """
-    import random
-
+    Exhaustive at m = 0 on the ring tables (``charpoly_batch``) while the
+    q^(n+1) points (f, alpha) fit M1_EXHAUSTIVE_LIMIT; else ``samples`` seeded
+    points of R_1 ring indices on the table-free ring ops (``charpoly_ring``),
+    batched in blocks of at most BLOCK like the exhaustive points."""
     if n < 2:
         raise TooLarge("identity needs n >= 2")
     if samples < 1:
         raise BadConfig(f"samples={samples}: need at least 1 sample")
     q = field.q
     if q ** (n + 1) <= M1_EXHAUSTIVE_LIMIT:
-        tabs = ring_tables(trunc_make(field, 0))
-        for idx in _blocks(0, q ** (n + 1)):
-            *f, alpha = _digits(q, n + 1, idx)
-            got = charpoly_batch(n, tabs, _companion_entries(n, tabs, 1, f, alpha))
-            # f - f(0) + alpha*f(0): only the constant coefficient changes
-            expect = f[:-1] + [tabs.mul[alpha * q + f[-1]]]
-            if not all(np.array_equal(g, e) for g, e in zip(got, expect)):
-                return False
-        return True
-    rng = random.Random(seed)
-    ctx = trunc_make(field, 1)
-    for _ in range(samples):
-        f = CharCoeffs(ctx, n, tuple(ctx.make([rng.randrange(q), rng.randrange(q)])
-                                     for _ in range(n)))
-        alpha = ctx.make([rng.randrange(q), rng.randrange(q)])
-        if charpoly(companion(f, alpha)).c != f.c[:-1] + (ctx.mul(alpha, f.c[-1]),):
+        ctx = trunc_make(field, 0)
+        tabs = ring_tables(ctx)
+        ops, charpolys = table_ops(tabs), functools.partial(charpoly_batch, n, tabs)
+        points = (_digits(q, n + 1, idx) for idx in _blocks(0, q ** (n + 1)))
+    else:
+        ctx = trunc_make(field, 1)
+        ops, charpolys = ring_ops(ctx), functools.partial(charpoly_ring, n, ctx)
+        points = _draws(seed, [ctx.size] * (n + 1), samples)
+    one, mul = ctx.index(ctx.one), ops[1]
+    for *f, alpha in points:
+        got = charpolys(_companion_entries(n, ops, one, f, alpha))
+        # f - f(0) + alpha*f(0): only the constant coefficient changes
+        if not all(np.array_equal(g, e) for g, e in zip(got, f[:-1] + [mul(alpha, f[-1])])):
             return False
     return True

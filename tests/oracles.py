@@ -8,7 +8,12 @@ is the independent reference for both ``charpoly`` and ``charpoly_batch``.
 The scalar slice-layer sweeps run one point at a time through the package's
 scalar ``charpoly``, which shares its Samuelson-Berkowitz body with
 ``charpoly_batch``; what they check independently of the batched sweeps is
-how the slice and companion entries are built.  The batched
+how the slice and companion entries are built.  The series builders they
+and the property tests use live here, written on ``TruncCtx`` arithmetic,
+because the package builds its matrices only as ring-index arrays:
+``mat_make``, ``matmul``, ``shift_scalar`` (A + zI), ``companion``,
+``scale_coeffs``, ``charpoly_shift``, ``slice_point`` and ``scaled_coords``
+moved in from ``matrices`` and ``slices``.  The batched
 block sweep (``sweep_count_oracle``, ``sweep_counts_oracle``) runs every
 matrix of a count through ``charpoly_batch`` and is the reference for the
 lift engine of ``counting``; the n = 1 closed form is held to
@@ -35,9 +40,83 @@ import numpy as np
 from chevalab.counting import (_blocks, _charpoly_keys, _decode_key, _encode_key, _fiber_key,
                                _fiber_bases, _full_entries, _jet_entries, matrix_space_size)
 from chevalab.field import TruncCtx, is_irreducible, trunc_make
-from chevalab.matrices import CharCoeffs, charpoly, companion, scale_coeffs, shift_scalar
-from chevalab.slices import _scaled_coords, jordan_matrix, slice_basis, slice_point
+from chevalab.matrices import CharCoeffs, JetMatrix, charpoly
+from chevalab.slices import jordan_matrix, slice_basis
 from chevalab.subreg import ValHistogram, mult_fiber_count
+
+
+# --------------------------------------------------------------------------
+# scalar builders in TruncCtx series arithmetic, one JetMatrix at a time;
+# the package builds the same matrices as ring-index arrays
+# --------------------------------------------------------------------------
+
+def mat_make(ctx: TruncCtx, rows) -> JetMatrix:
+    """The JetMatrix of an n x n list of series."""
+    for row in rows:
+        assert len(row) == len(rows)
+        for e in row:
+            ctx.check(e)
+    return JetMatrix(ctx, len(rows), tuple(tuple(tuple(e) for e in row) for row in rows))
+
+
+def matmul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
+    ctx, n = a.ctx, a.n
+    return mat_make(ctx, [[functools.reduce(ctx.add, (ctx.mul(a.entries[i][l], b.entries[l][j])
+                                                      for l in range(n)))
+                           for j in range(n)] for i in range(n)])
+
+
+def shift_scalar(a: JetMatrix, z) -> JetMatrix:
+    """A + zI."""
+    ctx = a.ctx
+    return mat_make(ctx, [[ctx.add(e, z) if i == j else e for j, e in enumerate(row)]
+                          for i, row in enumerate(a.entries)])
+
+
+def companion(f: CharCoeffs, alpha=None) -> JetMatrix:
+    """Coefficients -c_i down the first column and ones on the superdiagonal;
+    with alpha, the (n-1, n) superdiagonal entry is alpha instead of 1."""
+    ctx, n = f.ctx, f.n
+    rows = [[ctx.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][0] = ctx.neg(f.c[i])
+        if i < n - 1:
+            rows[i][i + 1] = ctx.one
+    if alpha is not None:
+        rows[n - 2][n - 1] = alpha
+    return mat_make(ctx, rows)
+
+
+def scale_coeffs(f: CharCoeffs, lam: int) -> CharCoeffs:
+    """The weight-(1, ..., n) action of lam in F_q: c_i -> lam^i c_i."""
+    ctx = f.ctx
+    return CharCoeffs(ctx, f.n, tuple(ctx.smul(ctx.field.pow(lam, i), ci) for i, ci in enumerate(f.c, 1)))
+
+
+def charpoly_shift(f: CharCoeffs, z) -> CharCoeffs:
+    """The coefficients of f(lambda - z), the char poly after adding zI: a
+    Horner Taylor shift of [1, c_1, ..., c_n] by -z."""
+    ctx, n = f.ctx, f.n
+    a, s = [ctx.one, *f.c], ctx.neg(z)
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            a[j] = ctx.add(a[j], ctx.mul(s, a[j - 1]))
+    return CharCoeffs(ctx, n, tuple(a[1:]))
+
+
+def slice_point(basis, field, coords, m=0, z=None) -> JetMatrix:
+    """x + sum coords[e] E_e (+ zI for kind M) over R_m, x = jordan_matrix."""
+    ctx = trunc_make(field, m)
+    rows = [[ctx.make(e) for e in row] for row in jordan_matrix(basis.partition, field).entries]
+    for e, c in zip(basis.entries, coords):
+        rows[e.row][e.col] = ctx.add(rows[e.row][e.col], c)
+    a = mat_make(ctx, rows)
+    return a if z is None else shift_scalar(a, z)
+
+
+def scaled_coords(basis, field, ctx: TruncCtx, coords, lam: int) -> list:
+    """Coordinate e times lam^(its weight)."""
+    return [ctx.smul(field.pow(lam, e.exponent), c) for e, c in zip(basis.entries, coords)]
 
 
 def poly_add(ctx: TruncCtx, a, b):
@@ -174,7 +253,7 @@ def subreg_slice_oracle(n, field, M):
 
 
 def equivariance_exhaustive_oracle(basis, field):
-    """slices._equivariance_exhaustive_np one point at a time."""
+    """slices.audit_equivariance's exhaustive sweep one point at a time."""
     ctx = trunc_make(field, 0)
     ncoords = len(basis.entries)
     for raw in itertools.product(range(field.q), repeat=basis.dim):
@@ -183,7 +262,7 @@ def equivariance_exhaustive_oracle(basis, field):
         A = slice_point(basis, field, coords, 0, z)
         base = charpoly(A)
         for lam in range(1, field.q):
-            sc = _scaled_coords(basis, field, ctx, coords, lam)
+            sc = scaled_coords(basis, field, ctx, coords, lam)
             sz = ctx.smul(lam, z) if z is not None else None
             As = slice_point(basis, field, sc, 0, sz)
             if charpoly(As).c != scale_coeffs(base, lam).c:

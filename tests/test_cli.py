@@ -382,6 +382,43 @@ def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error:")
 
 
+@pytest.mark.parametrize("change", [
+    {"count": 4.7}, {"count": True}, {"count": "-4"}, {"count": "4.0"}, {"n": "2"}, {"ell": True},
+    {"k": 1.0}, {"m": None}, {"shards": "1"}, {"shard_id": "0"}, {"shard_id": False},
+    {"target": "nilcone"}, {"target": {}}, {"target": {"kind": "gi"}},
+], ids=["count-float", "count-bool", "count-negative", "count-decimal-point", "n-str", "ell-bool",
+        "k-float", "m-null", "shards-str", "shard_id-str", "shard_id-bool", "target-str",
+        "target-no-kind", "target-gi-no-i"])
+def test_fit_dim_malformed_record_exit_2(capsys, tmp_path, change):
+    rec = json.loads(run_query(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone")).to_json())
+    path = tmp_path / "recs.jsonl"
+    path.write_text(json.dumps(rec | change) + "\n")
+    code = main(["fit-dim", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
+
+
+def test_fit_dim_binary_input_exit_2(capsys, tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe\n")
+    code = main(["fit-dim", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice-audit", "--n", "3", "--ell", "37", "--partition", "2,1", "--kind", "M"],
+    ["subreg", "--n", "3", "--ell", "13", "--M", "1"],
+], ids=["slice-audit-q37", "subreg-q13"])
+def test_sampled_audits_past_table_limit(capsys, argv):
+    # R_1 of F_37 has 1369 > RING_TABLE_LIMIT elements; subreg's m = 1 check samples at q = 13
+    code, doc = _main_out(capsys, argv)
+    assert code == 0
+    assert doc["verdicts"] and all(doc["verdicts"].values())
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--target", "nilcone", "--m", "0", "--seed", "1"],
     ["count", "--target", "nilcone", "--m", "0", "--samples", "5"],

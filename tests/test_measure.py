@@ -149,15 +149,14 @@ def test_anfrs_q2_a1():
 
 def test_anfrs_q3_a1_matches_direct_oracle():
     # direct ellipsoid mass over all 3^8 matrices at level 2
-    from chevalab.counting import enumerate_matrices
-    from chevalab.field import ts_val
     from chevalab.matrices import charpoly
+    from oracles import all_matrices, mat_make
     ctx = trunc_make(F3, 1)
     hit = 0
-    for a in enumerate_matrices(2, ctx):
-        c1, c2 = charpoly(a).c
-        v1 = ts_val(ctx, c1)
-        v2 = ts_val(ctx, c2)
+    for rows in all_matrices(ctx, 2):
+        c1, c2 = charpoly(mat_make(ctx, rows)).c
+        v1 = ctx.val(c1)
+        v2 = ctx.val(c2)
         if (v1 is None or v1 >= 1) and (v2 is None or v2 >= 2):
             hit += 1
     expected = Fraction(hit, 3 ** 8) * 3 ** 3

@@ -11,6 +11,7 @@ import pytest
 from chevalab import slices
 from hypothesis import given, settings, strategies as st
 
+from chevalab.counting import BLOCK
 from chevalab.errors import BadConfig, TooLarge
 from chevalab.field import field_make
 from chevalab.matrices import charpoly
@@ -24,11 +25,10 @@ from chevalab.slices import (
     exponent_sum_formula,
     jordan_matrix,
     slice_basis,
-    slice_point,
     subregular_threshold,
     weight_report,
 )
-from oracles import equivariance_exhaustive_oracle, orbit_jump_oracle
+from oracles import equivariance_exhaustive_oracle, orbit_jump_oracle, slice_point
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -57,7 +57,7 @@ def test_jordan_matrix_shape():
     assert j.n == 3
     assert j.entries[0][1] == (1,)
     assert sum(1 for r in j.entries for e in r if e != (0,)) == 1
-    assert charpoly(j).is_zero()
+    assert charpoly(j).c == ((0,),) * 3
 
 
 def test_basis_dim_is_min_sum():
@@ -199,7 +199,49 @@ def test_equivariance_batch_path_extension_field():
     for F, parts, kind in [(F4, (1, 1), "L"), (F4, (1, 1), "M"), (F4, (2,), "L"),
                            (F2, (2, 1), "M"), (F3, (2, 1), "L"), (F3, (3,), "M")]:
         basis = slice_basis(Partition(parts), kind)
-        assert slices._equivariance_exhaustive_np(basis, F) == equivariance_exhaustive_oracle(basis, F)
+        assert audit_equivariance(Partition(parts), kind, F) == equivariance_exhaustive_oracle(basis, F)
+
+
+def _off_by_one_weight(monkeypatch):
+    # the first slice vector, on the diagonal, scaled by lambda^2 where its weight is 1
+    full = slices.slice_basis
+
+    def bad(partition, kind="L"):
+        basis = full(partition, kind)
+        e = basis.entries[0]
+        return dataclasses.replace(basis, entries=(dataclasses.replace(e, exponent=e.exponent + 1),
+                                                   *basis.entries[1:]))
+    monkeypatch.setattr(slices, "slice_basis", bad)
+
+
+@pytest.mark.parametrize("field,limit", [(F3, None), (F3, 1), (field_make(37), None)],
+                         ids=["exhaustive-q3", "sampled-q3", "sampled-q37"])
+def test_equivariance_fails_on_a_wrong_weight(monkeypatch, field, limit):
+    if limit is not None:
+        monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", limit)
+    for kind in ("L", "M"):
+        assert audit_equivariance(Partition((2, 1)), kind, field)
+    _off_by_one_weight(monkeypatch)
+    for kind in ("L", "M"):
+        assert not audit_equivariance(Partition((2, 1)), kind, field)
+
+
+def test_equivariance_samples_past_one_block(monkeypatch):
+    # BLOCK + 1 samples run as a full block and a block of one, with the verdict of one block
+    real, sizes = slices.charpoly_ring, []
+
+    def spy(n, ctx, entries):
+        out = real(n, ctx, entries)
+        sizes.append(len(out[0]))
+        return out
+    monkeypatch.setattr(slices, "charpoly_ring", spy)
+    F37, p = field_make(37), Partition((2, 1))
+    assert audit_equivariance(p, "M", F37, samples=BLOCK + 1) == audit_equivariance(p, "M", F37, samples=BLOCK)
+    assert audit_equivariance(p, "M", F37, samples=BLOCK + 1)
+    assert sizes[:4] == [BLOCK, BLOCK, 1, 1]
+    _off_by_one_weight(monkeypatch)
+    assert not audit_equivariance(p, "M", F37, samples=BLOCK + 1)
+    assert not audit_equivariance(p, "M", F37, samples=BLOCK)
 
 
 def test_theorem_check_survives_python_O():

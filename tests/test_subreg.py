@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from chevalab import subreg
-from chevalab.counting import _table_from_counts
+from chevalab.counting import BLOCK, _table_from_counts
 from chevalab.errors import BadConfig, TooLarge, WrongCharacteristic
-from chevalab.field import (_row_blocks, enumerate_ring, field_make, ring_tables, ring_val,
-                            trunc_make, ts_mul)
+from chevalab.field import _row_blocks, field_make, ring_tables, ring_val, trunc_make
 from chevalab.matrices import CharCoeffs
 from chevalab.subreg import (
     closed_form_bucket,
@@ -77,9 +76,9 @@ def test_hist_multi_block_matches_ring_tables(ell, k, M):
 def test_mult_fiber_count_vs_enumeration(ell, m):
     ctx = trunc_make(field_make(ell), m)
     direct = {}
-    for u in enumerate_ring(ctx):
-        for v in enumerate_ring(ctx):
-            w = ts_mul(ctx, u, v)
+    for u in ctx.elements():
+        for v in ctx.elements():
+            w = ctx.mul(u, v)
             direct[w] = direct.get(w, 0) + 1
     for w, cnt in direct.items():
         assert mult_fiber_count(w, ctx) == cnt
@@ -168,7 +167,7 @@ def test_h_formula_values():
 def test_h_formula_bound():
     # h <= n/ell + 1 over a sweep of cubics
     ctx = trunc_make(F2, 1)
-    for cs in itertools.product(enumerate_ring(ctx), repeat=3):
+    for cs in itertools.product(ctx.elements(), repeat=3):
         h = h_formula(CharCoeffs(ctx, 3, cs), F2, 1)
         assert h <= Fraction(3, 2) + 1
 
@@ -189,6 +188,44 @@ def test_m1_identity_exhaustive_detects_mismatch(monkeypatch):
 def test_m1_identity_sampled(monkeypatch):
     monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", 1)
     assert m1_identity_check(3, F5, samples=150, seed=4)
+
+
+def _alpha_in_wrong_slot(monkeypatch):
+    # alpha at (0, 1), 1 at (n-2, n-1): then c_2 = alpha f_2 as well, not f_2
+    real = subreg._companion_entries
+
+    def swapped(n, ops, one, f, alpha, z=0):
+        e = real(n, ops, one, f, alpha, z)
+        e[0][1], e[n - 2][n - 1] = e[n - 2][n - 1], e[0][1]
+        return e
+    monkeypatch.setattr(subreg, "_companion_entries", swapped)
+
+
+@pytest.mark.parametrize("field,limit", [(F2, None), (F5, 1), (field_make(13), None)],
+                         ids=["exhaustive-q2", "sampled-q5", "sampled-q13"])
+def test_m1_identity_fails_on_alpha_in_wrong_slot(monkeypatch, field, limit):
+    if limit is not None:
+        monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", limit)
+    assert m1_identity_check(3, field)
+    _alpha_in_wrong_slot(monkeypatch)
+    assert not m1_identity_check(3, field)
+
+
+def test_m1_identity_samples_past_one_block(monkeypatch):
+    # BLOCK + 1 samples run as a full block and a block of one, with the verdict of one block
+    real, sizes = subreg.charpoly_ring, []
+
+    def spy(n, ctx, entries):
+        out = real(n, ctx, entries)
+        sizes.append(len(out[0]))
+        return out
+    monkeypatch.setattr(subreg, "charpoly_ring", spy)
+    F13 = field_make(13)
+    assert m1_identity_check(3, F13, samples=BLOCK + 1) == m1_identity_check(3, F13, samples=BLOCK)
+    assert m1_identity_check(3, F13, samples=BLOCK + 1)
+    assert sizes[:2] == [BLOCK, 1]
+    _alpha_in_wrong_slot(monkeypatch)
+    assert not m1_identity_check(3, F13, samples=BLOCK + 1)
 
 
 def test_subreg_density_q2_M2():
