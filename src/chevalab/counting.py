@@ -269,12 +269,12 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
 def _n1_space(ctx: TruncCtx, kind: str, x=None):
     """(index count, subtotal) of an n = 1 count in closed form: c_1 = -a is a
     bijection of R_m, so nilcone has one hit, a = 0, among its q^m jets of
-    the base 0 (index = ring index), and fiber one, index(-x_1), among all P."""
+    the base 0 (index = ring index), and fiber one, index(-x_1), among all P.
+    The hit is found in subtotal, so the size guards run first."""
     if kind == "nilcone":
-        total, hit = ctx.field.q ** ctx.m, 0
-    else:
-        total, hit = ctx.size, ring_neg(ctx, ctx.index(_fiber_key(1, ctx, x)[0]))
-    return total, lambda lo, hi: int(lo <= hit < hi)
+        return ctx.field.q ** ctx.m, lambda lo, hi: int(lo <= 0 < hi)
+    x1 = ctx.index(_fiber_key(1, ctx, x)[0])
+    return ctx.size, lambda lo, hi: int(lo <= ring_neg(ctx, x1) < hi)
 
 
 def _whole_count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
@@ -705,7 +705,7 @@ def fit_dimension(records: Sequence[CountRecord]) -> DimFit:
     head = records[0]
     kind = head.target.get("kind")
     for r in records:
-        if (r.n, r.ell, r.target.get("kind")) != (head.n, head.ell, kind):
+        if (r.n, r.ell, r.target) != (head.n, head.ell, head.target):
             raise BadConfig("fit_dimension needs consistent (n, ell, target)")
     fit = DimFit(head.n, head.ell, kind)
     d_rate = expected_dimension_rate(head.n, head.target)

@@ -9,23 +9,22 @@ reproducible: field elements by ascending integer code, series
 lexicographically with the t^0 coefficient outermost.
 
 A series is also its ring index (``TruncCtx.index``), a base-ell number
-with N = k(m+1) digits: digit e = (m-i)k + j is the x^j coefficient of the
-t^i coefficient, so the t^0 coefficient is the top digit.  ``ring_add``,
-``ring_neg`` and ``ring_val`` work digitwise on ring indices, ints or
-broadcasting int64 arrays; ``ring_tables`` runs add and mul over all pairs.
+with N = k(m+1) digits: digit e = (m-i)k + j is the g^j coefficient of the
+t^i coefficient (g = x, the root of the field modulus), so the t^0
+coefficient is the top digit.  ``ring_add``, ``ring_neg``, ``ring_mul``
+and ``ring_val`` take ring indices, ints or broadcasting int64 arrays;
+``ring_tables`` runs add and mul over all pairs.
 
-``ring_mul`` uses that multiplication is F_ell-bilinear in the digits.  R_m
-has integer structure constants S[e, f, r], digit r of the product of the
-indices ell^e and ell^f, from adding t-degrees and reducing by the field
-modulus.  Digit r of x * y is then sum_(e,f) dx_e dy_f S[e, f, r] mod ell.
-Each digit gets a bit slot wide enough for its largest sum before
-reduction, (ell - 1)^2 sum_(e,f) S[e, f, r], so slots never carry into
-each other; slots fill int64 words of at most 62 bits in digit order, and
-a word is one integer bilinear form of the two digit vectors.  Unpack
-tables of at most 2^12 entries, each the outer sum over a run of slots of
-(slot mod ell) * ell^r, turn a word back into its share of the ring index;
-a slot wider than a table is reduced arithmetically.  The layout is built
-lazily, once per ring (``_mul_layout``).
+Add, neg and mul share one packed layout per ring (``_layout``): the
+t^i g^j coefficient of an index sits in bit slot i(2k-1) + j of int64
+chunk words, so an element is its polynomial in t and g read at a power of
+two.  A sum adds words, and a product is a Kronecker substitution: chunk
+products, one machine multiply per pair, whose halves add into the output
+chunks.  The slots j >= k of a t-degree hold the unreduced terms g^(j+j')
+of a product.  No slot sum carries into the next slot, so unpacking reads
+the slots apart: it reduces each t-degree's g-slots by the field modulus
+and each digit mod ell, through tables of at most 2^12 entries over runs
+of slots, or arithmetically where a run is too wide for a table.
 """
 
 from __future__ import annotations
@@ -423,133 +422,160 @@ class RingTables(NamedTuple):
     neg: np.ndarray
 
 
-def _place(ctx: TruncCtx, i: int, d):  # digits d of the t^i coefficient -> their share
-    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
-    return sum(dj % ell * ell ** ((m - i) * k + j) for j, dj in enumerate(d))
-
-
-def _ring_digits(ctx: TruncCtx, a) -> list:  # [i][j]: digit j of t^i, at ell^((m-i)k + j)
-    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
-    return [[a // ell ** ((m - i) * k + j) % ell for j in range(k)] for i in range(m + 1)]
-
-
-def ring_add(ctx: TruncCtx, x, y):
-    """Ring index of x + y, carry-free digitwise mod ell."""
-    return sum(_place(ctx, i, [a + b for a, b in zip(dx, dy)])
-               for i, (dx, dy) in enumerate(zip(_ring_digits(ctx, x), _ring_digits(ctx, y))))
-
-
-def ring_neg(ctx: TruncCtx, x):
-    """Ring index of -x, digitwise mod ell."""
-    return sum(_place(ctx, i, [-a for a in dx]) for i, dx in enumerate(_ring_digits(ctx, x)))
-
-
-# Packed words stay below 2^62, so no partial sum of the bilinear form reaches the int64 sign bit.
+# A product of chunk words stays below 2^62, so no sum reaches the int64 sign bit.
 _WORD_BITS = 62
-# Widest run of slots one unpack table covers: 2^12 int64 entries, 32 KB.
-_UNPACK_BITS = 12
+# Bits of the widest run of slots one unpack table covers; a pack table has at most 2^12 entries too.
+_TABLE_BITS = 12
 
 
-class _MulLayout(NamedTuple):
-    """R_m's structure constants packed for ``ring_mul``.  ``place[e]`` is
-    ell^e.  Each word is (spk_t, steps): spk_t[f, e] is the sum over the
-    word's slots r of S[e, f, r] << off_r, and each step (shift, mask,
-    table, place_r) turns bits of the word back into a share of the ring
-    index: table[(word >> shift) & mask] for a run of slots, or
-    ((word >> shift) & mask) % ell * place_r for one slot too wide for a
-    table.  The top step of a word has mask None, as nothing sits above it."""
-
-    place: np.ndarray
-    words: tuple
+def _power_rows(field: FieldCtx) -> np.ndarray:
+    """(2k - 1, k): row j holds the F_ell digits of g^j mod the field modulus,
+    so row j + j' is the product of the basis elements g^j and g^j'."""
+    rows = [_poly_rem([0] * j + [1], list(field.modulus), field.ell) for j in range(2 * field.k - 1)]
+    return np.array([r + [0] * (field.k - len(r)) for r in rows], dtype=np.int64)
 
 
-def _structure_constants(ctx: TruncCtx) -> np.ndarray:
-    """S[e, f, r]: digit r of the product of the ring indices ell^e and ell^f.
-    ell^e is t^i g^j at e = (m - i)k + j; t-degrees add up to at most m, and
-    g^(j + j') is reduced by the field modulus."""
-    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
-    g_powers = [_poly_rem([0] * s + [1], list(ctx.field.modulus), ell) for s in range(2 * k - 1)]
-    S = np.zeros((k * (m + 1),) * 3, dtype=np.int64)
-    for i, j, i2, j2 in itertools.product(range(m + 1), range(k), range(m + 1), range(k)):
-        if i + i2 <= m:
-            for u, c in enumerate(g_powers[j + j2]):
-                S[(m - i) * k + j, (m - i2) * k + j2, (m - i - i2) * k + u] = c
-    return S
+def _reduce(v, rows: Optional[np.ndarray], ell: int, place: np.ndarray):
+    """The ring-index share of units whose slots hold v (G, n, ...): the slot
+    values times rows (n, d), whose rows j < d are the identity (None: one
+    digit per slot), each digit mod ell and placed at place (G, d)."""
+    k = place.shape[1]
+    d = v if rows is None else v[:, :k] + np.einsum("gj...,ju->gu...", v[:, k:], rows[k:])
+    return np.einsum("gu...,gu->...", d - d // ell * ell, place)  # d % ell, at twice the speed
 
 
-def _slot_widths(ell: int, S: np.ndarray) -> list:
-    """The bits of slot r: its largest unreduced sum, every digit of x and y at ell - 1."""
-    return [max(1, int(v).bit_length()) for v in (ell - 1) ** 2 * S.sum(axis=(0, 1))]
-
-
-def _runs(slots: list, bits: int) -> list:
-    """Consecutive runs of slots (r, width, ...) in order, each run at most
-    ``bits`` bits wide unless it is one slot wider than that."""
-    runs = []
-    for slot in slots:
-        if runs and sum(s[1] for s in runs[-1]) + slot[1] <= bits:
-            runs[-1].append(slot)
+def _unpack_plan(ell: int, w: int, s: int, slots: np.ndarray, rows, place: np.ndarray) -> tuple:
+    """(runs, rest) for units of adjacent slots, slots[u] (G, n).  Runs of
+    adjacent units inside one chunk share a table of at most 2^12 entries,
+    ``_reduce`` over every value of their bits: (chunk, shift, mask, table).
+    The units too wide for a table, or across two chunks, are the rest
+    (chunk, shift, mask, rows, place), reduced arithmetically."""
+    bits, runs, rest = slots.shape[1] * w, [], []  # bits of one unit; runs: lists of units
+    for u, (lo, hi) in enumerate(slots[:, [0, -1]].tolist()):
+        if bits > _TABLE_BITS or lo // s != hi // s:
+            rest.append(u)
+        elif (runs and slots[runs[-1][-1], -1] == lo - 1 and lo % s  # adjacent, in one chunk
+              and (len(runs[-1]) + 1) * bits <= _TABLE_BITS):
+            runs[-1].append(u)
         else:
-            runs.append([slot])
-    return runs
+            runs.append([u])
+    tables = []
+    for us in runs:
+        n, lo = len(us) * bits, slots[us[0], 0]
+        shift = w * np.arange(len(us) * slots.shape[1]).reshape(len(us), -1, 1)
+        table = _reduce(np.arange(1 << n) >> shift & (1 << w) - 1, rows, ell, place[us])
+        tables.append((lo // s, lo % s * w, (1 << n) - 1, table))
+    chunk, at = np.divmod(slots[rest], s)
+    return tuple(tables), (chunk, at * w, (1 << w) - 1, rows, place[rest]) if rest else None
 
 
-def _unpack_steps(ell: int, place: np.ndarray, slots: list) -> tuple:
-    """The steps of one word, slots [(r, width, offset)] in bit order: runs of
-    at most _UNPACK_BITS bits share a table, the outer sum over the run of
-    (slot value mod ell) * ell^r; a wider slot is reduced arithmetically."""
-    runs = _runs(slots, _UNPACK_BITS)
-    steps = []
-    for i, run in enumerate(runs):
-        shift, bits = run[0][2], sum(w for _, w, _ in run)
-        mask = (1 << bits) - 1 if i < len(runs) - 1 else None
-        if bits > _UNPACK_BITS:
-            steps.append((shift, mask, None, int(place[run[0][0]])))
-            continue
-        table = np.zeros(1, dtype=np.int64)
-        for r, w, _ in reversed(run):
-            table = np.add.outer(table, np.arange(1 << w, dtype=np.int64) % ell * place[r]).ravel()
-        steps.append((shift, mask, table, 0))
-    return tuple(steps)
+class _Layout(NamedTuple):
+    """The packed layout of R_m (``_layout``): slot i(2k-1) + j, w bits wide,
+    holds the t^i g^j coefficient, and slots fill int64 chunk words of s
+    slots.  ``live`` lists the chunks that hold digits of an index.
+    ``pack`` is (chunk, mod, table), from the least significant digits up:
+    table[x % mod] places a run of index digits in its chunk, and x // mod
+    goes on to the next run (mod None: the top run, x itself).  ``sums``
+    unpacks slots j < k, one digit each; ``products`` unpacks t-degrees,
+    2k - 1 slots each, reduced by the rows g^j mod the modulus."""
+
+    w: int
+    s: int
+    chunks: int
+    live: tuple
+    pack: tuple
+    sums: tuple
+    products: tuple
 
 
 @functools.lru_cache(maxsize=8)
-def _mul_layout(ctx: TruncCtx) -> _MulLayout:
-    """The packed layout of ``ctx``, built once per ``ctx.key()``: slots fill
-    words of at most _WORD_BITS bits in digit order."""
+def _layout(ctx: TruncCtx) -> _Layout:
+    """The packed layout of ``ctx``, built once per ``ctx.key()``.  A slot
+    of w = bits(max((ell-1)^2 k (m+1), 2(ell-1))) bits holds every sum that
+    ``ring_add``, ``ring_neg`` or ``ring_mul`` leaves in it, and
+    (2s - 1) w <= _WORD_BITS, so a product of two chunks carries out of no
+    slot and stays below 2^62.  A t-degree's 2k - 1 g-slots keep the terms
+    g^(j + j') of a product apart until unpacking reduces them."""
     if ctx.size > 1 << 63:
         raise TooLarge(f"ring of size {ctx.size}: its indices exceed int64")
-    ell = ctx.field.ell
-    S = _structure_constants(ctx)
-    place = ell ** np.arange(len(S), dtype=np.int64)
-    packed = []
-    for slots in _runs(list(enumerate(_slot_widths(ell, S))), _WORD_BITS):
-        offsets = np.cumsum([0] + [w for _, w in slots[:-1]]).tolist()
-        spk = sum(S[:, :, r] << off for (r, _), off in zip(slots, offsets))
-        steps = _unpack_steps(ell, place, [(r, w, off) for (r, w), off in zip(slots, offsets)])
-        packed.append((np.ascontiguousarray(spk.T), steps))
-    return _MulLayout(place, tuple(packed))
+    ell, k, m = ctx.field.ell, ctx.field.k, ctx.m
+    g, w = 2 * k - 1, max((ell - 1) ** 2 * k * (m + 1), 2 * (ell - 1)).bit_length()
+    s = (_WORD_BITS // w + 1) // 2
+    slots = np.arange(m + 1)[:, None] * g + np.arange(g)  # [i, j]: the slot of t^i g^j
+    place = ell ** ((m - np.arange(m + 1))[:, None] * k + np.arange(k))  # [i, j]: ell^((m-i)k + j)
+    sums = _unpack_plan(ell, w, s, slots[:, :k].reshape(-1, 1), None, place.reshape(-1, 1))
+    runs: list = []  # digits from e = 0 up (t^m g^0 first), a run sharing a chunk and a table
+    for sl in slots[::-1, :k].ravel().tolist():
+        if runs and runs[-1][-1] // s == sl // s and ell ** (len(runs[-1]) + 1) <= 1 << _TABLE_BITS:
+            runs[-1].append(sl)
+        else:
+            runs.append([sl])
+    pack = []
+    for run in runs:
+        digits = np.arange(ell ** len(run))[:, None] // ell ** np.arange(len(run)) % ell
+        mod = None if run is runs[-1] else ell ** len(run)
+        pack.append((run[0] // s, mod, digits @ (1 << np.array(run) % s * w)))
+    live = tuple(sorted({run[0] // s for run in runs}))
+    products = sums if k == 1 else _unpack_plan(ell, w, s, slots, _power_rows(ctx.field), place)
+    return _Layout(w, s, -(-(m + 1) * g // s), live, tuple(pack), sums, products)
+
+
+def _pack(lay: _Layout, x) -> list:
+    """The chunk words of ring indices x, 0 for a chunk that holds no digit."""
+    x = np.asarray(x, dtype=np.int64)
+    words: list = [0] * lay.chunks
+    for c, mod, table in lay.pack:
+        high = x if mod is None else x // mod
+        words[c] = words[c] + table.take(x if mod is None else x - high * mod)
+        x = high
+    return words
+
+
+def _unpack(ctx: TruncCtx, words: list, plan: tuple):
+    """The ring indices of chunk words, by a plan of ``_unpack_plan``."""
+    runs, rest = plan
+    out = 0
+    for c, shift, mask, table in runs:
+        out = out + table.take((words[c] >> shift if shift else words[c]) & mask)
+    if rest is not None:
+        chunk, shift, mask, rows, place = rest
+        word = np.stack(np.broadcast_arrays(*words))[chunk]  # (unit, slot, ...)
+        out = out + _reduce(word >> shift.reshape(shift.shape + (1,) * (word.ndim - 2)) & mask, rows,
+                            ctx.field.ell, place)
+    return out if np.ndim(out) else int(out)
+
+
+def ring_add(ctx: TruncCtx, x, y):
+    """Ring index of x + y: the packed words added, each slot at most 2(ell - 1)."""
+    lay = _layout(ctx)
+    return _unpack(ctx, [a + b for a, b in zip(_pack(lay, x), _pack(lay, y))], lay.sums)
+
+
+def ring_neg(ctx: TruncCtx, x):
+    """Ring index of -x: the packed words times ell - 1."""
+    lay = _layout(ctx)
+    return _unpack(ctx, [(ctx.field.ell - 1) * a for a in _pack(lay, x)], lay.sums)
 
 
 def ring_mul(ctx: TruncCtx, x, y):
-    """Ring index of x * y, ints (giving an int) or broadcasting int64 arrays.
+    """Ring index of x * y, by Kronecker substitution on the packed words.
 
-    Each word of ``_mul_layout(ctx)`` is the bilinear form
-    sum_(e,f) dx_e dy_f Spk[e, f], Spk[e, f] being the structure constants
-    S[e, f, r] shifted into their slots r and summed; for arrays it is one
-    einsum of the digits of x with the digits of y times Spk^T.  The word's
-    unpack steps then reduce every slot mod ell and place it at ell^r.
-    Rings whose indices pass int64 raise TooLarge."""
-    ell, lay = ctx.field.ell, _mul_layout(ctx)
-    dx = np.asarray(x, dtype=np.int64)[..., None] // lay.place % ell
-    dy = np.asarray(y, dtype=np.int64)[..., None] // lay.place % ell
-    out = 0
-    for spk_t, steps in lay.words:
-        word = np.einsum("...e,...e->...", dx, dy @ spk_t)
-        for shift, mask, table, place in steps:
-            v = word >> shift if mask is None else word >> shift & mask
-            out = out + (v % ell * place if table is None else table.take(v))
-    return out if np.ndim(out) else int(out)
+    ``ring_add``, ``ring_neg`` and ``ring_mul`` take ints (giving an int) or
+    broadcasting int64 arrays, and raise TooLarge on rings whose indices
+    pass int64.  A product of chunks X_c Y_c' holds 2s - 1 slots: its low s
+    slots add into output chunk c + c', the rest into chunk c + c' + 1, and
+    slots past t^m are dropped.  One chunk is one multiply per pair."""
+    lay = _layout(ctx)
+    X, Y = _pack(lay, x), _pack(lay, y)
+    C, half = lay.chunks, lay.s * lay.w
+    words: list = [0] * C
+    for c, c2 in itertools.product(lay.live, repeat=2):
+        if c + c2 < C:
+            p = X[c] * Y[c2]
+            words[c + c2] = words[c + c2] + (p if C == 1 else p & (1 << half) - 1)
+            if c + c2 + 1 < C:
+                words[c + c2 + 1] = words[c + c2 + 1] + (p >> half)
+    return _unpack(ctx, words, lay.products)
 
 
 def ring_val(ctx: TruncCtx, x):
@@ -558,15 +584,17 @@ def ring_val(ctx: TruncCtx, x):
 
 
 def _row_blocks(P: int) -> list:
-    """Row slices of the P x P grid of index pairs, about 2^16 pairs each."""
-    rows = max(1, (1 << 16) // P)
+    """Row slices of the P x P grid of index pairs, about 2^14 pairs each, so an
+    int64 temporary of the ring ops on a block stays near 128 KB."""
+    rows = max(1, (1 << 14) // P)
     return [slice(lo, lo + rows) for lo in range(0, P, rows)]
 
 
 @functools.lru_cache(maxsize=4)
 def ring_tables(ctx: TruncCtx) -> RingTables:
-    """The tables of ``ctx``, built once per ``ctx.key()``; valid for any k and m.
-    Rows run in blocks of about 2^16 pairs, so no temporary outgrows one table."""
+    """The tables of ``ctx``, built once per ``ctx.key()`` from ``ring_add``,
+    ``ring_mul`` and ``ring_neg`` on every pair or element; valid for any k
+    and m.  Rows run in blocks of about 2^14 pairs (``_row_blocks``)."""
     P = ctx.size
     if P > RING_TABLE_LIMIT:
         raise TooLarge(f"ring of size {P} exceeds the dense-table limit {RING_TABLE_LIMIT}")

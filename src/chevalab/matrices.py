@@ -46,8 +46,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .field import (FieldCtx, RingTables, TruncCtx, _is_prime, _structure_constants, ring_add,
-                    ring_mul, ring_neg, trunc_make)
+from .field import (FieldCtx, RingTables, TruncCtx, _is_prime, _power_rows, ring_add, ring_mul,
+                    ring_neg)
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,11 @@ def ad_digits(y: np.ndarray, field: FieldCtx) -> np.ndarray:
     """The F_ell digit rows of [y, g^f E_ac] for y an int64 array (n, n, b)
     of m = 0 field codes, shape (n^2 k, n^2 k, b): row (a n + c) k + f, column
     (i n + j) k + r for digit r of entry (i, j), g^f running over the
-    F_ell-basis of F_q.  Built from the structure constants of F_q, with no
-    table, for any q <= 2^16.  The F_ell-rank is k times the F_q-rank of ad_y."""
+    F_ell-basis of F_q.  Built from the rows g^j mod the modulus that the
+    packed ring layout reduces by (``field._power_rows``), with no table, for
+    any q <= 2^16.  The F_ell-rank is k times the F_q-rank of ad_y."""
     ell, k, n = field.ell, field.k, y.shape[0]
-    S = _structure_constants(trunc_make(field, 0))  # S[e, f, r]: digit r of g^e g^f
+    S = _power_rows(field)[np.add.outer(np.arange(k), np.arange(k))]  # S[e, f, r]: digit r of g^e g^f
     dy = np.asarray(y, dtype=np.int64)[..., None] // ell ** np.arange(k) % ell
     yg = np.einsum("iaBe,efr->iafrB", dy, S)  # digit r of y_ia g^f, unreduced
     eye = np.eye(n, dtype=np.int64)

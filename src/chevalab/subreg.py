@@ -10,9 +10,9 @@ independent.  Past its exhaustive limit the m = 1 identity check samples
 seeded points of R_1 ring indices, batched in blocks of at most
 ``counting.BLOCK`` on the table-free ring ops; one body serves both branches.
 The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
-run ``field.ring_mul`` on blocks of ring indices, which builds only its
-small packed layout and unpack tables per ring, never the dense ring
-tables.  The histogram multiplies each unordered pair of the P ring
+run ``field.ring_mul`` and ``ring_add`` on blocks of ring indices, through
+the ring's packed layout (at most 2^12 entries a table), never the dense
+ring tables.  The histogram multiplies each unordered pair of the P ring
 indices once, about P(P+1)/2 products instead of P^2, counts a pair of
 distinct indices twice, and reads each product's valuation from one
 array of ``field.ring_val`` over the P indices; it is still an exhaustive

@@ -371,6 +371,27 @@ def test_bad_size_or_samples_exit_2(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
 
 
+def test_fit_dim_mixed_targets_exit_2(capsys, tmp_path):
+    recs = [run_query(CountQuery(n=2, ell=2, k=k, m=0, kind="gi", i=i)) for i in (2, 3) for k in (1, 2)]
+    path = tmp_path / "recs.jsonl"
+    emit(recs, "json", str(path))
+    code = main(["fit-dim", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and captured.err.startswith("config error:")
+
+
+@pytest.mark.parametrize("shards,guard", [([], "sweep guard 2^30"), (["--shards", "4", "--shard-id", "0"],
+                                                                    "per-shard-set guard 2^40")])
+def test_count_n1_past_int64_hits_size_guard(capsys, shards, guard):
+    # R_31 over F_251 has 256-bit indices; the n = 1 hit -x_1 is only taken after the guards
+    x = ";".join(["3"] * 32)
+    code = main(["count", "--n", "1", "--ell", "251", "--m", "31", "--target", "fiber", "--x", x] + shards)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and f"exceeds the {guard}" in captured.err
+
+
 def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):
     rec = json.loads(run_query(CountQuery(n=2, ell=2, k=1, m=0, kind="nilcone")).to_json())
     rec["bogus"] = 1

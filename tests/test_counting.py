@@ -956,6 +956,15 @@ def test_fit_dimension_cm_values():
         fit.slope  # single k per m: no slope, C_m table still present
 
 
+def test_fit_dimension_rejects_mixed_targets():
+    # gi at i = 2 and i = 3 have their own slopes; mixed, they used to fit to one between them
+    recs = {i: [run_query(CountQuery(n=2, ell=2, k=k, m=0, kind="gi", i=i)) for k in (1, 2)]
+            for i in (2, 3)}
+    assert [round(fit_dimension(recs[i]).slope, 2) for i in (2, 3)] == [5.90, 7.73]
+    with pytest.raises(BadConfig):
+        fit_dimension(recs[2] + recs[3])
+
+
 def test_expected_dimension_rate():
     assert expected_dimension_rate(2, {"kind": "nilcone"}) == 2
     assert expected_dimension_rate(3, {"kind": "fiber"}) == 6

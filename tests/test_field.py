@@ -220,6 +220,29 @@ def test_ring_mul_every_pair(ell, k, m, monkeypatch):
     assert np.array_equal(ring_mul(r, idx[:, None], idx), _products_by_linearity(r))
 
 
+def _sums_by_halves(r):
+    """The P x P sum table of ring indices from TruncCtx.add.  x = x_hi + x_lo,
+    split between the top and bottom halves of the base-ell digits, so
+    x + y = (x_hi + y_hi) + (x_lo + y_lo), two sums on disjoint digits whose
+    indices add: every pair of halves is one call of TruncCtx.add."""
+    P, B = r.size, r.field.ell ** (r.field.k * (r.m + 1) // 2)
+
+    def table(idx):
+        return np.array([[r.index(r.add(r.from_index(a), r.from_index(b))) for b in idx] for a in idx])
+
+    hi, lo, x = table(range(0, P, B)), table(range(B)), np.arange(P)
+    return hi[x[:, None] // B, x // B] + lo[x[:, None] % B, x % B]
+
+
+@pytest.mark.parametrize("ell,k,m", SMALL_RINGS)
+def test_ring_add_every_pair_and_neg_every_element(ell, k, m, monkeypatch):
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)  # the field adds on digits, not by ring_tables
+    r = trunc_make(field_make(ell, k), m)
+    idx = np.arange(r.size)
+    assert np.array_equal(ring_add(r, idx[:, None], idx), _sums_by_halves(r))
+    assert ring_neg(r, idx).tolist() == [r.index(r.neg(r.from_index(a))) for a in range(r.size)]
+
+
 # field_make(2, 16)'s modulus, x^16 + x^15 + x^13 + x^11 + 1, the least irreducible of degree 16
 F2_16_MODULUS = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
 
@@ -238,21 +261,29 @@ def test_f2_16_modulus():
     assert field_make(2, 16).modulus == F2_16_MODULUS
 
 
-@pytest.mark.parametrize("ell,k,m", [(2, 16, 0), (2, 8, 1), (251, 2, 1), (2, 1, 16), (3, 1, 10)])
+# Chunk words of each wide ring's packed layout; 7^22 is about 2^61.8, near the int64 limit.
+WIDE_CHUNKS = {(2, 16, 0): 6, (2, 8, 1): 5, (251, 2, 1): 3, (2, 1, 16): 3, (3, 1, 10): 3, (7, 1, 21): 8}
+
+
+@pytest.mark.parametrize("ell,k,m", list(WIDE_CHUNKS))
 def test_ring_mul_multi_word_and_wide_slots(ell, k, m, monkeypatch):
     # seeded pairs, every basis pair, and (P-1, P-1): every digit ell - 1, each slot at its maximum
     monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
     r = trunc_make(field_make(ell, k), m)
-    words = field._mul_layout(r).words
-    assert (len(words) > 1) == (m < 2)  # 102, 84 and 84 bits of slots; 59 and 55 fit one word
-    assert any(table is None for _, steps in words for _, _, table, _ in steps) == (ell == 251)
+    lay = field._layout(r)
+    assert lay.chunks == WIDE_CHUNKS[ell, k, m]  # every product adds chunk products across words
+    # a t-degree of 2k - 1 > 1 slots outgrows a table and is reduced by the rows g^j mod the
+    # modulus; so is one digit slot of 18 bits at ell = 251, where sums unpack arithmetically too
+    assert (lay.products[1] is not None, lay.sums[1] is not None) == (k > 1, ell == 251)
     P, N = r.size, k * (m + 1)
     rng = random.Random(P)
     pairs = [(rng.randrange(P), rng.randrange(P)) for _ in range(4000)]
     pairs += [(ell ** e, ell ** g) for e in range(N) for g in range(N)] + [(P - 1, P - 1)]
     xs, ys = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    expect = [r.index(r.mul(r.from_index(a), r.from_index(b))) for a, b in pairs]
-    assert ring_mul(r, xs, ys).tolist() == expect
+    elements = [(r.from_index(a), r.from_index(b)) for a, b in pairs]
+    assert ring_mul(r, xs, ys).tolist() == [r.index(r.mul(x, y)) for x, y in elements]
+    assert ring_add(r, xs, ys).tolist() == [r.index(r.add(x, y)) for x, y in elements]
+    assert ring_neg(r, xs).tolist() == [r.index(r.neg(x)) for x, _ in elements]
 
 
 def test_ring_mul_shapes(monkeypatch):
@@ -268,8 +299,13 @@ def test_ring_mul_shapes(monkeypatch):
     assert np.array_equal(ring_mul(r, rows, np.arange(P)), ref[5:12])
     assert np.array_equal(ring_mul(r, 7, np.arange(P)), ref[7])
     assert np.array_equal(ring_mul(r, np.arange(P), 7), ref[:, 7])
-    with pytest.raises(TooLarge):
-        ring_mul(trunc_make(field_make(251), 8), 1, 1)  # 251^9 indices pass int64
+    for zero_d in (np.int64(80), np.array(80)):  # 0-d ints in, an int out
+        for got in (ring_add(r, zero_d, 41), ring_mul(r, zero_d, np.int64(41)), ring_neg(r, zero_d)):
+            assert type(got) is int
+    big = trunc_make(field_make(251), 8)  # 251^9 indices pass int64
+    for op in (lambda: ring_add(big, 1, 1), lambda: ring_mul(big, 1, 1), lambda: ring_neg(big, 1)):
+        with pytest.raises(TooLarge):
+            op()
 
 
 @pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])

@@ -64,7 +64,7 @@ def test_hist_multi_block_matches_ring_tables(ell, k, M):
     field = field_make(ell, k)
     ctx = trunc_make(field, M)
     P = ctx.size
-    assert (len(_row_blocks(P)) > 1) == (P > 256)  # (3, 1, 5): 9 blocks, the last one shorter
+    assert (len(_row_blocks(P)) > 1) == (P > 256)  # (3, 1, 5): 34 blocks, the last one shorter
     counts = np.bincount(ring_val(ctx, ring_tables(ctx).mul), minlength=M + 2)
     h = mult_pushforward_hist(field, M)
     denom = field.q ** (2 * (M + 1))
