@@ -110,9 +110,14 @@ def matrix_space_size(n: int, ctx: TruncCtx) -> int:
     return ctx.size ** (n * n)
 
 
+def _size_text(size: int) -> str:
+    """A size for a guard message: exact below 2^64, else "about 2^b"."""
+    return str(size) if size < 1 << 64 else f"about 2^{round(math.log2(size))}"
+
+
 def _check_sweep(size: int, what: str, shardable: bool = False) -> None:
     if size > SWEEP_GUARD:
-        raise TooLarge(f"{what} = {size} exceeds the sweep guard 2^30"
+        raise TooLarge(f"{what} = {_size_text(size)} exceeds the sweep guard 2^30"
                        + ("; shard the run, one process per --shard-id" if shardable else ""))
 
 
@@ -576,7 +581,8 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
         raise BadConfig(f"chunk {chunk} must be >= 1")
     total, subtotal_of = _target_space(query.n, query.ctx(), query.kind, query.x, query.i)
     if total > SHARD_GUARD:
-        raise TooLarge(f"{query.kind} index count = {total} exceeds the per-shard-set guard 2^40")
+        raise TooLarge(f"{query.kind} index count = {_size_text(total)}"
+                       " exceeds the per-shard-set guard 2^40")
     lo = shard_id * total // shards
     hi = (shard_id + 1) * total // shards
     _check_sweep(hi - lo, f"shard {shard_id} index count", shardable=True)

@@ -9,9 +9,10 @@ unweighted boxes x + t^M O^n (density profiles) and weighted ellipsoids
 A density profile is the dense fiber-count array over the codes of
 ``counting._encode_key`` with the denominator q^(M(n^2-n)); mass, L^t norms,
 sup and refinement run on that array.  Exports work on code arrays too: the
-argmax boxes and the CSV rows are the nonzero codes, decoded digitwise into
-box strings (``_box_strings``), with the q-power reduction of f done on the
-whole count array at once.
+argmax boxes and the CSV rows are the nonzero codes, gathered digitwise from
+one table of coefficient strings into one cell array and joined once
+(``_rows_text``).  The q-power reduction of f runs once per distinct fiber
+size, not per row, and every row takes the tail of its size.
 """
 
 from __future__ import annotations
@@ -133,38 +134,51 @@ def insep_probe(field: FieldCtx, limit: int = 3) -> List[InsepTracePoint]:
 # exports
 # --------------------------------------------------------------------------
 
-def _box_strings(n: int, ctx: TruncCtx, codes: np.ndarray) -> List[str]:
+def _rows_text(n: int, ctx: TruncCtx, codes: np.ndarray, tails) -> str:
     """The boxes of codes as "c_1|...|c_n", each c_i its t-coefficients joined
-    by ";"; the P coefficient strings of the ring are built once."""
-    coeffs = np.array([";".join(map(str, ctx.from_index(i))) for i in range(ctx.size)], dtype=object)
-    return list(map("|".join, zip(*(coeffs[d].tolist() for d in _digits(ctx.size, n, codes)))))
+    by ";", each box followed by its tail (a string, or an object array with
+    one per code), joined into one string.  The P coefficient strings are the
+    Cartesian product of the digit strings, t^0 most significant; the cells
+    are one object array (rows, 2n): the c_i gathered by digit from those
+    strings, the "|" separators and the tails."""
+    digits = np.array([str(d) for d in range(ctx.field.q)], dtype=object)
+    coeffs = digits
+    for _ in range(ctx.m):
+        coeffs = np.add.outer(coeffs + ";", digits).ravel()
+    cells = np.empty((len(codes), 2 * n), dtype=object)
+    for i, d in enumerate(_digits(ctx.size, n, codes)):
+        cells[:, 2 * i] = coeffs[d]
+    cells[:, 1:-1:2] = "|"
+    cells[:, -1] = tails
+    return "".join(cells.ravel().tolist())
 
 
 def profile_to_csv(profile: DensityProfile, path: str) -> None:
     """One row per box with a nonempty fiber, in ascending code order.  f is
     written as f_numerator / q^f_denominator_exp with the smallest exponent
     e such that f q^e is an integer; for k > 1 the reduced denominator of f
-    can be a power of ell that is no power of q."""
+    can be a power of ell that is no power of q.  The reduction runs once
+    per distinct fiber size, in Python ints, and gives that size's tail
+    ",count,num,exp"; rows take the tail of their size."""
     q = profile.field.q
     codes = np.flatnonzero(profile.counts)
-    counts = profile.counts[codes]
-    num = counts.copy()
-    exp = np.full(len(codes), profile.M * (profile.n * profile.n - profile.n), dtype=np.int64)
-    while True:
-        step = (exp > 0) & (num % q == 0)
-        if not step.any():
-            break
-        num[step] //= q
-        exp[step] -= 1
-    boxes = _box_strings(profile.n, trunc_make(profile.field, profile.M - 1), codes)
+    sizes, inv = np.unique(profile.counts[codes], return_inverse=True)
+    tails = np.empty(len(sizes), dtype=object)
+    for s, count in enumerate(sizes.tolist()):
+        num, exp = count, profile.M * (profile.n * profile.n - profile.n)
+        while exp > 0 and num % q == 0:
+            num //= q
+            exp -= 1
+        tails[s] = f",{count},{num},{exp}\r\n"
+    rows = _rows_text(profile.n, trunc_make(profile.field, profile.M - 1), codes, tails[inv])
     # the csv module's bytes: no field holds a comma, quote or line break, so none is quoted
-    lines = [f"{b},{c},{f},{e}" for b, c, f, e in zip(boxes, counts.tolist(), num.tolist(), exp.tolist())]
-    atomic_write_text(path, "\r\n".join(["box,fiber_count,f_numerator,f_denominator_exp", *lines, ""]))
+    atomic_write_text(path, "box,fiber_count,f_numerator,f_denominator_exp\r\n" + rows)
 
 
 def profile_summary(profile: DensityProfile) -> dict:
     best = profile.counts.max()
     ctx = trunc_make(profile.field, profile.M - 1)
+    argmax = _rows_text(profile.n, ctx, np.flatnonzero(profile.counts == best), "\n")
     return {
         "n": profile.n,
         "ell": profile.field.ell,
@@ -173,7 +187,7 @@ def profile_summary(profile: DensityProfile) -> dict:
         "mass": str(profile.mass()),
         "lt_norms": {str(t): str(lt_norm(profile, t)) for t in (1, 2)},
         "sup": str(Fraction(int(best), profile.denom())),
-        "argmax": _box_strings(profile.n, ctx, np.flatnonzero(profile.counts == best)),
+        "argmax": argmax.split("\n")[:-1],
     }
 
 

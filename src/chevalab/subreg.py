@@ -71,8 +71,11 @@ def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
     every row block of indices i against the indices j >= its first row, about
     P(P+1)/2 products in all.  A pair with j > i stands for two ordered pairs and
     j == i for one; the pairs j < i inside a block's own rows are subtracted
-    again, from bincounts in int64.  Every product still comes from ``ring_mul``,
-    so the sweep stays exhaustive and independent of ``closed_form_bucket``."""
+    again, from bincounts in int64.  Those pairs are one fixed triangle of the
+    block's leading square: a strict lower mask, built once for the first
+    block's height and cut to the shorter last block.  Every product still
+    comes from ``ring_mul``, so the sweep stays exhaustive and independent of
+    ``closed_form_bucket``."""
     if M < 0:
         raise BadConfig(f"resolution M={M}: need M >= 0")
     denom = field.q ** (2 * (M + 1))  # pairs (x, y)
@@ -82,9 +85,12 @@ def mult_pushforward_hist(field: FieldCtx, M: int) -> ValHistogram:
     P = ctx.size
     ys = np.arange(P, dtype=np.int64)
     products = np.zeros(P, dtype=np.int64)  # ordered pairs per product index
-    for rows in _row_blocks(P):
+    blocks = _row_blocks(P)
+    lower = np.tri(len(ys[blocks[0]]), k=-1, dtype=bool)  # j < i in a block's leading square
+    for rows in blocks:
         prod = ring_mul(ctx, ys[rows, None], ys[rows.start:])  # row i, column j - rows.start
-        below = prod[np.tril_indices(len(prod), -1)]  # j < i, already counted as (j, i)
+        r = len(prod)
+        below = prod[:, :r][lower[:r, :r]]  # j < i, already counted as (j, i)
         products += (2 * (np.bincount(prod.ravel(), minlength=P) - np.bincount(below, minlength=P))
                      - np.bincount(prod.diagonal(), minlength=P))
     val = ring_val(ctx, ys)

@@ -31,7 +31,9 @@ the reference for ``field.is_irreducible``, and the unfiltered modulus
 search at the very end the reference for ``field._find_modulus``.
 """
 
+import csv
 import functools
+import io
 import itertools
 from fractions import Fraction
 
@@ -403,6 +405,16 @@ def profile_rows_oracle(profile):
             "f_denominator_exp": e,
         })
     return rows
+
+
+def profile_csv_oracle(profile) -> bytes:
+    """The bytes of profile_to_csv: profile_rows_oracle through csv.DictWriter."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=["box", "fiber_count", "f_numerator", "f_denominator_exp"],
+                       lineterminator="\r\n")
+    w.writeheader()
+    w.writerows(profile_rows_oracle(profile))
+    return buf.getvalue().encode()
 
 
 # --------------------------------------------------------------------------

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from chevalab import cli, counting, slices, subreg
+from chevalab import cli, counting, measure, slices, subreg
 from chevalab.cli import build_parser, main, run
 from chevalab.counting import CountQuery, count_sharded, run_query
 from chevalab.field import field_make, trunc_make
 from chevalab.errors import IoError
 from chevalab.reporting import Report, atomic_write_text, emit, load_jsonl
+from oracles import profile_csv_oracle
 
 
 def _main_out(capsys, argv):
@@ -229,6 +230,15 @@ def test_density_cmd(capsys, tmp_path):
     assert out.read_bytes() == first
 
 
+def test_density_csv_matches_row_oracle(capsys, tmp_path):
+    # the benchmark's density export; its own check reads only the column sum
+    out = tmp_path / "prof.csv"
+    code, _ = _main_out(capsys, ["density", "--n", "2", "--ell", "3", "--M", "4", "--format", "csv",
+                                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == profile_csv_oracle(measure.density_profile(2, field_make(3), 4))
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--n", "2", "--ell", "2", "--k", "2", "--M", "2", "--format", "csv"],
     ["count", "--n", "3", "--target", "nilcone", "--m", "1", "--format", "csv"],
@@ -390,6 +400,20 @@ def test_count_n1_past_int64_hits_size_guard(capsys, shards, guard):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert len(captured.err.strip().splitlines()) == 1 and f"exceeds the {guard}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--n", "40", "--ell", "2", "--M", "1"],
+    ["count", "--n", "1", "--ell", "251", "--m", "31", "--target", "fiber", "--x", ";".join(["3"] * 32),
+     "--shards", "4", "--shard-id", "0"],
+])
+def test_huge_size_guard_message_is_short(capsys, argv):
+    # 2^1600 lifting bases, a 2^255 shard set: the sizes are printed as powers of 2, not in full
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and len(captured.err) < 200
+    assert "about 2^" in captured.err
 
 
 def test_fit_dim_unknown_record_key_exit_2(capsys, tmp_path):

@@ -197,6 +197,12 @@ def test_nilcone_guard_counts_pruned_space(monkeypatch):
         count_jet_fiber(3, ctx, (ctx.zero,) * 3)
 
 
+def test_guard_sizes_exact_below_2_64():
+    assert counting._size_text(2 ** 64 - 1) == str(2 ** 64 - 1)
+    assert counting._size_text(2 ** 64) == "about 2^64"
+    assert counting._size_text(3 ** 1000) == "about 2^1585"
+
+
 def test_fiber_bases_guard_their_sweep(monkeypatch):
     # the bases sweep q^(n^2 - 1) = 2^8 matrices of fixed trace, though the count needs 2^6 indices
     counting._fiber_bases.cache_clear()

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import os
 from fractions import Fraction
@@ -22,7 +21,7 @@ from chevalab.measure import (
     summary_to_json,
     sup_density,
 )
-from oracles import profile_rows_oracle
+from oracles import profile_csv_oracle, profile_rows_oracle
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -228,16 +227,15 @@ def test_summary_json(tmp_path):
 
 
 @pytest.mark.parametrize("n,ell,k,M", [(1, 5, 1, 3), (1, 2, 2, 2), (2, 3, 1, 2), (2, 2, 1, 3),
-                                       (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 1, 1), (3, 3, 1, 1)])
+                                       (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 1, 1), (3, 3, 1, 1),
+                                       (2, 11, 1, 1), (2, 3, 1, 4), (2, 2, 3, 2), (3, 2, 1, 2),
+                                       (1, 31, 1, 2)])
 def test_csv_matches_row_oracle(tmp_path, n, ell, k, M):
+    # (2, 11, 1, 1) has two-digit coefficients; (2, 3, 1, 4) is the shape the benchmark exports
     p = density_profile(n, field_make(ell, k), M)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=CSV_COLS, lineterminator="\r\n")
-    w.writeheader()
-    w.writerows(profile_rows_oracle(p))
     path = tmp_path / "profile.csv"
     profile_to_csv(p, str(path))
-    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.read_bytes() == profile_csv_oracle(p)
 
 
 @pytest.mark.parametrize("n,ell,k,M", [(2, 2, 2, 3), (2, 2, 2, 2), (1, 2, 2, 3), (2, 2, 1, 3),
