@@ -5,7 +5,7 @@ and a shardable, checkpointed counting kernel.
 Counts are exact Python ints of unbounded size and serialize as decimal
 strings.  ``count_engine`` names the engine that runs each count:
 
-* lift (n >= 2): write A = B + t^h U with h = floor(m/2) + 1 and B in
+* lift: write A = B + t^h U with h = floor(m/2) + 1 and B in
   Mat_n(R_(h-1)).  Since 2h >= m+1, c(A) = c(B) + t^h Dc_B(U) exactly,
   with Dc_B linear over F_ell in the digits of U.  Only B is enumerated; the
   U with c(A) = x form an empty set or a coset of ker Dc_B, found by one
@@ -13,11 +13,12 @@ strings.  ``count_engine`` names the engine that runs each count:
   of Dc_B are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis
   of F_q, from the same kernel.  nilcone and fiber counts (_lift_space) and
   the n >= 3 fiber table (_lift_counts) run this way.  At m = 0, h = 1 and
-  the top half is empty: B is A, and each A with c(A) = x adds 1.
+  the top half is empty: B is A, and each A with c(A) = x adds 1.  The
+  kernel runs in the arithmetic ``matrices.charpoly_batch`` picks from the
+  ring, the packed ring ops past ``field.RING_TABLE_LIMIT``, so the lift
+  has no ring-size wall of its own.
 * n2-product: the n = 2 fiber table at every m is one integer matrix
   product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c).
-* n1: c_1 = -a is a bijection of R_m, so every count is closed form
-  (_n1_space): each fiber is one matrix, at every ring size.
 The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
@@ -54,8 +55,8 @@ import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch, IoError,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import FieldCtx, TruncCtx, field_make, ring_neg, ring_tables, trunc_make
-from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
+from .field import FieldCtx, TruncCtx, field_make, ring_tables, trunc_make
+from .matrices import CharCoeffs, JetMatrix, charpoly_batch, ring_ops, row_echelon
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
 SHARD_GUARD = 1 << 40
@@ -201,7 +202,7 @@ def _decode_key(n: int, ctx: TruncCtx, code: int) -> FiberKey:
 
 def _charpoly_keys(n: int, ctx: TruncCtx, entries) -> np.ndarray:
     """Encoded characteristic polynomials (see _encode_key) of a block."""
-    cs = charpoly_batch(n, ring_tables(ctx), entries)
+    cs = charpoly_batch(n, ctx, entries)
     key = cs[0]
     for c in cs[1:]:
         key = key * ctx.size + c
@@ -219,17 +220,17 @@ def _fiber_bases(n: int, field: FieldCtx, x0: int) -> np.ndarray:
     read-only, since every shard of a run starts from the same bases.  As
     trace B = -c_1, the sweep runs over the other n^2 - 1 entries and sets
     entry (n-1, n-1), the least significant digit, to -c_1(x0) minus the rest
-    of the diagonal.  n >= 2."""
+    of the diagonal, the whole of it at n = 1.  n >= 1."""
     _check_sweep(field.q ** (n * n - 1), "q^(n^2-1) bases of fixed trace")
-    ctx0 = trunc_make(field, 0)
-    q, add, _, neg = ring_tables(ctx0)
+    ctx0, q = trunc_make(field, 0), field.q
+    add, _, neg = ring_ops(ctx0)
     found = []
     for idx in _blocks(0, q ** (n * n - 1)):
         cells = [x for row in _full_entries(n, q, idx * q) for x in row]
-        trace = cells[0]
-        for i in range(1, n - 1):
-            trace = add[trace * q + cells[i * (n + 1)]]
-        cells[-1] = neg[add[trace * q + x0 // q ** (n - 1)]]
+        trace = np.full_like(idx, x0 // q ** (n - 1))
+        for i in range(n - 1):
+            trace = add(trace, cells[i * (n + 1)])
+        cells[-1] = neg(trace)
         keep = _charpoly_keys(n, ctx0, _rows(n, cells)) == x0
         found.append(np.stack(cells, axis=1)[keep])
     bases = np.concatenate(found)
@@ -241,13 +242,12 @@ def count_engine(n: int, kind: str) -> str:
     """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m),
     the same at every m.
 
-    "n1": the n = 1 closed form, c_1 = -a being a bijection (_n1_space);
     "n2-product": the n = 2 fiber table as one matrix product (gi only);
     "lift": the low half B of each matrix swept, the top half solved over
-    F_ell (_lift_space, _lift_counts); at m = 0 the top half is empty.
+    F_ell (_lift_space, _lift_counts), at every n and ring size: past
+    RING_TABLE_LIMIT the kernel runs on the packed ring ops; at m = 0 the
+    top half is empty.
     gi reads the fiber table, so its engine is the table's (_fiber_counts)."""
-    if n == 1:
-        return "n1"
     if kind == "gi" and n == 2:
         return "n2-product"
     return "lift"
@@ -260,26 +260,13 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
     The index spaces fix shard boundaries and checkpoints:
     gi: the encoded characteristic polynomials x in _encode_key order, index x
     adding N(x)^i with N(x) read from _fiber_counts;
-    nilcone and fiber: the bases B of _lift_space for n >= 2 (all matrices
-    for the m = 0 fiber), the matrices of _n1_space for n = 1.
+    nilcone and fiber: the bases B of _lift_space (all matrices for the
+    m = 0 fiber).
     """
     if kind == "gi":
         counts = _fiber_counts(n, ctx)
         return len(counts), lambda lo, hi: sum(v ** i for v in counts[lo:hi].tolist())
-    if n == 1:
-        return _n1_space(ctx, kind, x)
     return _lift_space(n, ctx, kind, x)
-
-
-def _n1_space(ctx: TruncCtx, kind: str, x=None):
-    """(index count, subtotal) of an n = 1 count in closed form: c_1 = -a is a
-    bijection of R_m, so nilcone has one hit, a = 0, among its q^m jets of
-    the base 0 (index = ring index), and fiber one, index(-x_1), among all P.
-    The hit is found in subtotal, so the size guards run first."""
-    if kind == "nilcone":
-        return ctx.field.q ** ctx.m, lambda lo, hi: int(lo <= 0 < hi)
-    x1 = ctx.index(_fiber_key(1, ctx, x)[0])
-    return ctx.size, lambda lo, hi: int(lo <= ring_neg(ctx, x1) < hi)
 
 
 def _whole_count(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = None):
@@ -317,7 +304,7 @@ def _lift_gens(n: int, ctx: TruncCtx, K: int, entries: list, c0: list) -> np.nda
     x^0..x^(k-1) of F_q, and (t^l)^2 = 0 makes the difference exact.  The
     bases run in slices, so no charpoly_batch call takes more than BLOCK
     matrices."""
-    ell, tabs, nn = ctx.field.ell, ring_tables(ctx), n * n
+    ell, nn = ctx.field.ell, n * n
     delta = (np.eye(nn, dtype=np.int64)[:, :, None] * ell ** np.arange(K)).reshape(nn, nn * K)
     per = max(1, BLOCK // (nn * K))
     gens = []
@@ -325,7 +312,7 @@ def _lift_gens(n: int, ctx: TruncCtx, K: int, entries: list, c0: list) -> np.nda
         part = slice(lo, lo + per)
         moved = [[entries[i][j][None, part] + delta[i * n + j][:, None] for j in range(n)]
                  for i in range(n)]
-        low = _low_digits(charpoly_batch(n, tabs, moved), ell, K)
+        low = _low_digits(charpoly_batch(n, ctx, moved), ell, K)
         gens.append((low - _low_digits([c[part] for c in c0], ell, K)[:, None]) % ell)
     return np.concatenate(gens, axis=2).transpose(1, 0, 2)
 
@@ -392,13 +379,13 @@ def _lift_page(n: int, ctx: TruncCtx, code: int, page: int) -> np.ndarray:
     """N - rank Dc_B for the B at indices p BLOCK..(p+1) BLOCK-1 of _jet_space, or
     -1 where x - c(B) is not in t^h Im Dc_B (see _lift_space); m >= 1, read-only."""
     _, K = _lift_levels(ctx)
-    ell, shift, tabs = ctx.field.ell, ctx.field.ell ** K, ring_tables(ctx)
+    ell, shift = ctx.field.ell, ctx.field.ell ** K
     xs = [int(d) for d in _digits(ctx.size, n, code)]
     total, decode = _jet_space(n, ctx, code)
     idx = np.arange(page * BLOCK, min((page + 1) * BLOCK, total), dtype=np.int64)
     nullity = np.full(len(idx), -1, dtype=np.int64)
     entries = [[e * shift for e in row] for row in decode(idx)]
-    c0 = charpoly_batch(n, tabs, entries)
+    c0 = charpoly_batch(n, ctx, entries)
     keep = np.flatnonzero(np.logical_and.reduce([c // shift == xi // shift for c, xi in zip(c0, xs)]))
     if len(keep):
         entries, c0 = [[e[keep] for e in row] for row in entries], [c[keep] for c in c0]
@@ -426,16 +413,16 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     H = P // shift  # high parts of one c_i
     total = matrix_space_size(n, low)
     _check_sweep(total, "q^(h n^2) lifting bases B")
+    _check_sweep(P ** n, "P^n codes of the fiber table")  # implied by the bases from n = 2 on
     if R == 0:  # m = 0: B is A, and each A adds 1 to its code c(A)
         pages = functools.partial(_charpoly_page, n, ctx)
         return sum(np.bincount(codes, minlength=P ** n) for codes in _pages(0, total, pages))
-    tabs = ring_tables(ctx)
     weights = (ell ** np.arange(K) * P ** np.arange(n - 1, -1, -1)[:, None]).ravel()
     counts = np.zeros(P ** n, dtype=np.int64)
     full_high = np.zeros(H ** n, dtype=np.int64)
     for idx in _blocks(0, total, min(BLOCK, max(1, (1 << 16) // ell ** R))):
         entries = [[e * shift for e in row] for row in _full_entries(n, low.size, idx)]
-        c0 = charpoly_batch(n, tabs, entries)
+        c0 = charpoly_batch(n, ctx, entries)
         rank, basis, _ = row_echelon(_lift_gens(n, ctx, K, entries, c0), ell)
         full = rank == R
         full_high += np.bincount(sum(c[full] // shift * H ** (n - 1 - i) for i, c in enumerate(c0)),
@@ -470,20 +457,14 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     and every gi shard of a run read the same table.
 
     The engine is count_engine(n, "gi"): the n = 2 matrix product
-    (_fiber_table_np) at every m, lifting (_lift_counts) for n >= 3 at every
-    m, m = 0 included, and for n = 1 the closed form, one matrix per code.
-    Each guard bounds the work that runs: P^3 multiply-adds for the product,
-    the bases B for lifting, the P codes for n = 1."""
-    P = ctx.size
-    engine = count_engine(n, "gi")
-    if engine == "n2-product":
-        _check_sweep(P ** 3, "P^3 multiply-adds of the n = 2 product")
+    (_fiber_table_np) at every m, else lifting (_lift_counts) at every m,
+    m = 0 included.  Each guard bounds the work that runs: P^3 multiply-adds
+    for the product, the bases B and the P^n codes for lifting."""
+    if count_engine(n, "gi") == "n2-product":
+        _check_sweep(ctx.size ** 3, "P^3 multiply-adds of the n = 2 product")
         counts = _fiber_table_np(ctx)
-    elif engine == "lift":
-        counts = _lift_counts(n, ctx)
     else:
-        _check_sweep(P, "q^(m+1) codes of the n = 1 table")
-        counts = np.ones(P, dtype=np.int64)
+        counts = _lift_counts(n, ctx)
     counts.flags.writeable = False
     return counts
 
@@ -500,10 +481,10 @@ def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
 
 
 def count_jet_fiber(n: int, ctx: TruncCtx, x) -> int:
-    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}.  For n >= 2 it sums
+    """Exact size of {A in Mat_n(R_m) : charpoly(A) = x}: the sum of
     ell^(N - rank Dc_B) over the jets B in R_(h-1) of the m = 0 fiber of
     x mod t with x - c(B) in t^h Im Dc_B (_lift_space); at m = 0, N = 0 and
-    that counts the matrices B with c(B) = x.  For n = 1 it is 1 (_n1_space)."""
+    that counts the matrices B with c(B) = x."""
     return _whole_count(n, ctx, "fiber", x=x)()
 
 
@@ -522,9 +503,9 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
     """#J_m(N)(F_q): the fiber over x = 0, counted as count_jet_fiber counts
-    any fiber.  J_m(N) lies over J_0(N), so for n >= 2 only the jets B in
-    R_(h-1) of the m = 0 nilpotent matrices (_fiber_bases over 0) run, and
-    at m = 0 those matrices themselves, 1 each.  For n = 1 it is 1."""
+    any fiber.  J_m(N) lies over J_0(N), so only the jets B in R_(h-1) of
+    the m = 0 nilpotent matrices (_fiber_bases over 0) run, and at m = 0
+    those matrices themselves, 1 each."""
     return _whole_count(n, ctx, "nilcone")()
 
 
@@ -606,11 +587,12 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 def _query_sig(query: CountQuery) -> dict:
     # gi and lifted checkpoints name their index space; older ones counted
-    # i-tuples of matrices (gi), or matrices or all bases B (m >= 1).  At
-    # m = 0 the nilcone bases and the fiber's matrices are what they swept.
+    # i-tuples of matrices (gi), or matrices, all bases B or, at n = 1, ring
+    # elements (m >= 1).  At m = 0 the nilcone bases and the fiber's
+    # matrices are what they swept.
     if query.kind == "gi":
         index = {"index": "charpoly codes"}
-    elif query.m >= 1 and count_engine(query.n, query.kind) == "lift":
+    elif query.m >= 1:
         index = {"index": "lifting bases B" if query.kind == "nilcone" else "jets of fiber bases B"}
     else:
         index = {}

@@ -7,23 +7,17 @@ The sign convention for the characteristic polynomial is fixed everywhere as
 
 R_m has nilpotents, so all polynomial computations are division-free.  The
 characteristic polynomial is one Samuelson-Berkowitz body, ``_berkowitz``,
-written against the ring ops it is given, behind four adapters:
-
-* table gathers (``charpoly_batch`` over ``table_ops``): ring-index arrays,
-  one matrix per element, over any R_m with dense tables
-  (``field.RING_TABLE_LIMIT``) at three numpy calls per op.  Every base B of
-  the lift engine in ``counting`` and every exhaustive sweep of ``slices``
-  and ``subreg`` runs in a batch;
-* int64 +, * and - (``charpoly_batch`` when ``_int64_exact``), reduced mod P
-  once, when P is prime, i.e. the ring is F_ell with residues as indices,
-  and (n+1)(n(P-1))^n < 2^63: n <= 5 at ell = 251, n <= 15 at ell = 2;
-* the table-free ring ops (``charpoly_ring`` over ``ring_ops``):
-  ``field.ring_add``, ``ring_mul`` and ``ring_neg`` on ring-index arrays,
-  for any ring whose indices fit int64.  The sampled audits of ``slices``
-  and ``subreg`` run their batches of R_1 points this way, past the tables;
-* series arithmetic (``charpoly``), one ``JetMatrix`` at a time in
-  ``TruncCtx`` arithmetic.  No program path runs it: it stays for the
-  benchmark's per-matrix probe and for the oracles and property tests.
+written against the ring ops it is given.  ``charpoly_batch`` runs it on
+ring-index arrays, one matrix per element, and picks its arithmetic from
+the ring by one rule: int64 +, * and -, reduced mod P once at the end, when
+``_int64_exact`` holds, i.e. the ring is F_ell with residues as indices and
+(n+1)(n(P-1))^n < 2^63 (n <= 5 at ell = 251, n <= 15 at ell = 2); else the
+ops of ``ring_ops(ctx)``, gathers from ``field.ring_tables`` while P <=
+``field.RING_TABLE_LIMIT`` and the packed ``field.ring_add``, ``ring_mul``
+and ``ring_neg`` past it.  Callers that build entries take ``ring_ops`` too.
+``charpoly`` runs the body on one ``JetMatrix`` in ``TruncCtx`` series
+arithmetic; no program path runs it: it stays for the benchmark's
+per-matrix probe and for the oracles and property tests.
 
 The int64 path is exact: with entries in [0, B], B = P - 1, step i of
 ``_berkowitz`` (leading i x i block A_i, i < n) has |A_i^j col| <= (iB)^j B
@@ -46,8 +40,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .field import (FieldCtx, RingTables, TruncCtx, _is_prime, _power_rows, ring_add, ring_mul,
-                    ring_neg)
+from .field import (RING_TABLE_LIMIT, FieldCtx, TruncCtx, _is_prime, _power_rows, ring_add,
+                    ring_mul, ring_neg, ring_tables)
 
 
 @dataclass(frozen=True)
@@ -105,44 +99,32 @@ def _int64_exact(n: int, P: int) -> bool:
     return _is_prime(P) and (n + 1) * (n * (P - 1)) ** n < 2 ** 63
 
 
-def table_ops(tabs: RingTables) -> tuple:
-    """(add, mul, neg) on ring indices, gathered from the dense tables ``tabs``."""
-    P, add, mul, neg = tabs
+def ring_ops(ctx: TruncCtx) -> tuple:
+    """(add, mul, neg) on the ring indices of ``ctx``: gathers from
+    ``field.ring_tables`` while ``ctx.size <= RING_TABLE_LIMIT``, else the
+    packed ``field.ring_add``, ``ring_mul`` and ``ring_neg``."""
+    if ctx.size > RING_TABLE_LIMIT:
+        return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
+    P, add, mul, neg = ring_tables(ctx)
     return lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y], neg.__getitem__
 
 
-def ring_ops(ctx: TruncCtx) -> tuple:
-    """(add, mul, neg) on the ring indices of ``ctx`` with no table:
-    ``field.ring_add``, ``ring_mul`` and ``ring_neg``."""
-    return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
-
-
-def _broadcast(coeffs: list, entries) -> List[np.ndarray]:
-    shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
-    return [np.broadcast_to(c, shape) for c in coeffs]
-
-
-def charpoly_batch(n: int, tabs: RingTables, entries) -> List[np.ndarray]:
-    """Samuelson-Berkowitz on ring indices, elementwise across a batch: the
-    body of ``charpoly`` on int64 residues or table gathers (module docstring).
+def charpoly_batch(n: int, ctx: TruncCtx, entries) -> List[np.ndarray]:
+    """Samuelson-Berkowitz on ring indices of ``ctx``, elementwise across a
+    batch: the body of ``charpoly`` in the arithmetic the module docstring's
+    rule picks.
 
     ``entries[i][j]`` is an int64 array of ring indices or a scalar broadcast
-    against the others; ``tabs`` is ``field.ring_tables(ctx)``.  Returns
-    ``[c_1, ..., c_n]`` as ring-index arrays of the broadcast shape, the
-    same coefficients as ``charpoly`` on each matrix.
+    against the others.  Returns ``[c_1, ..., c_n]`` as ring-index arrays of
+    the broadcast shape, the same coefficients as ``charpoly`` on each matrix.
     """
-    P = tabs.P
+    P = ctx.size
     if _int64_exact(n, P):
         coeffs = [c % P for c in _berkowitz(n, operator.add, operator.mul, operator.neg, entries)]
     else:
-        coeffs = _berkowitz(n, *table_ops(tabs), entries)
-    return _broadcast(coeffs, entries)
-
-
-def charpoly_ring(n: int, ctx: TruncCtx, entries) -> List[np.ndarray]:
-    """``charpoly_batch`` with no table: the same body over ``ring_ops(ctx)``,
-    for rings past ``field.RING_TABLE_LIMIT``, such as R_1 of F_37."""
-    return _broadcast(_berkowitz(n, *ring_ops(ctx), entries), entries)
+        coeffs = _berkowitz(n, *ring_ops(ctx), entries)
+    shape = np.broadcast_shapes(*(np.shape(x) for r in entries for x in r))
+    return [np.broadcast_to(c, shape) for c in coeffs]
 
 
 # --- linear algebra over F_ell ---

@@ -7,15 +7,15 @@ t(lambda)^{-1} with t(lambda) = diag(1, lambda, ..., lambda^{n_i - 1}) per
 Jordan block, which gives the column-1 entry at in-block row r weight r.
 
 The audits build their points as ring-index arrays (``_slice_entries``) and
-run them in blocks of at most ``counting.BLOCK``.  Equivariance sweeps
-every point at m = 0 on the ring tables while the sweep fits its limit,
-and past it samples seeded points at m = 1, R_1 ring indices on the
-table-free ring ops; one body serves both branches.
+run them in blocks of at most ``counting.BLOCK``, in the arithmetic
+``matrices.charpoly_batch`` and ``ring_ops`` pick from the ring.
+Equivariance sweeps every point at m = 0 while the sweep fits its limit,
+and past it samples seeded points at m = 1, R_1 ring indices; one body
+serves both branches.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -23,9 +23,8 @@ import numpy as np
 
 from .counting import BLOCK, _blocks, _digits, _draws
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
-from .field import FieldCtx, ring_tables, trunc_make
-from .matrices import (JetMatrix, ad_digits, ad_ranks, charpoly_batch, charpoly_ring, ring_ops,
-                       row_echelon, table_ops)
+from .field import FieldCtx, trunc_make
+from .matrices import JetMatrix, ad_digits, ad_ranks, charpoly_batch, ring_ops, row_echelon
 
 EQUIVARIANCE_EXHAUSTIVE_LIMIT = 1 << 20  # (q-1) q^dim points and weights lambda
 ORBIT_JUMP_GUARD = 1 << 24  # q^dim slice points
@@ -263,30 +262,27 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     """charpoly(lambda * (x + A)) = lambda . charpoly(x + A), with lambda
     acting on coefficients by weights (1, ..., n).
 
-    Exhaustive at m = 0 on the ring tables (``charpoly_batch``) while the
-    (q-1) q^dim pairs of a point and a lambda fit the limit; else ``samples``
-    seeded R_1 points, one random lambda each, on the table-free ring ops
-    (``charpoly_ring``), so every q <= 2^16 runs; BLOCK points at a time."""
+    Exhaustive at m = 0 while the (q-1) q^dim pairs of a point and a lambda
+    fit the limit; else ``samples`` seeded R_1 points, one random lambda
+    each, so every q <= 2^16 runs; BLOCK points at a time."""
     if samples < 1:
         raise BadConfig(f"samples={samples}: need at least 1 sample")
     basis = slice_basis(partition, kind)
     n, q, dim = basis.n, field.q, basis.dim
     if (q - 1) * q ** dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
         ctx = trunc_make(field, 0)
-        tabs = ring_tables(ctx)
-        ops, charpolys = table_ops(tabs), functools.partial(charpoly_batch, n, tabs)
         points = ((_digits(q, dim, idx), range(1, q)) for idx in _blocks(0, q ** dim))
     else:
         ctx = trunc_make(field, 1)
-        ops, charpolys = ring_ops(ctx), functools.partial(charpoly_ring, n, ctx)
         points = ((coords, [lam + 1]) for *coords, lam in
                   _draws(seed, [ctx.size] * dim + [q - 1], samples))
+    ops = ring_ops(ctx)
     one, mul = ctx.index(ctx.one), ops[1]
     for coords, lams in points:
-        base = charpolys(_slice_entries(basis, ops, one, coords, one))
+        base = charpoly_batch(n, ctx, _slice_entries(basis, ops, one, coords, one))
         for lam in lams:
             lam = lam * one
-            scaled = charpolys(_slice_entries(basis, ops, one, coords, lam))
+            scaled = charpoly_batch(n, ctx, _slice_entries(basis, ops, one, coords, lam))
             w = one
             for got, c in zip(scaled, base):
                 w = mul(w, lam)
@@ -303,12 +299,13 @@ def audit_orbit_jump(partition: Partition, field: FieldCtx) -> bool:
     n, q, dim = basis.n, field.q, basis.dim
     if q ** dim > ORBIT_JUMP_GUARD:
         raise TooLarge("orbit-jump sweep exceeds the q^dim guard")
-    tabs = ring_tables(trunc_make(field, 0))  # TooLarge past RING_TABLE_LIMIT
+    ctx = trunc_make(field, 0)
+    ops = ring_ops(ctx)
     rx = ad_ranks(_jordan_codes(partition)[:, :, None], field)[0]
     block = min(BLOCK, max(1, AD_BATCH // (n * n * field.k) ** 2))
     for idx in _blocks(1, q ** dim, block):  # index 0 is l = 0
-        entries = _slice_entries(basis, table_ops(tabs), 1, _digits(q, dim, idx), 1)
-        nil = np.logical_and.reduce([c == 0 for c in charpoly_batch(n, tabs, entries)])
+        entries = _slice_entries(basis, ops, 1, _digits(q, dim, idx), 1)
+        nil = np.logical_and.reduce([c == 0 for c in charpoly_batch(n, ctx, entries)])
         if nil.any():
             y = np.array([[np.broadcast_to(e, nil.shape)[nil] for e in row] for row in entries])
             if (ad_ranks(y, field) <= rx).any():

@@ -8,7 +8,8 @@ Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
 the density's analytic path uses the ring tables alone, so its two paths stay
 independent.  Past its exhaustive limit the m = 1 identity check samples
 seeded points of R_1 ring indices, batched in blocks of at most
-``counting.BLOCK`` on the table-free ring ops; one body serves both branches.
+``counting.BLOCK``; one body serves both branches, in the arithmetic
+``charpoly_batch`` and ``matrices.ring_ops`` pick from the ring.
 The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
 run ``field.ring_mul`` and ``ring_add`` on blocks of ring indices, through
 the ring's packed layout (at most 2^12 entries a table), never the dense
@@ -26,7 +27,6 @@ dual-path comparison run on the arrays.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -37,7 +37,7 @@ from .counting import _blocks, _charpoly_keys, _digits, _draws
 from .errors import BadConfig, LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
 from .field import (FieldCtx, TruncCtx, _row_blocks, ring_add, ring_mul, ring_tables, ring_val,
                     trunc_make)
-from .matrices import CharCoeffs, charpoly_batch, charpoly_ring, ring_ops, table_ops
+from .matrices import CharCoeffs, charpoly_batch, ring_ops
 
 HIST_GUARD = 1 << 34
 VAL_GUARD = 1 << 24
@@ -191,8 +191,8 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     if field.q ** ((n + 2) * M) > SLICE_GUARD:  # also keeps P = q^M <= 36 within the dense tables
         raise TooLarge("subregular slice sweep exceeds its guard")
     ctx = trunc_make(field, M - 1)
-    P, add, mul, _ = tabs = ring_tables(ctx)
-    ops, one = table_ops(tabs), ctx.index(ctx.one)
+    P, add, mul, _ = ring_tables(ctx)
+    ops, one = ring_ops(ctx), ctx.index(ctx.one)
     direct = np.zeros(P ** n, dtype=np.int64)
     for idx in _blocks(0, P ** (n + 2)):
         *f, alpha, z = _digits(P, n + 2, idx)
@@ -227,9 +227,8 @@ def _companion_entries(n: int, ops, one: int, f, alpha, z=0) -> list:
 def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 0) -> bool:
     """charpoly(c(f) + (alpha-1) e_{n-1,n}) = f - f(0) + alpha * f(0).
 
-    Exhaustive at m = 0 on the ring tables (``charpoly_batch``) while the
-    q^(n+1) points (f, alpha) fit M1_EXHAUSTIVE_LIMIT; else ``samples`` seeded
-    points of R_1 ring indices on the table-free ring ops (``charpoly_ring``),
+    Exhaustive at m = 0 while the q^(n+1) points (f, alpha) fit
+    M1_EXHAUSTIVE_LIMIT; else ``samples`` seeded points of R_1 ring indices,
     batched in blocks of at most BLOCK like the exhaustive points."""
     if n < 2:
         raise TooLarge("identity needs n >= 2")
@@ -238,16 +237,14 @@ def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 
     q = field.q
     if q ** (n + 1) <= M1_EXHAUSTIVE_LIMIT:
         ctx = trunc_make(field, 0)
-        tabs = ring_tables(ctx)
-        ops, charpolys = table_ops(tabs), functools.partial(charpoly_batch, n, tabs)
         points = (_digits(q, n + 1, idx) for idx in _blocks(0, q ** (n + 1)))
     else:
         ctx = trunc_make(field, 1)
-        ops, charpolys = ring_ops(ctx), functools.partial(charpoly_ring, n, ctx)
         points = _draws(seed, [ctx.size] * (n + 1), samples)
+    ops = ring_ops(ctx)
     one, mul = ctx.index(ctx.one), ops[1]
     for *f, alpha in points:
-        got = charpolys(_companion_entries(n, ops, one, f, alpha))
+        got = charpoly_batch(n, ctx, _companion_entries(n, ops, one, f, alpha))
         # f - f(0) + alpha*f(0): only the constant coefficient changes
         if not all(np.array_equal(g, e) for g, e in zip(got, f[:-1] + [mul(alpha, f[-1])])):
             return False

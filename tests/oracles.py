@@ -16,8 +16,9 @@ because the package builds its matrices only as ring-index arrays:
 moved in from ``matrices`` and ``slices``.  The batched
 block sweep (``sweep_count_oracle``, ``sweep_counts_oracle``) runs every
 matrix of a count through ``charpoly_batch`` and is the reference for the
-lift engine of ``counting``; the n = 1 closed form is held to
-``fiber_counts_oracle``.
+lift engine of ``counting``.  The n = 2 closed forms (``nilcone_n2_oracle``,
+``split_fiber_n2_oracle``) are the references for counts past the dense
+ring tables, where no sweep of every matrix runs.
 ``bracket_rank_oracle`` ranks ad_x by scalar Gaussian elimination over F_q
 in ``FieldCtx`` arithmetic, independent of ``row_echelon``: it is the
 reference for ``matrices.ad_ranks``, and ``orbit_jump_oracle``, which
@@ -226,6 +227,22 @@ def sweep_counts_oracle(n, ctx: TruncCtx):
     P = ctx.size
     return sum(np.bincount(_charpoly_keys(n, ctx, _full_entries(n, P, idx)), minlength=P ** n)
                for idx in _blocks(0, matrix_space_size(n, ctx)))
+
+
+def nilcone_n2_oracle(q, m):
+    """#J_m(N) for n = 2: S_(m+1) of the recurrence S_0 = 1, S_1 = q^2,
+    S_k = (q^2 - 1) q^(2k-2) + q^3 S_(k-2)."""
+    S = [1, q * q]
+    for k in range(2, m + 2):
+        S.append((q * q - 1) * q ** (2 * k - 2) + q ** 3 * S[k - 2])
+    return S[m + 1]
+
+
+def split_fiber_n2_oracle(q, m):
+    """The n = 2 fiber over an x whose residue x mod t has two distinct roots
+    in F_q: the q^2 + q matrices of a regular semisimple orbit mod t, each
+    lifting smoothly, q^2 ways a level."""
+    return (q * q + q) * q ** (2 * m)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from chevalab import cli, counting, measure, slices, subreg
 from chevalab.cli import build_parser, main, run
 from chevalab.counting import CountQuery, count_sharded, run_query
-from chevalab.field import field_make, trunc_make
+from chevalab.field import field_make, ring_tables, trunc_make
 from chevalab.errors import IoError
 from chevalab.reporting import Report, atomic_write_text, emit, load_jsonl
 from oracles import profile_csv_oracle
@@ -394,12 +395,45 @@ def test_fit_dim_mixed_targets_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("shards,guard", [([], "sweep guard 2^30"), (["--shards", "4", "--shard-id", "0"],
                                                                     "per-shard-set guard 2^40")])
 def test_count_n1_past_int64_hits_size_guard(capsys, shards, guard):
-    # R_31 over F_251 has 256-bit indices; the n = 1 hit -x_1 is only taken after the guards
+    # R_31 over F_251 has 256-bit indices; the guards read the 251^15 jets the lift would run
     x = ";".join(["3"] * 32)
     code = main(["count", "--n", "1", "--ell", "251", "--m", "31", "--target", "fiber", "--x", x] + shards)
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert len(captured.err.strip().splitlines()) == 1 and f"exceeds the {guard}" in captured.err
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "nilcone"], "1923445"),
+    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "fiber", "--x", "1;5|3;7"], "1924814"),
+    (["count", "--n", "1", "--ell", "2", "--m", "31", "--target", "nilcone"], "1"),
+], ids=["nilcone-n2-q37", "fiber-n2-q37", "nilcone-n1-m31"])
+def test_count_past_table_limit(capsys, argv, count):
+    # rings of 1369 and 2^32 elements have no dense tables; the lift runs on the packed ring ops
+    code, doc = _main_out(capsys, argv)
+    assert code == 0 and doc["outputs"] == {"count": count, "engine": "lift"}
+
+
+def test_m0_fiber_over_prime_field_builds_no_tables(capsys):
+    # charpoly_batch alone picks the arithmetic: over F_3 it runs on int64 residues, no tables
+    before = ring_tables.cache_info()
+    code, doc = _main_out(capsys, ["count", "--n", "3", "--ell", "3", "--m", "0", "--target", "fiber",
+                                   "--x", "1|2|0"])
+    assert code == 0 and int(doc["outputs"]["count"]) > 0
+    assert ring_tables.cache_info() == before
+
+
+def test_count_n1_table_hits_its_guard(capsys):
+    # the n = 1 lift runs 2^16 bases, but the fiber table would hold P = 2^31 codes
+    tracemalloc.start()
+    try:
+        code = main(["count", "--n", "1", "--ell", "2", "--m", "30", "--target", "gi", "--i", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and peak < 1 << 26
+    assert len(captured.err.strip().splitlines()) == 1 and "exceeds the sweep guard 2^30" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -408,7 +442,7 @@ def test_count_n1_past_int64_hits_size_guard(capsys, shards, guard):
      "--shards", "4", "--shard-id", "0"],
 ])
 def test_huge_size_guard_message_is_short(capsys, argv):
-    # 2^1600 lifting bases, a 2^255 shard set: the sizes are printed as powers of 2, not in full
+    # 2^1600 lifting bases, a 2^120 shard set: the sizes are printed as powers of 2, not in full
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
@@ -458,7 +492,8 @@ def test_fit_dim_binary_input_exit_2(capsys, tmp_path):
     ["subreg", "--n", "3", "--ell", "13", "--M", "1"],
 ], ids=["slice-audit-q37", "subreg-q13"])
 def test_sampled_audits_past_table_limit(capsys, argv):
-    # R_1 of F_37 has 1369 > RING_TABLE_LIMIT elements; subreg's m = 1 check samples at q = 13
+    # both sample R_1 points: of F_37, 1369 > RING_TABLE_LIMIT elements on the packed ring ops,
+    # and of F_13, 169 elements on its dense tables
     code, doc = _main_out(capsys, argv)
     assert code == 0
     assert doc["verdicts"] and all(doc["verdicts"].values())

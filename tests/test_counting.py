@@ -39,7 +39,8 @@ from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
 from chevalab.matrices import charpoly, row_echelon
 from chevalab.measure import refinement_check
 
-from oracles import (all_matrices, fiber_counts_oracle, gauss_oracle, in_span_oracle, mat_make,
+from oracles import (all_matrices, charpoly_oracle, fiber_counts_oracle, gauss_oracle,
+                     in_span_oracle, mat_make, nilcone_n2_oracle, split_fiber_n2_oracle,
                      sweep_count_oracle, sweep_counts_oracle)
 
 F2 = field_make(2)
@@ -127,7 +128,7 @@ def test_nilcone_m0_fine_herstein(n, ell, k):
 
 
 def test_ring_past_table_limit_n1():
-    # no dense tables past the limit: n = 1 counts are closed form, c_1 = -a
+    # past the dense-table limit the lift runs on the packed ring ops: one matrix per fiber
     ctx = trunc_make(F2, 10)
     assert ctx.size > RING_TABLE_LIMIT
     assert count_nilcone_jets(1, ctx) == 1
@@ -139,12 +140,28 @@ def test_ring_past_table_limit_n1():
     assert sum(count_sharded(q, 3, s).count for s in range(3)) == 1
 
 
-def test_charpoly_keys_past_table_limit_need_tables_from_n2():
-    # the n >= 2 kernel needs the dense tables
+def test_charpoly_keys_past_table_limit_match_oracle():
+    # R_10 of F_2 has no dense tables; the keys come from the packed ring ops
     ctx = trunc_make(F2, 10)
-    a = np.arange(5, dtype=np.int64)
-    with pytest.raises(TooLarge):
-        counting._charpoly_keys(2, ctx, [[a, a], [a, a]])
+    assert ctx.size > RING_TABLE_LIMIT
+    rng = random.Random(10)
+    for n in (2, 3):
+        mats = [[[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)] for _ in range(12)]
+        entries = [[np.array([a[i][j] for a in mats], dtype=np.int64) for j in range(n)] for i in range(n)]
+        want = [counting._encode_key(ctx, charpoly_oracle(ctx, [[ctx.from_index(e) for e in row] for row in a]))
+                for a in mats]
+        assert counting._charpoly_keys(n, ctx, entries).tolist() == want
+
+
+@pytest.mark.parametrize("ell,m,nilcone", [(2, 0, 4), (2, 1, 20), (2, 4, 1408), (3, 2, 891), (5, 1, 725),
+                                           (37, 1, 1_923_445), (11, 2, 1_917_971)])
+def test_n2_closed_forms_match_lift(ell, m, nilcone):
+    # the n = 2 nilcone recurrence and the split-residue fiber (q^2 + q) q^(2m); R_1 of F_37 and
+    # R_2 of F_11 (P = 1369, 1331) are past the dense-table limit, so the lift runs on packed ops
+    ctx = trunc_make(field_make(ell), m)
+    assert count_nilcone_jets(2, ctx) == nilcone_n2_oracle(ell, m) == nilcone
+    x = (ctx.make([ell - 1, 3, 4]), ctx.make([0, 5, 6]))  # x mod t = z (z - 1)
+    assert count_jet_fiber(2, ctx, x) == split_fiber_n2_oracle(ell, m)
 
 
 def test_nilcone_n1_builds_no_tables():
@@ -154,19 +171,41 @@ def test_nilcone_n1_builds_no_tables():
 
 @pytest.mark.parametrize("ell,m", [(2, 0), (3, 1), (2, 2)])
 def test_n1_closed_form_matches_oracle(ell, m):
-    # c_1 = -a is a bijection: one matrix per fiber, the nilcone the jet a = 0.
-    # Shards split matrix_from_index order, the nilcone its first q^m indices (a = 0 mod t).
+    # c_1 = -a is a bijection: one matrix per fiber, the nilcone the jet a = 0.  The lift
+    # indexes the q^(h-1) jets at level h - 1 of the one base -x_1 mod t, and only the jet
+    # -x_1 mod t^h lifts; the m = 0 fiber indexes all of F_q in matrix_from_index order.
     ctx = trunc_make(field_make(ell), m)
+    low = trunc_make(ctx.field, m // 2)  # R_(h-1)
     oracle = fiber_counts_oracle(ctx, 1)
     assert fiber_table(1, ctx) == oracle
     assert count_nilcone_jets(1, ctx) == oracle[(ctx.zero,)] == 1
-    targets = [("nilcone", None, ell ** m, (ctx.zero,))] + [("fiber", x, ctx.size, x) for x in oracle]
-    for kind, x, total, hit in targets:
+    for kind, x in [("nilcone", None)] + [("fiber", x) for x in oracle]:
+        a = ctx.zero if x is None else ctx.neg(x[0])  # the one matrix of the fiber
+        if kind == "fiber" and m == 0:
+            total, hit = ctx.size, ctx.index(a)
+        else:
+            total = ell ** low.m
+            hit = low.index(a[:low.m + 1]) % total
+        assert counting._target_space(1, ctx, kind, x)[0] == total
         q = CountQuery(1, ell, 1, m, kind, x=x)
         parts = [count_sharded(q, 3, s).count for s in range(3)]
-        assert parts == [sum(charpoly(matrix_from_index(1, ctx, idx)).c == hit
-                             for idx in range(*_shard_range(total, 3, s))) for s in range(3)]
+        assert parts == [int(lo <= hit < hi) for lo, hi in (_shard_range(total, 3, s) for s in range(3))]
         assert sum(parts) == run_query(q).count == 1
+
+
+@pytest.mark.parametrize("kind", ["nilcone", "fiber"])
+def test_n1_checkpoint_of_closed_form_rejected(tmp_path, kind):
+    # the n = 1 closed form indexed ring elements at m >= 1, and its checkpoint named no index
+    # space; n = 1 now lifts, indexing the jets of its one base, so such a checkpoint is refused
+    ctx = trunc_make(F2, 2)
+    q = CountQuery(1, 2, 1, 2, kind, x=(ctx.zero,) if kind == "fiber" else None)
+    old = {k: v for k, v in counting._query_sig(q).items() if k != "index"}
+    assert old != counting._query_sig(q)
+    path = tmp_path / "n1.jsonl"
+    path.write_text(json.dumps({"next_index": 1, "query": old, "schema_version": 1,
+                                "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(q, 1, 0, str(path))
 
 
 @pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (3, 3, 1)])
@@ -639,7 +678,7 @@ def test_row_echelon_matches_scalar_gauss(ell, kind):
 
 
 def test_count_engine():
-    assert count_engine(1, "nilcone") == count_engine(1, "gi") == "n1"
+    assert count_engine(1, "nilcone") == count_engine(1, "fiber") == count_engine(1, "gi") == "lift"
     assert count_engine(2, "gi") == "n2-product"
     assert count_engine(2, "fiber") == count_engine(3, "gi") == "lift"
     assert count_engine(2, "nilcone") == count_engine(3, "fiber") == "lift"
@@ -729,9 +768,9 @@ def test_lift_fiber_checkpoint_of_older_layout_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("n,m,kind,index", [
-    (1, 0, "nilcone", None), (1, 1, "nilcone", None), (2, 0, "nilcone", None),
+    (1, 0, "nilcone", None), (1, 1, "nilcone", "lifting bases B"), (2, 0, "nilcone", None),
     (2, 1, "nilcone", "lifting bases B"),
-    (1, 0, "fiber", None), (1, 1, "fiber", None), (2, 0, "fiber", None),
+    (1, 0, "fiber", None), (1, 1, "fiber", "jets of fiber bases B"), (2, 0, "fiber", None),
     (2, 1, "fiber", "jets of fiber bases B"),
     (1, 0, "gi", "charpoly codes"), (1, 1, "gi", "charpoly codes"),
     (2, 0, "gi", "charpoly codes"), (2, 1, "gi", "charpoly codes"),

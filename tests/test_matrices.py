@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chevalab import matrices
 from chevalab.errors import TooLarge
 from chevalab.field import RING_TABLE_LIMIT, field_make, ring_tables, trunc_make
-from chevalab.matrices import CharCoeffs, ad_ranks, charpoly, charpoly_batch, charpoly_ring
+from chevalab.matrices import CharCoeffs, ad_ranks, charpoly, charpoly_batch
 
 from oracles import (all_matrices, bracket_rank_oracle, charpoly_oracle, charpoly_shift, companion,
                      mat_make, matmul, scale_coeffs, shift_scalar)
@@ -72,17 +72,17 @@ def test_berkowitz_matches_cofactor_oracle(n, ell, k, m):
     assert [charpoly(a).c for a in mats] == want
     entries = [[np.array([ctx.index(a.entries[i][j]) for a in mats], dtype=np.int64) for j in range(n)]
                for i in range(n)]
-    got = charpoly_batch(n, ring_tables(ctx), entries)
+    got = charpoly_batch(n, ctx, entries)
     assert [tuple(ctx.from_index(int(c[b])) for c in got) for b in range(len(mats))] == want
 
 
-def _both_paths(monkeypatch, n, tabs, entries):
+def _both_paths(monkeypatch, n, ctx, entries):
     """charpoly_batch on int64 residues and, with that path switched off, on the tables."""
-    assert matrices._int64_exact(n, tabs.P)
-    ints = charpoly_batch(n, tabs, entries)
+    assert matrices._int64_exact(n, ctx.size)
+    ints = charpoly_batch(n, ctx, entries)
     with monkeypatch.context() as patched:
         patched.setattr(matrices, "_int64_exact", lambda n, P: False)
-        return ints, charpoly_batch(n, tabs, entries)
+        return ints, charpoly_batch(n, ctx, entries)
 
 
 @pytest.mark.parametrize("n,ell", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
@@ -90,7 +90,7 @@ def test_int64_path_matches_tables_on_every_matrix(monkeypatch, n, ell):
     idx = np.arange(ell ** (n * n), dtype=np.int64)
     digits = [idx // ell ** d % ell for d in range(n * n)]
     entries = [digits[i * n:(i + 1) * n] for i in range(n)]
-    ints, tables = _both_paths(monkeypatch, n, ring_tables(trunc_make(field_make(ell), 0)), entries)
+    ints, tables = _both_paths(monkeypatch, n, trunc_make(field_make(ell), 0), entries)
     assert all(np.array_equal(a, b) for a, b in zip(ints, tables))
 
 
@@ -102,7 +102,7 @@ def test_int64_path_at_its_bound_matches_oracle(monkeypatch):
                                              for _ in range(50)]
     entries = [[np.array([a[i][j] for a in mats], dtype=np.int64) for j in range(5)] for i in range(5)]
     want = [tuple(c[0] for c in charpoly_oracle(ctx, [[(e,) for e in row] for row in a])) for a in mats]
-    for got in _both_paths(monkeypatch, 5, ring_tables(ctx), entries):
+    for got in _both_paths(monkeypatch, 5, ctx, entries):
         assert [tuple(int(c[b]) for c in got) for b in range(len(mats))] == want
 
 
@@ -112,7 +112,7 @@ def test_int64_path_only_below_its_bound():
     assert matrices._int64_exact(15, 2) and not matrices._int64_exact(16, 2)
     assert not any(matrices._int64_exact(3, P) for P in (4, 8, 9, 25))
     ctx = trunc_make(field_make(251), 0)  # so n = 6 gathers from the tables, and stays exact
-    got = charpoly_batch(6, ring_tables(ctx), [[250] * 6 for _ in range(6)])
+    got = charpoly_batch(6, ctx, [[250] * 6 for _ in range(6)])
     assert tuple(int(c) for c in got) == tuple(c[0] for c in charpoly_oracle(ctx, [[(250,)] * 6] * 6))
 
 
@@ -262,7 +262,8 @@ def test_ad_ranks_f2048_without_ring_tables():
 
 @pytest.mark.parametrize("n,ell,k", [(3, 37, 1), (2, 2, 6), (3, 2, 6)], ids=["3-37", "2-64", "3-64"])
 def test_charpoly_ring_matches_oracle_past_table_limit(n, ell, k):
-    # R_1 of F_37 and of F_64 have no dense tables; the Berkowitz body runs on ring_add/mul/neg
+    # R_1 of F_37 and of F_64 have no dense tables: charpoly_batch runs the Berkowitz body on
+    # the packed ring_add/mul/neg
     ctx = trunc_make(field_make(ell, k), 1)
     assert ctx.size > RING_TABLE_LIMIT
     with pytest.raises(TooLarge):
@@ -270,7 +271,7 @@ def test_charpoly_ring_matches_oracle_past_table_limit(n, ell, k):
     rng = random.Random(f"ring:{n}:{ell}:{k}")
     mats = [[[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)] for _ in range(40)]
     entries = [[np.array([a[i][j] for a in mats], dtype=np.int64) for j in range(n)] for i in range(n)]
-    got = charpoly_ring(n, ctx, entries)
+    got = charpoly_batch(n, ctx, entries)
     want = [charpoly_oracle(ctx, [[ctx.from_index(e) for e in row] for row in a]) for a in mats]
     assert [tuple(ctx.from_index(int(c[b])) for c in got) for b in range(len(mats))] == want
 
@@ -288,7 +289,7 @@ def test_charpoly_batch_matches_scalar_and_oracle(n, ell_k, m, data):
     if n > 1:  # one entry passed as a scalar, broadcast over the batch
         i0, j0 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         entries[i0][j0] = cols[i0 * n + j0][0]
-    got = charpoly_batch(n, ring_tables(ctx), entries)
+    got = charpoly_batch(n, ctx, entries)
     assert [c.shape for c in got] == [(batch,)] * n
     for b in range(batch):
         rows = [[ctx.from_index(int(np.broadcast_to(entries[i][j], (batch,))[b])) for j in range(n)]

@@ -181,7 +181,7 @@ def test_m1_identity_exhaustive_small():
 def test_m1_identity_exhaustive_detects_mismatch(monkeypatch):
     # the batched sweep compares every coefficient: reversed ones must fail
     real = subreg.charpoly_batch
-    monkeypatch.setattr(subreg, "charpoly_batch", lambda n, tabs, e: real(n, tabs, e)[::-1])
+    monkeypatch.setattr(subreg, "charpoly_batch", lambda n, ctx, e: real(n, ctx, e)[::-1])
     assert not m1_identity_check(3, F2)
 
 
@@ -213,13 +213,13 @@ def test_m1_identity_fails_on_alpha_in_wrong_slot(monkeypatch, field, limit):
 
 def test_m1_identity_samples_past_one_block(monkeypatch):
     # BLOCK + 1 samples run as a full block and a block of one, with the verdict of one block
-    real, sizes = subreg.charpoly_ring, []
+    real, sizes = subreg.charpoly_batch, []
 
     def spy(n, ctx, entries):
         out = real(n, ctx, entries)
         sizes.append(len(out[0]))
         return out
-    monkeypatch.setattr(subreg, "charpoly_ring", spy)
+    monkeypatch.setattr(subreg, "charpoly_batch", spy)
     F13 = field_make(13)
     assert m1_identity_check(3, F13, samples=BLOCK + 1) == m1_identity_check(3, F13, samples=BLOCK)
     assert m1_identity_check(3, F13, samples=BLOCK + 1)
