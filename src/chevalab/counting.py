@@ -15,10 +15,11 @@ strings.  ``count_engine`` names the engine that runs each count:
   the n >= 3 fiber table (_lift_counts) run this way.  At m = 0, h = 1 and
   the top half is empty: B is A, and each A with c(A) = x adds 1.  The
   kernel runs in the arithmetic ``matrices.charpoly_batch`` picks from the
-  ring, the packed ring ops past ``field.RING_TABLE_LIMIT``, so the lift
-  has no ring-size wall of its own.
+  ring, ``field.ring_ops`` when int64 is not exact, which works on every
+  ring, so the lift has no ring-size wall of its own.
 * n2-product: the n = 2 fiber table at every m is one integer matrix
-  product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c).
+  product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c),
+  read from ``field.ring_ops`` on the P x P grid of index pairs.
 The kernel is tested against the cofactor expansion in ``tests/oracles.py``.
 
 Sharding: every target has one index space and one ``subtotal(lo, hi)``
@@ -55,14 +56,15 @@ import numpy as np
 
 from .errors import (BadConfig, CorruptCheckpoint, CtxMismatch, IoError,
                      InsufficientData, ShardOutOfRange, TooLarge)
-from .field import FieldCtx, TruncCtx, field_make, ring_tables, trunc_make
-from .matrices import CharCoeffs, JetMatrix, charpoly_batch, ring_ops, row_echelon
+from .field import FieldCtx, TruncCtx, field_make, ring_ops, trunc_make
+from .matrices import CharCoeffs, JetMatrix, charpoly_batch, row_echelon
 from .reporting import SCHEMA_VERSION, CountRecord, atomic_write_text
 
 SHARD_GUARD = 1 << 40
 SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
 BLOCK = 1 << 11  # matrices per charpoly_batch call; larger blocks add peak memory, not speed
 PAGE_CACHE = 1 << 7  # pages kept per memo: 2^7 pages of BLOCK int64 values are 2 MB
+TABLE_GUARD = 1 << 20  # codes of a dense fiber table, the most the n = 2 product reaches (P <= 2^10)
 
 FiberKey = Tuple[tuple, ...]  # (c_1, ..., c_n), each a series tuple
 
@@ -244,9 +246,8 @@ def count_engine(n: int, kind: str) -> str:
 
     "n2-product": the n = 2 fiber table as one matrix product (gi only);
     "lift": the low half B of each matrix swept, the top half solved over
-    F_ell (_lift_space, _lift_counts), at every n and ring size: past
-    RING_TABLE_LIMIT the kernel runs on the packed ring ops; at m = 0 the
-    top half is empty.
+    F_ell (_lift_space, _lift_counts), at every n and ring size: the kernel
+    runs on any ring; at m = 0 the top half is empty.
     gi reads the fiber table, so its engine is the table's (_fiber_counts)."""
     if kind == "gi" and n == 2:
         return "n2-product"
@@ -413,7 +414,8 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     H = P // shift  # high parts of one c_i
     total = matrix_space_size(n, low)
     _check_sweep(total, "q^(h n^2) lifting bases B")
-    _check_sweep(P ** n, "P^n codes of the fiber table")  # implied by the bases from n = 2 on
+    if P ** n > TABLE_GUARD:
+        raise TooLarge(f"P^n = {_size_text(P ** n)} codes of the fiber table exceed the table guard 2^20")
     if R == 0:  # m = 0: B is A, and each A adds 1 to its code c(A)
         pages = functools.partial(_charpoly_page, n, ctx)
         return sum(np.bincount(codes, minlength=P ** n) for codes in _pages(0, total, pages))
@@ -458,8 +460,9 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
 
     The engine is count_engine(n, "gi"): the n = 2 matrix product
     (_fiber_table_np) at every m, else lifting (_lift_counts) at every m,
-    m = 0 included.  Each guard bounds the work that runs: P^3 multiply-adds
-    for the product, the bases B and the P^n codes for lifting."""
+    m = 0 included.  Each guard bounds the work that runs before it
+    allocates: P^3 multiply-adds for the product, which keep its P^2 codes
+    within TABLE_GUARD, and for lifting the bases B, then the P^n codes."""
     if count_engine(n, "gi") == "n2-product":
         _check_sweep(ctx.size ** 3, "P^3 multiply-adds of the n = 2 product")
         counts = _fiber_table_np(ctx)
@@ -472,11 +475,15 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
 def _fiber_table_np(ctx: TruncCtx) -> np.ndarray:
     """The n = 2 fiber counts as one integer matrix product.  charpoly([[a, b], [c, d]])
     is (-(a+d), ad - bc), so H[c1, p] = #{(a, d) : -(a+d) = c1, ad = p} and
-    B[p, c2] = #{(b, c) : bc = p - c2} give the counts H @ B.  Every entry is
-    a count <= P^4 <= 2^40 under the guard P^3 <= 2^30, so int64 is exact."""
-    P, add, mul, neg = ring_tables(ctx)
-    H = np.bincount(neg[add] * P + mul, minlength=P * P).reshape(P, P)
-    B = np.bincount(mul, minlength=P)[add.reshape(P, P)[:, neg]]
+    B[p, c2] = #{(b, c) : bc = p - c2} give the counts H @ B, both read from
+    the ops of ``field.ring_ops`` on the P x P grid of index pairs.  Every
+    entry is a count <= P^4 <= 2^40 under the guard P^3 <= 2^30, so int64 is
+    exact."""
+    P, (add, mul, neg) = ctx.size, ring_ops(ctx)
+    i = np.arange(P, dtype=np.int64)[:, None]
+    prod = mul(i, i.T)
+    H = np.bincount((neg(add(i, i.T)) * P + prod).ravel(), minlength=P * P).reshape(P, P)
+    B = np.bincount(prod.ravel(), minlength=P)[add(neg(i), i.T)].T  # column-major: H @ B runs 7x faster
     return (H @ B).ravel()
 
 

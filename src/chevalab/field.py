@@ -12,8 +12,10 @@ A series is also its ring index (``TruncCtx.index``), a base-ell number
 with N = k(m+1) digits: digit e = (m-i)k + j is the g^j coefficient of the
 t^i coefficient (g = x, the root of the field modulus), so the t^0
 coefficient is the top digit.  ``ring_add``, ``ring_neg``, ``ring_mul``
-and ``ring_val`` take ring indices, ints or broadcasting int64 arrays;
-``ring_tables`` runs add and mul over all pairs.
+and ``ring_val`` take ring indices, ints or broadcasting int64 arrays.
+``ring_ops`` is the one entry point for callers that run many ops on one
+ring: it decides when a ring gets dense P x P add and mul tables, which it
+fills from the packed ops, and gathers from them.
 
 Add, neg and mul share one packed layout per ring (``_layout``): the
 t^i g^j coefficient of an index sits in bit slot i(2k-1) + j of int64
@@ -254,8 +256,10 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q = self.q
-        tabs = ring_tables(TruncCtx(self, 0))
-        self._add_table, self._mul_table, self._neg_table = (t.tolist() for t in tabs[1:])
+        add, mul, neg = ring_ops(TruncCtx(self, 0))
+        xs = np.arange(q)
+        self._add_table, self._mul_table = (op(xs[:, None], xs).ravel().tolist() for op in (add, mul))
+        self._neg_table = neg(xs).tolist()
         inv = [0] * q
         for a in range(1, q):
             inv[a] = self.pow(a, q - 2)
@@ -409,17 +413,6 @@ class TruncCtx:
 
 def trunc_make(field: FieldCtx, m: int) -> TruncCtx:
     return TruncCtx(field, m)
-
-
-class RingTables(NamedTuple):
-    """Dense arithmetic of R_m on ring indices (``TruncCtx.index``): the sum
-    of elements x and y has index ``add[x * P + y]``, the product
-    ``mul[x * P + y]``, the negative of x ``neg[x]``.  Arrays are read-only."""
-
-    P: int
-    add: np.ndarray
-    mul: np.ndarray
-    neg: np.ndarray
 
 
 # A product of chunk words stays below 2^62, so no sum reaches the int64 sign bit.
@@ -591,20 +584,19 @@ def _row_blocks(P: int) -> list:
 
 
 @functools.lru_cache(maxsize=4)
-def ring_tables(ctx: TruncCtx) -> RingTables:
-    """The tables of ``ctx``, built once per ``ctx.key()`` from ``ring_add``,
-    ``ring_mul`` and ``ring_neg`` on every pair or element; valid for any k
-    and m.  Rows run in blocks of about 2^14 pairs (``_row_blocks``)."""
+def ring_ops(ctx: TruncCtx) -> tuple:
+    """(add, mul, neg) on the ring indices of ``ctx``, built once per
+    ``ctx.key()``: while P = ctx.size <= RING_TABLE_LIMIT, gathers from dense
+    tables (the sum of x and y at ``x * P + y``), filled from ``ring_add``,
+    ``ring_mul`` and ``ring_neg`` in row blocks of about 2^14 pairs
+    (``_row_blocks``); past it, the packed ops themselves."""
     P = ctx.size
     if P > RING_TABLE_LIMIT:
-        raise TooLarge(f"ring of size {P} exceeds the dense-table limit {RING_TABLE_LIMIT}")
+        return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
     idx = np.arange(P, dtype=np.int64)
     add, mul = np.empty((2, P, P), dtype=np.int64)
     for rows in _row_blocks(P):
         add[rows] = ring_add(ctx, idx[rows, None], idx)
         mul[rows] = ring_mul(ctx, idx[rows, None], idx)
-    tabs = RingTables(P, add.ravel(), mul.ravel(), ring_neg(ctx, idx))
-    for arr in tabs[1:]:
-        arr.flags.writeable = False
-    return tabs
-
+    add, mul, neg = add.ravel(), mul.ravel(), ring_neg(ctx, idx)
+    return lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y], neg.__getitem__

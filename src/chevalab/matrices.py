@@ -12,9 +12,7 @@ ring-index arrays, one matrix per element, and picks its arithmetic from
 the ring by one rule: int64 +, * and -, reduced mod P once at the end, when
 ``_int64_exact`` holds, i.e. the ring is F_ell with residues as indices and
 (n+1)(n(P-1))^n < 2^63 (n <= 5 at ell = 251, n <= 15 at ell = 2); else the
-ops of ``ring_ops(ctx)``, gathers from ``field.ring_tables`` while P <=
-``field.RING_TABLE_LIMIT`` and the packed ``field.ring_add``, ``ring_mul``
-and ``ring_neg`` past it.  Callers that build entries take ``ring_ops`` too.
+ops of ``field.ring_ops(ctx)``, which callers that build entries take too.
 ``charpoly`` runs the body on one ``JetMatrix`` in ``TruncCtx`` series
 arithmetic; no program path runs it: it stays for the benchmark's
 per-matrix probe and for the oracles and property tests.
@@ -33,15 +31,13 @@ F_ell, for the lift engine of ``counting`` and for the ranks of ad_y, which
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .field import (RING_TABLE_LIMIT, FieldCtx, TruncCtx, _is_prime, _power_rows, ring_add,
-                    ring_mul, ring_neg, ring_tables)
+from .field import FieldCtx, TruncCtx, _is_prime, _power_rows, ring_ops
 
 
 @dataclass(frozen=True)
@@ -97,16 +93,6 @@ def charpoly(A: JetMatrix) -> CharCoeffs:
 def _int64_exact(n: int, P: int) -> bool:
     """Whether charpoly_batch runs on int64 residues (see the module docstring)."""
     return _is_prime(P) and (n + 1) * (n * (P - 1)) ** n < 2 ** 63
-
-
-def ring_ops(ctx: TruncCtx) -> tuple:
-    """(add, mul, neg) on the ring indices of ``ctx``: gathers from
-    ``field.ring_tables`` while ``ctx.size <= RING_TABLE_LIMIT``, else the
-    packed ``field.ring_add``, ``ring_mul`` and ``ring_neg``."""
-    if ctx.size > RING_TABLE_LIMIT:
-        return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
-    P, add, mul, neg = ring_tables(ctx)
-    return lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y], neg.__getitem__
 
 
 def charpoly_batch(n: int, ctx: TruncCtx, entries) -> List[np.ndarray]:

@@ -8,7 +8,7 @@ Jordan block, which gives the column-1 entry at in-block row r weight r.
 
 The audits build their points as ring-index arrays (``_slice_entries``) and
 run them in blocks of at most ``counting.BLOCK``, in the arithmetic
-``matrices.charpoly_batch`` and ``ring_ops`` pick from the ring.
+``matrices.charpoly_batch`` and ``field.ring_ops`` pick from the ring.
 Equivariance sweeps every point at m = 0 while the sweep fits its limit,
 and past it samples seeded points at m = 1, R_1 ring indices; one body
 serves both branches.
@@ -23,8 +23,8 @@ import numpy as np
 
 from .counting import BLOCK, _blocks, _digits, _draws
 from .errors import BadConfig, TheoremCheckFailed, TooLarge
-from .field import FieldCtx, trunc_make
-from .matrices import JetMatrix, ad_digits, ad_ranks, charpoly_batch, ring_ops, row_echelon
+from .field import FieldCtx, ring_ops, trunc_make
+from .matrices import JetMatrix, ad_digits, ad_ranks, charpoly_batch, row_echelon
 
 EQUIVARIANCE_EXHAUSTIVE_LIMIT = 1 << 20  # (q-1) q^dim points and weights lambda
 ORBIT_JUMP_GUARD = 1 << 24  # q^dim slice points
@@ -264,30 +264,30 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
 
     Exhaustive at m = 0 while the (q-1) q^dim pairs of a point and a lambda
     fit the limit; else ``samples`` seeded R_1 points, one random lambda
-    each, so every q <= 2^16 runs; BLOCK points at a time."""
+    each, so every q <= 2^16 runs.  lambda broadcasts against the points:
+    a column of every unit against blocks of BLOCK // (q-1) exhaustive
+    points, or one drawn unit per point in blocks of BLOCK sampled ones."""
     if samples < 1:
         raise BadConfig(f"samples={samples}: need at least 1 sample")
     basis = slice_basis(partition, kind)
     n, q, dim = basis.n, field.q, basis.dim
     if (q - 1) * q ** dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
-        ctx = trunc_make(field, 0)
-        points = ((_digits(q, dim, idx), range(1, q)) for idx in _blocks(0, q ** dim))
+        ctx, units = trunc_make(field, 0), np.arange(1, q)[:, None]
+        points = ((_digits(q, dim, idx), units) for idx in _blocks(0, q ** dim, max(1, BLOCK // (q - 1))))
     else:
         ctx = trunc_make(field, 1)
-        points = ((coords, [lam + 1]) for *coords, lam in
-                  _draws(seed, [ctx.size] * dim + [q - 1], samples))
+        points = ((coords, lam + 1) for *coords, lam in _draws(seed, [ctx.size] * dim + [q - 1], samples))
     ops = ring_ops(ctx)
     one, mul = ctx.index(ctx.one), ops[1]
-    for coords, lams in points:
+    for coords, lam in points:
+        lam = lam * one
         base = charpoly_batch(n, ctx, _slice_entries(basis, ops, one, coords, one))
-        for lam in lams:
-            lam = lam * one
-            scaled = charpoly_batch(n, ctx, _slice_entries(basis, ops, one, coords, lam))
-            w = one
-            for got, c in zip(scaled, base):
-                w = mul(w, lam)
-                if not np.array_equal(got, mul(c, w)):
-                    return False
+        scaled = charpoly_batch(n, ctx, _slice_entries(basis, ops, one, coords, lam))
+        w = one
+        for got, c in zip(scaled, base):
+            w = mul(w, lam)
+            if not np.array_equal(got, mul(c, w)):
+                return False
     return True
 
 

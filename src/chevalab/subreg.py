@@ -5,20 +5,23 @@ at M+1, so every comparison is exact; the closed-form bounds dominate every
 truncated value because capping only lowers the integral.
 
 Exhaustive slice sweeps run in index blocks through ``matrices.charpoly_batch``;
-the density's analytic path uses the ring tables alone, so its two paths stay
-independent.  Past its exhaustive limit the m = 1 identity check samples
-seeded points of R_1 ring indices, batched in blocks of at most
-``counting.BLOCK``; one body serves both branches, in the arithmetic
-``charpoly_batch`` and ``matrices.ring_ops`` pick from the ring.
+the density's analytic path runs Horner on the ops of ``field.ring_ops``
+alone, never ``charpoly_batch``, so its two paths stay independent.  Past
+its exhaustive limit the m = 1 identity check samples seeded points of R_1
+ring indices, batched in blocks of at most ``counting.BLOCK``; one body
+serves both branches, in the arithmetic ``charpoly_batch`` and
+``field.ring_ops`` pick from the ring.
 The valuation sweeps (``mult_pushforward_hist``, ``val_integral``)
 run ``field.ring_mul`` and ``ring_add`` on blocks of ring indices, through
 the ring's packed layout (at most 2^12 entries a table), never the dense
-ring tables.  The histogram multiplies each unordered pair of the P ring
-indices once, about P(P+1)/2 products instead of P^2, counts a pair of
-distinct indices twice, and reads each product's valuation from one
-array of ``field.ring_val`` over the P indices; it is still an exhaustive
-sweep, so it checks the closed form rather than relying on it.  Their
-scalar loops live in ``tests/oracles.py`` as references.
+tables of ``ring_ops``: one sweep would spend as long building P^2 table
+entries as it spends sweeping.  The histogram multiplies each unordered
+pair of the P ring indices once, about P(P+1)/2 products instead of P^2,
+counts a pair of distinct indices twice, and reads each product's
+valuation from one array of ``field.ring_val`` over the P indices; it is
+still an exhaustive sweep, so it checks the closed form rather than
+relying on it.  Their scalar loops live in ``tests/oracles.py`` as
+references.
 
 Both slice-density paths give dense count arrays over the codes of
 ``counting._encode_key``, with the denominator q^(2M); mass, sup and the
@@ -35,9 +38,8 @@ import numpy as np
 
 from .counting import _blocks, _charpoly_keys, _digits, _draws
 from .errors import BadConfig, LevelTooLow, TheoremCheckFailed, TooLarge, WrongCharacteristic
-from .field import (FieldCtx, TruncCtx, _row_blocks, ring_add, ring_mul, ring_tables, ring_val,
-                    trunc_make)
-from .matrices import CharCoeffs, charpoly_batch, ring_ops
+from .field import FieldCtx, TruncCtx, _row_blocks, ring_add, ring_mul, ring_ops, ring_val, trunc_make
+from .matrices import CharCoeffs, charpoly_batch
 
 HIST_GUARD = 1 << 34
 VAL_GUARD = 1 << 24
@@ -188,11 +190,11 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
                        "use density_profile for n = 2")
     if M < 1:
         raise LevelTooLow("resolution M must be >= 1")
-    if field.q ** ((n + 2) * M) > SLICE_GUARD:  # also keeps P = q^M <= 36 within the dense tables
+    if field.q ** ((n + 2) * M) > SLICE_GUARD:
         raise TooLarge("subregular slice sweep exceeds its guard")
     ctx = trunc_make(field, M - 1)
-    P, add, mul, _ = ring_tables(ctx)
-    ops, one = ring_ops(ctx), ctx.index(ctx.one)
+    P, ops, one = ctx.size, ring_ops(ctx), ctx.index(ctx.one)
+    add, mul, _ = ops
     direct = np.zeros(P ** n, dtype=np.int64)
     for idx in _blocks(0, P ** (n + 2)):
         *f, alpha, z = _digits(P, n + 2, idx)
@@ -204,7 +206,7 @@ def subreg_slice_density(n: int, field: FieldCtx, M: int) -> SubregDensity:
     for codes in _blocks(0, P ** n):
         acc = one  # g(z) = z^n + c_1 z^(n-1) + ... + c_n, one row per g, one column per z
         for c in _digits(P, n, codes):
-            acc = add[mul[acc * P + zs] * P + c[:, None]]
+            acc = add(mul(acc, zs), c[:, None])
         analytic[codes] = fiber[acc].sum(axis=1)
     return SubregDensity(n, field, M, direct, analytic)
 

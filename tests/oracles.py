@@ -18,7 +18,9 @@ block sweep (``sweep_count_oracle``, ``sweep_counts_oracle``) runs every
 matrix of a count through ``charpoly_batch`` and is the reference for the
 lift engine of ``counting``.  The n = 2 closed forms (``nilcone_n2_oracle``,
 ``split_fiber_n2_oracle``) are the references for counts past the dense
-ring tables, where no sweep of every matrix runs.
+ring tables, where no sweep of every matrix runs, and the m = 1 closed form
+over Jordan types (``nilcone_m1_oracle``) the one for m = 1 nilcone counts
+at every n; no engine shares its formula.
 ``bracket_rank_oracle`` ranks ad_x by scalar Gaussian elimination over F_q
 in ``FieldCtx`` arithmetic, independent of ``row_echelon``: it is the
 reference for ``matrices.ad_ranks``, and ``orbit_jump_oracle``, which
@@ -36,6 +38,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +47,7 @@ from chevalab.counting import (_blocks, _charpoly_keys, _decode_key, _encode_key
                                _fiber_bases, _full_entries, _jet_entries, matrix_space_size)
 from chevalab.field import TruncCtx, is_irreducible, trunc_make
 from chevalab.matrices import CharCoeffs, JetMatrix, charpoly
-from chevalab.slices import jordan_matrix, slice_basis
+from chevalab.slices import all_partitions, jordan_matrix, slice_basis
 from chevalab.subreg import ValHistogram, mult_fiber_count
 
 
@@ -243,6 +246,28 @@ def split_fiber_n2_oracle(q, m):
     in F_q: the q^2 + q matrices of a regular semisimple orbit mod t, each
     lifting smoothly, q^2 ways a level."""
     return (q * q + q) * q ** (2 * m)
+
+
+def nilpotent_orbit_size(partition, q):
+    """|O_λ| = |GL_n(q)| / |C(J_λ)| for the nilpotent orbit of Jordan type λ,
+    with |C(J_λ)| = q^(Σ_i λ'_i²) Π_i Π_(j <= m_i(λ)) (1 - q^(-j)), λ' the
+    conjugate partition and m_i(λ) the number of parts equal to i."""
+    parts, n = partition.parts, partition.n
+    conj = [sum(p >= i for p in parts) for i in range(1, parts[0] + 1)]
+    cent = Fraction(q ** sum(c * c for c in conj))
+    for i in set(parts):
+        for j in range(1, parts.count(i) + 1):
+            cent *= 1 - Fraction(1, q ** j)
+    gl = math.prod(q ** n - q ** i for i in range(n))
+    size = gl / cent
+    assert size.denominator == 1
+    return size.numerator
+
+
+def nilcone_m1_oracle(n, q):
+    """#J_1(N) = Σ_λ |O_λ| q^(n² - λ_1): over B in O_λ the t-digit U lifts
+    exactly when Dc_B(U) = 0, a kernel of dimension n² - rank Dc_B = n² - λ_1."""
+    return sum(nilpotent_orbit_size(p, q) * q ** (n * n - p.parts[0]) for p in all_partitions(n))
 
 
 # --------------------------------------------------------------------------

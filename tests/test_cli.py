@@ -11,7 +11,7 @@ import pytest
 from chevalab import cli, counting, measure, slices, subreg
 from chevalab.cli import build_parser, main, run
 from chevalab.counting import CountQuery, count_sharded, run_query
-from chevalab.field import field_make, ring_tables, trunc_make
+from chevalab.field import field_make, ring_ops, trunc_make
 from chevalab.errors import IoError
 from chevalab.reporting import Report, atomic_write_text, emit, load_jsonl
 from oracles import profile_csv_oracle
@@ -416,24 +416,32 @@ def test_count_past_table_limit(capsys, argv, count):
 
 def test_m0_fiber_over_prime_field_builds_no_tables(capsys):
     # charpoly_batch alone picks the arithmetic: over F_3 it runs on int64 residues, no tables
-    before = ring_tables.cache_info()
+    before = ring_ops.cache_info()
     code, doc = _main_out(capsys, ["count", "--n", "3", "--ell", "3", "--m", "0", "--target", "fiber",
                                    "--x", "1|2|0"])
     assert code == 0 and int(doc["outputs"]["count"]) > 0
-    assert ring_tables.cache_info() == before
+    assert ring_ops.cache_info() == before
 
 
-def test_count_n1_table_hits_its_guard(capsys):
-    # the n = 1 lift runs 2^16 bases, but the fiber table would hold P = 2^31 codes
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "1", "--ell", "2", "--m", "30", "--target", "gi", "--i", "2"],
+    ["count", "--n", "1", "--ell", "2", "--m", "29", "--target", "gi", "--i", "1"],
+    ["density", "--n", "1", "--ell", "2", "--M", "30"],
+    ["anfrs", "--n", "1", "--ell", "2", "--a", "30"],
+    ["count", "--n", "1", "--ell", "3", "--m", "17", "--target", "gi", "--i", "1"],
+], ids=["gi-2-30", "gi-2-29", "density-2-30", "anfrs-2-30", "gi-3-17"])
+def test_count_n1_table_hits_its_guard(capsys, argv):
+    # each n = 1 table would hold P = 2^30 or more codes, 8 GiB of int64; the table guard
+    # stops it before either engine allocates
     tracemalloc.start()
     try:
-        code = main(["count", "--n", "1", "--ell", "2", "--m", "30", "--target", "gi", "--i", "2"])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 2 and not captured.out and peak < 1 << 26
-    assert len(captured.err.strip().splitlines()) == 1 and "exceeds the sweep guard 2^30" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1 and "exceed the table guard 2^20" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,10 +38,12 @@ from chevalab.errors import (
 from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
 from chevalab.matrices import charpoly, row_echelon
 from chevalab.measure import refinement_check
+from chevalab.slices import all_partitions
 
 from oracles import (all_matrices, charpoly_oracle, fiber_counts_oracle, gauss_oracle,
-                     in_span_oracle, mat_make, nilcone_n2_oracle, split_fiber_n2_oracle,
-                     sweep_count_oracle, sweep_counts_oracle)
+                     in_span_oracle, mat_make, nilcone_m1_oracle, nilcone_n2_oracle,
+                     nilpotent_orbit_size, split_fiber_n2_oracle, sweep_count_oracle,
+                     sweep_counts_oracle)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -127,6 +129,22 @@ def test_nilcone_m0_fine_herstein(n, ell, k):
     assert count_nilcone_jets(n, trunc_make(field_make(ell, k), 0)) == q ** (n * n - n)
 
 
+@pytest.mark.parametrize("n,ell,k,count", [
+    (2, 2, 1, 20), (2, 3, 1, 99), (3, 2, 1, 5_632), (3, 3, 1, 688_905), (2, 5, 1, 725),
+    (3, 2, 2, 20_709_376), (4, 2, 1, 25_837_568), (2, 2, 3, 4_544)])
+def test_nilcone_m1_closed_form_matches_lift(n, ell, k, count):
+    # #J_1(N) = sum over Jordan types of |O_λ| q^(n² - λ_1), and the orbits of the
+    # nilpotent matrices add up to q^(n² - n) (Fine-Herstein)
+    q = ell ** k
+    assert sum(nilpotent_orbit_size(p, q) for p in all_partitions(n)) == q ** (n * n - n)
+    assert count_nilcone_jets(n, trunc_make(field_make(ell, k), 1)) == nilcone_m1_oracle(n, q) == count
+
+
+def test_nilcone_m1_closed_form_n6():
+    # past every engine's reach; the value the Jordan-type sum gives
+    assert nilcone_m1_oracle(6, 2) == 2_011_493_043_399_557_120
+
+
 def test_ring_past_table_limit_n1():
     # past the dense-table limit the lift runs on the packed ring ops: one matrix per fiber
     ctx = trunc_make(F2, 10)
@@ -165,7 +183,7 @@ def test_n2_closed_forms_match_lift(ell, m, nilcone):
 
 
 def test_nilcone_n1_builds_no_tables():
-    # q = 2^11 is past RING_TABLE_LIMIT, so building m = 0 tables would raise
+    # q = 2^11 is past RING_TABLE_LIMIT, so m = 0 runs on the packed ring ops, not tables
     assert count_nilcone_jets(1, trunc_make(field_make(2, 11), 0)) == 1
 
 
@@ -966,7 +984,7 @@ def test_every_memo_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_tables"} <= set(memos)
+    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_ops"} <= set(memos)
     assert [name for name, maxsize in memos.items() if maxsize is None] == []
 
 

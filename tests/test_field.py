@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from chevalab.field import (
     ring_add,
     ring_mul,
     ring_neg,
-    ring_tables,
+    ring_ops,
     ring_val,
     trunc_make,
 )
@@ -157,20 +158,28 @@ def test_ring_index_roundtrip_and_order():
 @pytest.mark.parametrize("ell,k,m", [(2, 1, 0), (2, 1, 3), (3, 1, 1), (3, 1, 3), (5, 1, 2),
                                     (2, 2, 0), (2, 2, 1), (2, 2, 3), (3, 2, 0), (3, 2, 1),
                                     (2, 3, 0), (2, 3, 1), (2, 3, 2)])
-def test_ring_tables_match_ring_ops(ell, k, m):
-    # every pair up to P = 128, else a seeded sample of pairs
+def test_ring_tables_match_ring_ops(ell, k, m, monkeypatch):
+    # ring_ops on every pair up to P = 128, else a seeded sample of pairs: first the dense
+    # tables, then, with the limit below P and the memo cleared, the packed ops
     r = trunc_make(field_make(ell, k), m)
-    P, add, mul, neg = ring_tables(r)
+    P = r.size
     if P <= 128:
         pairs = [(a, b) for a in range(P) for b in range(P)]
     else:
         rng = random.Random(P)
         pairs = [(rng.randrange(P), rng.randrange(P)) for _ in range(4000)]
-    for a, b in pairs:
-        x, y = r.from_index(a), r.from_index(b)
-        assert add[a * P + b] == r.index(r.add(x, y))
-        assert mul[a * P + b] == r.index(r.mul(x, y))
-    assert [int(v) for v in neg] == [r.index(r.neg(r.from_index(a))) for a in range(P)]
+    a, b = np.array(pairs, dtype=np.int64).T
+    xs, ys = [r.from_index(v) for v in a.tolist()], [r.from_index(v) for v in b.tolist()]
+    want_neg = [r.index(r.neg(r.from_index(v))) for v in range(P)]
+    for limit in (field.RING_TABLE_LIMIT, P - 1):
+        monkeypatch.setattr(field, "RING_TABLE_LIMIT", limit)
+        ring_ops.cache_clear()
+        add, mul, neg = ring_ops(r)
+        assert isinstance(add, functools.partial) == (limit < P)
+        assert add(a, b).tolist() == [r.index(r.add(x, y)) for x, y in zip(xs, ys)]
+        assert mul(a, b).tolist() == [r.index(r.mul(x, y)) for x, y in zip(xs, ys)]
+        assert neg(np.arange(P)).tolist() == want_neg
+    ring_ops.cache_clear()
 
 
 @pytest.mark.parametrize("ell,k,m", [(2, 1, 3), (3, 1, 2), (2, 2, 1), (3, 2, 1), (2, 3, 1), (5, 1, 1)])
@@ -195,7 +204,7 @@ def _products_by_linearity(r):
     """The P x P product table of ring indices from TruncCtx.mul: y -> x * y is
     F_ell-linear, so x * y = sum_f digit_f(y) * (x * ell^f), added digitwise mod ell.
     Callers build r's field past _TABLE_LIMIT, so it multiplies by _mul_raw and
-    not by tables that ring_tables, and so ring_mul, filled."""
+    not by tables that ring_ops, and so ring_mul, filled."""
     ell, P = r.field.ell, r.size
     place = ell ** np.arange(r.field.k * (r.m + 1))
     digits = np.arange(P)[:, None] // place % ell
@@ -236,7 +245,7 @@ def _sums_by_halves(r):
 
 @pytest.mark.parametrize("ell,k,m", SMALL_RINGS)
 def test_ring_add_every_pair_and_neg_every_element(ell, k, m, monkeypatch):
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)  # the field adds on digits, not by ring_tables
+    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)  # the field adds on digits, not by ring_ops' tables
     r = trunc_make(field_make(ell, k), m)
     idx = np.arange(r.size)
     assert np.array_equal(ring_add(r, idx[:, None], idx), _sums_by_halves(r))
@@ -310,7 +319,7 @@ def test_ring_mul_shapes(monkeypatch):
 
 @pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])
 def test_field_mul_table_matches_mul_raw(ell, k, monkeypatch):
-    # the tables come from ring_tables at m = 0; _mul_raw reduces by the modulus
+    # the tables come from ring_ops at m = 0; _mul_raw reduces by the modulus
     # itself, and a field built past the table limit adds and negates on digits
     f = field_make(ell, k)
     assert f._mul_table is not None

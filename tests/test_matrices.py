@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevalab import matrices
-from chevalab.errors import TooLarge
-from chevalab.field import RING_TABLE_LIMIT, field_make, ring_tables, trunc_make
+from chevalab.field import RING_TABLE_LIMIT, field_make, ring_mul, ring_ops, trunc_make
 from chevalab.matrices import CharCoeffs, ad_ranks, charpoly, charpoly_batch
 
 from oracles import (all_matrices, bracket_rank_oracle, charpoly_oracle, charpoly_shift, companion,
@@ -249,9 +248,11 @@ def test_ad_ranks_match_scalar_elimination_exhaustive(n, ell, k):
     assert got.tolist() == want
 
 
-def test_ad_ranks_f2048_without_ring_tables():
-    # q = 2048 is past the dense-table limit, so only the table-free path runs
+def test_ad_ranks_f2048_past_table_limit():
+    # q = 2048 is past the dense-table limit: ring_ops gives the packed ops, and ad_ranks
+    # needs no ring ops at all
     field = field_make(2, 11)
+    assert ring_ops(trunc_make(field, 0))[1].func is ring_mul
     rng = random.Random(2048)
     mats = [[[rng.randrange(field.q) for _ in range(3)] for _ in range(3)] for _ in range(20)]
     mats[0] = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]  # regular nilpotent: rank 6
@@ -265,9 +266,7 @@ def test_charpoly_ring_matches_oracle_past_table_limit(n, ell, k):
     # R_1 of F_37 and of F_64 have no dense tables: charpoly_batch runs the Berkowitz body on
     # the packed ring_add/mul/neg
     ctx = trunc_make(field_make(ell, k), 1)
-    assert ctx.size > RING_TABLE_LIMIT
-    with pytest.raises(TooLarge):
-        ring_tables(ctx)
+    assert ctx.size > RING_TABLE_LIMIT and ring_ops(ctx)[1].func is ring_mul
     rng = random.Random(f"ring:{n}:{ell}:{k}")
     mats = [[[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)] for _ in range(40)]
     entries = [[np.array([a[i][j] for a in mats], dtype=np.int64) for j in range(n)] for i in range(n)]

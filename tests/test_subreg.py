@@ -8,7 +8,7 @@ import pytest
 from chevalab import subreg
 from chevalab.counting import BLOCK, _table_from_counts
 from chevalab.errors import BadConfig, TooLarge, WrongCharacteristic
-from chevalab.field import _row_blocks, field_make, ring_tables, ring_val, trunc_make
+from chevalab.field import _row_blocks, field_make, ring_ops, ring_val, trunc_make
 from chevalab.matrices import CharCoeffs
 from chevalab.subreg import (
     closed_form_bucket,
@@ -60,12 +60,13 @@ def test_hist_from_direct_enumeration(ell, k, M):
 @pytest.mark.parametrize("ell,k,M", [(3, 1, 5), (2, 1, 9), (2, 2, 4), (2, 1, 0), (3, 1, 0),
                                       (2, 2, 0), (31, 1, 0)])
 def test_hist_multi_block_matches_ring_tables(ell, k, M):
-    # every ordered pair through the dense product table, read through ring_val
+    # every ordered pair through ring_ops' product on the P x P grid, read through ring_val
     field = field_make(ell, k)
     ctx = trunc_make(field, M)
     P = ctx.size
     assert (len(_row_blocks(P)) > 1) == (P > 256)  # (3, 1, 5): 34 blocks, the last one shorter
-    counts = np.bincount(ring_val(ctx, ring_tables(ctx).mul), minlength=M + 2)
+    i = np.arange(P, dtype=np.int64)[:, None]
+    counts = np.bincount(ring_val(ctx, ring_ops(ctx)[1](i, i.T)).ravel(), minlength=M + 2)
     h = mult_pushforward_hist(field, M)
     denom = field.q ** (2 * (M + 1))
     assert h.buckets == {r: Fraction(int(counts[r]), denom) for r in range(M + 1)}
