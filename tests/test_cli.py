@@ -432,7 +432,7 @@ def test_m0_fiber_over_prime_field_builds_no_tables(capsys):
 ], ids=["gi-2-30", "gi-2-29", "density-2-30", "anfrs-2-30", "gi-3-17"])
 def test_count_n1_table_hits_its_guard(capsys, argv):
     # each n = 1 table would hold P = 2^30 or more codes, 8 GiB of int64; the table guard
-    # stops it before either engine allocates
+    # stops it before the lift allocates
     tracemalloc.start()
     try:
         code = main(argv)
