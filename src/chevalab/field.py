@@ -8,6 +8,12 @@ Enumeration order is fixed once and for all so shard boundaries are
 reproducible: field elements by ascending integer code, series
 lexicographically with the t^0 coefficient outermost.
 
+``FieldCtx`` and ``TruncCtx`` are the digit-level reference: their add,
+neg and mul work on base-ell digits and digit polynomials mod the modulus,
+call no packed op, and run on no program path; the oracles of the tests
+and the scalar ``matrices.charpoly`` use them.  Every count runs on ring
+indices through the packed ops below.
+
 A series is also its ring index (``TruncCtx.index``), a base-ell number
 with N = k(m+1) digits: digit e = (m-i)k + j is the g^j coefficient of the
 t^i coefficient (g = x, the root of the field modulus), so the t^0
@@ -47,8 +53,6 @@ MAX_M = 31
 MAX_ELL = 251
 MAX_K = 16
 
-# Add, neg, mul and inv tables are only materialized for small fields.
-_TABLE_LIMIT = 512
 # Largest ring q^(m+1) with dense add/mul tables: two P*P int64 arrays, 16 MB at the limit.
 RING_TABLE_LIMIT = 1 << 10
 
@@ -177,20 +181,33 @@ def _find_modulus(ell: int, k: int) -> tuple:
     raise NoModulusInTable(f"no irreducible modulus found for ell={ell}, k={k}")
 
 
-class FieldCtx:
-    """The finite field F_{ell^k} with integer-coded elements."""
+@functools.lru_cache(maxsize=1 << 16)
+def _digit_sum(ell: int, k: int, a: int, b: int) -> int:
+    """Code of a + b in F_{ell^k}: the k base-ell digits added mod ell."""
+    return sum((a // ell ** i + b // ell ** i) % ell * ell ** i for i in range(k))
 
-    __slots__ = ("ell", "k", "q", "modulus", "_add_table", "_mul_table", "_neg_table",
-                 "_inv_table")
+
+@functools.lru_cache(maxsize=1 << 16)
+def _digit_product(ell: int, modulus: tuple, a: int, b: int) -> int:
+    """Code of a * b in F_{ell^k}: the product of the digit polynomials mod the modulus."""
+    da, db = ([x // ell ** i % ell for i in range(len(modulus) - 1)] for x in (a, b))
+    return sum(c * ell ** i for i, c in enumerate(_poly_mulmod(da, db, list(modulus), ell)))
+
+
+class FieldCtx:
+    """The finite field F_{ell^k} with integer-coded elements: the digit-level
+    reference.  A sum adds base-ell digits mod ell and a product multiplies the
+    digit polynomials mod the modulus (``_poly_mulmod``), memoised per pair by
+    ``_digit_sum`` and ``_digit_product``; no packed op runs.  The oracles of
+    the tests multiply here; no program path runs this arithmetic."""
+
+    __slots__ = ("ell", "k", "q", "modulus")
 
     def __init__(self, ell: int, k: int, modulus: tuple):
         self.ell = ell
         self.k = k
         self.q = ell ** k
         self.modulus = modulus
-        self._add_table = self._mul_table = self._neg_table = self._inv_table = None
-        if self.q <= _TABLE_LIMIT and k > 1:
-            self._build_tables()
 
     # -- element codecs --
     def digits(self, a: int) -> list:
@@ -205,10 +222,7 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.ell
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
-        ell = self.ell
-        return self.encode([(x + y) % ell for x, y in zip(self.digits(a), self.digits(b))])
+        return _digit_sum(self.ell, self.k, a, b)
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -218,27 +232,18 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.ell
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self.encode([(-x) % self.ell for x in self.digits(a)])
+        return self.encode([-x for x in self.digits(a)])
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.ell
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        return self.encode(_poly_mulmod(self.digits(a), self.digits(b), list(self.modulus), self.ell))
+        return _digit_product(self.ell, self.modulus, a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self.k == 1:
             return pow(a, self.ell - 2, self.ell)
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -253,17 +258,6 @@ class FieldCtx:
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
-
-    def _build_tables(self) -> None:
-        q = self.q
-        add, mul, neg = ring_ops(TruncCtx(self, 0))
-        xs = np.arange(q)
-        self._add_table, self._mul_table = (op(xs[:, None], xs).ravel().tolist() for op in (add, mul))
-        self._neg_table = neg(xs).tolist()
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
 
     def key(self) -> tuple:
         return (self.ell, self.k)
@@ -295,7 +289,9 @@ def field_make(ell: int, k: int = 1) -> FieldCtx:
 
 
 class TruncCtx:
-    """The truncated ring R_m = F_{ell^k}[t]/(t^(m+1)); series are tuples of length m+1."""
+    """The truncated ring R_m = F_{ell^k}[t]/(t^(m+1)); series are tuples of length m+1.
+    Its ops are the digit-level reference, coefficientwise in ``FieldCtx``'s
+    ops; they call no packed op and no program path runs them."""
 
     __slots__ = ("field", "m", "zero", "one")
 
@@ -333,47 +329,25 @@ class TruncCtx:
         if len(a) != self.m + 1:
             raise CtxMismatch(f"series of length {len(a)} in ring with m={self.m}")
 
-    # -- ring ops --
+    # -- ring ops, coefficientwise in the field's digit-level ops --
     def add(self, a: tuple, b: tuple) -> tuple:
-        f = self.field
-        if f.k == 1:
-            ell = f.ell
-            return tuple((x + y) % ell for x, y in zip(a, b))
-        return tuple(f.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.field.add, a, b))
 
     def sub(self, a: tuple, b: tuple) -> tuple:
-        f = self.field
-        if f.k == 1:
-            ell = f.ell
-            return tuple((x - y) % ell for x, y in zip(a, b))
-        return tuple(f.sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.field.sub, a, b))
 
     def neg(self, a: tuple) -> tuple:
-        f = self.field
-        if f.k == 1:
-            ell = f.ell
-            return tuple((-x) % ell for x in a)
-        return tuple(f.neg(x) for x in a)
+        return tuple(map(self.field.neg, a))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        m = self.m
-        f = self.field
+        m, add, mul = self.m, self.field.add, self.field.mul
         out = [0] * (m + 1)
-        if f.k == 1:
-            ell = f.ell
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(m + 1 - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] = (out[i + j] + ai * bj) % ell
-        else:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(m + 1 - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(m + 1 - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] = add(out[i + j], mul(ai, bj))
         return tuple(out)
 
     def smul(self, c: int, a: tuple) -> tuple:

@@ -3,7 +3,10 @@
 Deliberately naive: the characteristic polynomial is computed by cofactor
 expansion of det(zI - A) in a dense polynomial ring over R_m, with no shared
 code paths with the package kernels; only ``TruncCtx`` series arithmetic
-runs, and the minors' determinants are memoised per ring; ``charpoly_oracle``
+runs, and the minors' determinants are memoised per ring.  ``FieldCtx`` and
+``TruncCtx`` call no packed op, so every oracle's F_q product, at every k,
+is ``field._poly_mulmod`` of the digit polynomials mod the modulus, and
+every sum is digitwise mod ell; ``charpoly_oracle``
 is the independent reference for both ``charpoly`` and ``charpoly_batch``.
 The scalar slice-layer sweeps run one point at a time through the package's
 scalar ``charpoly``, which shares its Samuelson-Berkowitz body with

@@ -984,7 +984,8 @@ def test_every_memo_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_ops"} <= set(memos)
+    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_ops", "field._digit_sum",
+            "field._digit_product"} <= set(memos)
     assert [name for name, maxsize in memos.items() if maxsize is None] == []
 
 

@@ -202,9 +202,7 @@ def test_ring_functions_on_ints_match_ring_ops(ell, k, m):
 
 def _products_by_linearity(r):
     """The P x P product table of ring indices from TruncCtx.mul: y -> x * y is
-    F_ell-linear, so x * y = sum_f digit_f(y) * (x * ell^f), added digitwise mod ell.
-    Callers build r's field past _TABLE_LIMIT, so it multiplies by _mul_raw and
-    not by tables that ring_ops, and so ring_mul, filled."""
+    F_ell-linear, so x * y = sum_f digit_f(y) * (x * ell^f), added digitwise mod ell."""
     ell, P = r.field.ell, r.size
     place = ell ** np.arange(r.field.k * (r.m + 1))
     digits = np.arange(P)[:, None] // place % ell
@@ -222,8 +220,7 @@ SMALL_RINGS = [(ell, k, m) for ell in (2, 3, 5, 7, 31) for k in (1, 2, 3) for m 
 
 
 @pytest.mark.parametrize("ell,k,m", SMALL_RINGS)
-def test_ring_mul_every_pair(ell, k, m, monkeypatch):
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+def test_ring_mul_every_pair(ell, k, m):
     r = trunc_make(field_make(ell, k), m)
     idx = np.arange(r.size)
     assert np.array_equal(ring_mul(r, idx[:, None], idx), _products_by_linearity(r))
@@ -244,8 +241,7 @@ def _sums_by_halves(r):
 
 
 @pytest.mark.parametrize("ell,k,m", SMALL_RINGS)
-def test_ring_add_every_pair_and_neg_every_element(ell, k, m, monkeypatch):
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)  # the field adds on digits, not by ring_ops' tables
+def test_ring_add_every_pair_and_neg_every_element(ell, k, m):
     r = trunc_make(field_make(ell, k), m)
     idx = np.arange(r.size)
     assert np.array_equal(ring_add(r, idx[:, None], idx), _sums_by_halves(r))
@@ -275,9 +271,8 @@ WIDE_CHUNKS = {(2, 16, 0): 6, (2, 8, 1): 5, (251, 2, 1): 3, (2, 1, 16): 3, (3, 1
 
 
 @pytest.mark.parametrize("ell,k,m", list(WIDE_CHUNKS))
-def test_ring_mul_multi_word_and_wide_slots(ell, k, m, monkeypatch):
+def test_ring_mul_multi_word_and_wide_slots(ell, k, m):
     # seeded pairs, every basis pair, and (P-1, P-1): every digit ell - 1, each slot at its maximum
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
     r = trunc_make(field_make(ell, k), m)
     lay = field._layout(r)
     assert lay.chunks == WIDE_CHUNKS[ell, k, m]  # every product adds chunk products across words
@@ -295,8 +290,7 @@ def test_ring_mul_multi_word_and_wide_slots(ell, k, m, monkeypatch):
     assert ring_neg(r, xs).tolist() == [r.index(r.neg(x)) for x, _ in elements]
 
 
-def test_ring_mul_shapes(monkeypatch):
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
+def test_ring_mul_shapes():
     r = trunc_make(field_make(3, 2), 1)
     P = r.size
     ref = _products_by_linearity(r)
@@ -317,21 +311,25 @@ def test_ring_mul_shapes(monkeypatch):
             op()
 
 
-@pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 6), (5, 2)])
-def test_field_mul_table_matches_mul_raw(ell, k, monkeypatch):
-    # the tables come from ring_ops at m = 0; _mul_raw reduces by the modulus
-    # itself, and a field built past the table limit adds and negates on digits
+@pytest.mark.parametrize("ell,k", [(2, 2), (2, 3), (3, 2), (2, 9)])
+def test_field_arithmetic_reads_no_ring_kernel(ell, k, monkeypatch):
+    # with the packed kernel's power rows zeroed, the field still multiplies as the digit
+    # polynomials' product mod the modulus, and builds no packed layout or ring_ops table
+    field._layout.cache_clear()
+    ring_ops.cache_clear()
+    monkeypatch.setattr(field, "_power_rows", lambda f: np.zeros((2 * f.k - 1, f.k), dtype=np.int64))
     f = field_make(ell, k)
-    assert f._mul_table is not None
-    monkeypatch.setattr(field, "_TABLE_LIMIT", 1)
-    digits = field_make(ell, k)
-    assert digits._add_table is None and digits._neg_table is None
-    for a in range(f.q):
-        assert f.neg(a) == digits.neg(a)
-        for b in range(f.q):
-            assert f.mul(a, b) == f._mul_raw(a, b)
-            assert f.add(a, b) == digits.add(a, b)
-            assert f.sub(a, b) == digits.sub(a, b)
+    q = f.q
+    pairs = [(q - 1, q - 1), (ell, ell ** (k - 1)), (ell ** (k - 1), ell ** (k - 1)), (q - 2, 3)]
+    pairs += [(a, b) for a in range(min(q, 16)) for b in range(min(q, 16))]
+    for a, b in pairs:
+        want = field._poly_mulmod(f.digits(a), f.digits(b), list(f.modulus), ell)
+        assert f.mul(a, b) == f.encode(want), (a, b)
+    assert f.mul(ell, ell ** (k - 1)) != 0  # x^k reduces by the modulus, which is not x^k
+    cleared = (field._layout.cache_info().currsize, ring_ops.cache_info().currsize)
+    field._layout.cache_clear()
+    ring_ops.cache_clear()
+    assert cleared == (0, 0)
 
 
 def test_ctx_equality_and_hash():
