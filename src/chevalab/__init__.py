@@ -13,9 +13,8 @@ from .matrices import CharCoeffs, JetMatrix, charpoly
 from .measure import (DensityProfile, anfrs_ratio, density_profile,
                       insep_probe, lt_norm, sup_density)
 from .slices import (Partition, SliceBasis, audit_equivariance,
-                     audit_orbit_jump, audit_transversality, exponent_sum,
-                     jordan_matrix, slice_basis, subregular_threshold,
-                     weight_report)
+                     audit_orbit_jump, audit_transversality, jordan_matrix,
+                     slice_basis, weight_report)
 from .subreg import (ValHistogram, h_formula, m1_identity_check,
                      mult_pushforward_hist, subreg_slice_density,
                      val_integral)

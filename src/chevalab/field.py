@@ -282,10 +282,7 @@ def field_make(ell: int, k: int = 1) -> FieldCtx:
         raise TooLarge(f"ell^k = {ell}^{k} exceeds the 2^16 field guard")
     if ell > MAX_ELL or k > MAX_K:
         raise NoModulusInTable(f"modulus table covers ell <= {MAX_ELL}, k <= {MAX_K}")
-    modulus = _find_modulus(ell, k)
-    if k > 1 and not is_irreducible(list(modulus), ell):
-        raise NoModulusInTable(f"modulus for ({ell},{k}) failed irreducibility check")
-    return FieldCtx(ell, k, modulus)
+    return FieldCtx(ell, k, _find_modulus(ell, k))
 
 
 class TruncCtx:

@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .counting import FiberKey, _decode_key, _digits, _fiber_counts, count_jet_fiber
-from .errors import BadConfig, LevelTooLow, TooLarge, WrongCharacteristic
+from .errors import BadConfig, LevelTooLow, WrongCharacteristic
 from .field import FieldCtx, TruncCtx, ring_val, trunc_make
 from .reporting import atomic_write_text
 
@@ -57,7 +57,7 @@ def lt_norm(profile: DensityProfile, t: int) -> Fraction:
     """Exact q^{-Mn} * sum_x f_M(x)^t, summed over the distinct fiber sizes
     with their multiplicities as Python ints."""
     if t < 1:
-        raise TooLarge("exponent t must be >= 1")
+        raise BadConfig(f"exponent t={t}: need t >= 1")
     sizes, mult = np.unique(profile.counts, return_counts=True)
     total = sum(c * v ** t for v, c in zip(sizes.tolist(), mult.tolist()))
     return Fraction(total, profile.denom() ** t * profile.field.q ** (profile.M * profile.n))

@@ -1,6 +1,8 @@
 """Partitions, Jordan nilpotents, the transversal slices L_x and M_x with
 their one-parameter-subgroup weights, and executable audits of the slice
 properties (transversality, equivariance, orbit jumps, weight thresholds).
+Every weight verdict (positivity, the closed-form exponent sum, the
+threshold) comes from one ``weight_report`` of the slice.
 
 Weight convention: the torus acts by lambda * A = lambda . t(lambda) A
 t(lambda)^{-1} with t(lambda) = diag(1, lambda, ..., lambda^{n_i - 1}) per
@@ -17,12 +19,12 @@ serves both branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .counting import BLOCK, _blocks, _digits, _draws
-from .errors import BadConfig, TheoremCheckFailed, TooLarge
+from .errors import BadConfig, TooLarge
 from .field import FieldCtx, ring_ops, trunc_make
 from .matrices import JetMatrix, ad_digits, ad_ranks, charpoly_batch, row_echelon
 
@@ -80,17 +82,18 @@ def all_partitions(n: int) -> List[Partition]:
 class SliceVector:
     row: int  # global, 0-based
     col: int
-    block: Tuple[int, int]  # 0-based block pair
     exponent: int
 
 
 @dataclass(frozen=True)
 class SliceBasis:
+    """The slice L_x or M_x of the Jordan nilpotent x of ``partition``.  Kind M
+    is backed by theory only for the shape (n-1, 1)."""
+
     kind: str  # "L" | "M"
     partition: Partition
     entries: Tuple[SliceVector, ...]
     has_center: bool  # kind M adjoins the scalar line z*I, weight 1
-    certified: bool  # kind M is only backed by theory for shape (n-1, 1)
 
     @property
     def n(self) -> int:
@@ -100,14 +103,10 @@ class SliceBasis:
     def dim(self) -> int:
         return len(self.entries) + (1 if self.has_center else 0)
 
-    @property
-    def center_exponent(self) -> int:
-        return 1
-
     def exponents(self) -> List[int]:
         out = [e.exponent for e in self.entries]
         if self.has_center:
-            out.append(self.center_exponent)
+            out.append(1)
         return out
 
 
@@ -140,11 +139,11 @@ def slice_basis(partition: Partition, kind: str = "L") -> SliceBasis:
             col = offsets[j]
             lo = ni - nj + 1 if ni >= nj else 1
             for r in range(lo, ni + 1):
-                entries.append(SliceVector(offsets[i] + r - 1, col, (i, j), r))
+                entries.append(SliceVector(offsets[i] + r - 1, col, r))
     if kind == "M":
         entries = [e for e in entries if not (e.row == n - 1 and e.col == n - 1)]
-        return SliceBasis("M", partition, tuple(entries), True, partition.is_subregular())
-    return SliceBasis("L", partition, tuple(entries), False, True)
+        return SliceBasis("M", partition, tuple(entries), True)
+    return SliceBasis("L", partition, tuple(entries), False)
 
 
 def exponent_sum_formula(partition: Partition) -> int:
@@ -153,25 +152,15 @@ def exponent_sum_formula(partition: Partition) -> int:
     return n * (n + 1) // 2 + sum(j * p for j, p in enumerate(partition.parts))
 
 
-def exponent_sum(partition: Partition, kind: str = "L") -> int:
-    basis = slice_basis(partition, kind)
-    total = sum(basis.exponents())
-    if kind == "L":
-        expected = exponent_sum_formula(partition)
-    else:
-        # M drops x_nn (weight-1 coordinate, present iff the last part is 1)
-        # and adjoins the weight-1 center line.
-        l_total = exponent_sum(partition, "L")
-        dropped = 1 if partition.parts[-1] == 1 else 0
-        expected = l_total - dropped + 1
-    if total != expected:
-        raise TheoremCheckFailed(
-            f"kind-{kind} exponent sum {total} of {partition.parts} != closed form {expected}")
-    return total
-
-
 @dataclass
 class WeightReport:
+    """The torus weights of one slice, read off one ``slice_basis``.  Every
+    weight verdict comes from this one report: ``all_positive``, ``total``
+    against the closed form ``formula_total``, and ``exceeds`` against
+    ``expected_exceeds``, false exactly at the regular shape (and, for kind
+    M, the subregular one).  ``to_dict`` holds the weights, not the closed
+    forms."""
+
     partition: Partition
     kind: str
     exponents: Tuple[int, ...]
@@ -179,6 +168,8 @@ class WeightReport:
     threshold: int  # n(n+1)/2 for L, n(n+1)/2 + 1 for M
     exceeds: bool
     all_positive: bool
+    formula_total: int
+    expected_exceeds: bool
 
     def to_dict(self) -> dict:
         return {
@@ -198,22 +189,14 @@ def weight_report(partition: Partition, kind: str = "L") -> WeightReport:
     total = sum(exps)
     n = partition.n
     threshold = n * (n + 1) // 2 + (1 if kind == "M" else 0)
-    return WeightReport(partition, kind, exps, total, threshold,
-                        total > threshold, all(e >= 1 for e in exps))
-
-
-def subregular_threshold(partition: Partition) -> Dict[str, bool]:
-    """Kind-M weight verdict: the total exceeds n(n+1)/2 + 1 exactly when the
-    shape is neither regular nor subregular; the center line has weight 1."""
-    rep = weight_report(partition, "M")
-    expected = not (partition.is_regular() or partition.is_subregular())
-    basis = slice_basis(partition, "M")
-    return {
-        "exceeds": rep.exceeds,
-        "expected_exceeds": expected,
-        "threshold_ok": rep.exceeds == expected,
-        "center_weight_ok": basis.has_center and basis.center_exponent == 1,
-    }
+    formula, expected = exponent_sum_formula(partition), not partition.is_regular()
+    if kind == "M":
+        # M drops x_nn (weight-1 coordinate, present iff the last part is 1)
+        # and adjoins the weight-1 center line.
+        formula += 0 if partition.parts[-1] == 1 else 1
+        expected = expected and not partition.is_subregular()
+    return WeightReport(partition, kind, exps, total, threshold, total > threshold,
+                        all(e >= 1 for e in exps), formula, expected)
 
 
 # --------------------------------------------------------------------------
@@ -246,9 +229,14 @@ def audit_transversality(partition: Partition, field: FieldCtx) -> bool:
     One row_echelon call on F_ell digits with a batch of two systems: the
     rows of ad_x, padded with zero rows, and the rows of ad_x together with
     g^f E_e for every slice vector e and f < k.  The sum is all of gl_n when
-    the second rank is n^2 k, and it is direct when rank ad_x + dim = n^2."""
-    basis = slice_basis(partition, "L")
+    the second rank is n^2 k, and it is direct when rank ad_x + dim = n^2.
+    The batch holds at most 4 (n^2 k)^2 digits, guarded by AD_BATCH before
+    the slice basis is built."""
     n, k = partition.n, field.k
+    if 4 * (n * n * k) ** 2 > AD_BATCH:
+        raise TooLarge(f"4 (n^2 k)^2 = {4 * (n * n * k) ** 2} digits of the transversality "
+                       "ranks exceed the guard 2^21")
+    basis = slice_basis(partition, "L")
     ad = ad_digits(_jordan_codes(partition)[:, :, None], field)[:, :, 0]
     slice_rows = np.eye(n * n * k, dtype=np.int64)[
         [(e.row * n + e.col) * k + f for e in basis.entries for f in range(k)]]
@@ -263,12 +251,13 @@ def audit_equivariance(partition: Partition, kind: str, field: FieldCtx,
     acting on coefficients by weights (1, ..., n).
 
     Exhaustive at m = 0 while the (q-1) q^dim pairs of a point and a lambda
-    fit the limit; else ``samples`` seeded R_1 points, one random lambda
-    each, so every q <= 2^16 runs.  lambda broadcasts against the points:
-    a column of every unit against blocks of BLOCK // (q-1) exhaustive
-    points, or one drawn unit per point in blocks of BLOCK sampled ones."""
-    if samples < 1:
-        raise BadConfig(f"samples={samples}: need at least 1 sample")
+    fit the limit; else ``samples`` seeded R_1 points, at most the limit,
+    one random lambda each, so every q <= 2^16 runs.  lambda broadcasts
+    against the points: a column of every unit against blocks of
+    BLOCK // (q-1) exhaustive points, or one drawn unit per point in blocks
+    of BLOCK sampled ones."""
+    if not 1 <= samples <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:
+        raise BadConfig(f"samples={samples}: need 1 to {EQUIVARIANCE_EXHAUSTIVE_LIMIT} samples")
     basis = slice_basis(partition, kind)
     n, q, dim = basis.n, field.q, basis.dim
     if (q - 1) * q ** dim <= EQUIVARIANCE_EXHAUSTIVE_LIMIT:

@@ -231,11 +231,12 @@ def m1_identity_check(n: int, field: FieldCtx, samples: int = 1000, seed: int = 
 
     Exhaustive at m = 0 while the q^(n+1) points (f, alpha) fit
     M1_EXHAUSTIVE_LIMIT; else ``samples`` seeded points of R_1 ring indices,
-    batched in blocks of at most BLOCK like the exhaustive points."""
+    at most that limit, batched in blocks of at most BLOCK like the
+    exhaustive points."""
     if n < 2:
         raise TooLarge("identity needs n >= 2")
-    if samples < 1:
-        raise BadConfig(f"samples={samples}: need at least 1 sample")
+    if not 1 <= samples <= M1_EXHAUSTIVE_LIMIT:
+        raise BadConfig(f"samples={samples}: need 1 to {M1_EXHAUSTIVE_LIMIT} samples")
     q = field.q
     if q ** (n + 1) <= M1_EXHAUSTIVE_LIMIT:
         ctx = trunc_make(field, 0)

@@ -374,6 +374,8 @@ def test_bad_count_option_exit_2(capsys, argv):
     ["density", "--k", "0", "--M", "1"],
     ["hist-mult", "--M", "-1"],
     ["val-int", "--M", "-1", "--poly", "1,1"],
+    ["subreg", "--n", "3", "--M", "1", "--samples", "16385"],
+    ["slice-audit", "--n", "3", "--partition", "2,1", "--samples", "1048577"],
 ])
 def test_bad_size_or_samples_exit_2(capsys, argv):
     code = main(argv)
@@ -442,6 +444,35 @@ def test_count_n1_table_hits_its_guard(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out and peak < 1 << 26
     assert len(captured.err.strip().splitlines()) == 1 and "exceed the table guard 2^20" in captured.err
+
+
+@pytest.mark.parametrize("n", [100, 40])
+def test_slice_audit_transversality_hits_its_guard(capsys, n):
+    # the regular slice's ad_x system would hold 4 n^4 digits, past AD_BATCH; the guard
+    # stops it before any slice basis or ad_x array is built
+    tracemalloc.start()
+    try:
+        code = main(["slice-audit", "--n", str(n), "--partition", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and peak < 1 << 26
+    assert len(captured.err.strip().splitlines()) == 1 and "exceed the guard 2^21" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["L", "M"])
+def test_slice_audit_builds_three_slice_bases(capsys, monkeypatch, kind):
+    # one basis each for the weights, transversality and equivariance
+    real, calls = slices.slice_basis, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(slices, "slice_basis", spy)
+    code, _ = _main_out(capsys, ["slice-audit", "--n", "4", "--ell", "3", "--partition", "3,1",
+                                 "--kind", kind])
+    assert code == 0 and len(calls) <= 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -658,7 +689,7 @@ def test_failed_verdict_exit_1(capsys, monkeypatch):
 
 
 def test_slice_audit_wrong_closed_form_exit_1(capsys, monkeypatch):
-    # exponent_sum raises on a wrong closed form: a false verdict with the report, not a config error
+    # a wrong closed form is a false verdict with the report, not a config error
     formula = slices.exponent_sum_formula
     monkeypatch.setattr(slices, "exponent_sum_formula", lambda p: formula(p) + 1)
     code, doc = _main_out(capsys, ["slice-audit", "--n", "3", "--ell", "2", "--partition", "2,1"])

@@ -8,7 +8,7 @@ import pytest
 
 from chevalab import measure
 from chevalab.counting import _encode_key, count_gi_jets, fiber_table
-from chevalab.errors import LevelTooLow, WrongCharacteristic
+from chevalab.errors import BadConfig, LevelTooLow, WrongCharacteristic
 from chevalab.field import field_make, trunc_make
 from chevalab.measure import (
     anfrs_ratio,
@@ -83,6 +83,13 @@ def test_lt_norm_values():
     assert lt_norm(p, 1) == 1
     # (1 + (3/2)^2 + 1 + (1/4)) / 4 = 9/8
     assert lt_norm(p, 2) == Fraction(9, 8)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_lt_norm_rejects_t_below_one(t):
+    # a bad exponent is a config error, not a size
+    with pytest.raises(BadConfig, match="exponent t"):
+        lt_norm(density_profile(2, F2, 1), t)
 
 
 @pytest.mark.parametrize("n,ell,k,M", [(2, 3, 1, 4), (3, 2, 1, 2), (2, 2, 2, 3)])

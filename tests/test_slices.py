@@ -21,11 +21,9 @@ from chevalab.slices import (
     audit_equivariance,
     audit_orbit_jump,
     audit_transversality,
-    exponent_sum,
     exponent_sum_formula,
     jordan_matrix,
     slice_basis,
-    subregular_threshold,
     weight_report,
 )
 from oracles import equivariance_exhaustive_oracle, orbit_jump_oracle, slice_point
@@ -79,14 +77,16 @@ def test_regular_slice_is_smallest():
 def test_exponent_sums_match_formula():
     for n in range(1, 8):
         for p in all_partitions(n):
-            assert exponent_sum(p, "L") == exponent_sum_formula(p)
+            for kind in ("L", "M"):
+                w = weight_report(p, kind)
+                assert w.total == w.formula_total
+            assert weight_report(p, "L").formula_total == exponent_sum_formula(p)
 
 
 def test_exponent_sum_examples():
-    assert exponent_sum(Partition((1, 1)), "L") == 4
-    assert exponent_sum(Partition((2, 1)), "L") == 7
-    assert exponent_sum(Partition((3,)), "L") == 6
-    assert exponent_sum(Partition((2, 2)), "L") == 12
+    for parts, total in [((1, 1), 4), ((2, 1), 7), ((3,), 6), ((2, 2), 12)]:
+        w = weight_report(Partition(parts), "L")
+        assert w.total == w.formula_total == total
 
 
 def test_regular_meets_threshold_with_equality():
@@ -103,26 +103,22 @@ def test_kind_m_relation():
     for n in range(1, 7):
         for p in all_partitions(n):
             drop = 1 if p.parts[-1] == 1 else 0
-            assert exponent_sum(p, "M") == exponent_sum(p, "L") + 1 - drop
+            wl, wm = weight_report(p, "L"), weight_report(p, "M")
+            assert wm.total == wl.total + 1 - drop
+            assert wm.formula_total == wl.formula_total + 1 - drop
             bl, bm = slice_basis(p, "L"), slice_basis(p, "M")
             assert bm.dim == bl.dim - drop + 1
             assert bm.has_center and not bl.has_center
-            assert bm.center_exponent == 1
+            assert bm.exponents()[-1] == 1  # the center line
 
 
 def test_subregular_threshold_split():
     for n in range(2, 8):
         for p in all_partitions(n):
-            r = subregular_threshold(p)
+            w = weight_report(p, "M")
             should_exceed = not (p.is_regular() or p.is_subregular())
-            assert r["exceeds"] == should_exceed
-            assert r["threshold_ok"]
-            assert r["center_weight_ok"]
-
-
-def test_subregular_certified_flag():
-    assert slice_basis(Partition((2, 1)), "M").certified
-    assert not slice_basis(Partition((2, 2)), "M").certified
+            assert w.exceeds == w.expected_exceeds == should_exceed
+            assert w.threshold == n * (n + 1) // 2 + 1
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5], ids=["q2", "q3", "q5"])
@@ -130,6 +126,17 @@ def test_transversality_all_partitions_n_le_5(field):
     for n in range(1, 6):
         for p in all_partitions(n):
             assert audit_transversality(p, field)
+
+
+def test_transversality_guard_fires_before_the_basis(monkeypatch):
+    # 4 (n^2 k)^2 digits: 1,827,904 at n = 26 fit AD_BATCH = 2^21, 2,125,764 at n = 27 do not
+    def no_basis(*args):
+        raise AssertionError("slice basis built before the guard")
+    monkeypatch.setattr(slices, "slice_basis", no_basis)
+    with pytest.raises(TooLarge, match="2\\^21"):
+        audit_transversality(Partition((27,)), F2)
+    with pytest.raises(AssertionError):
+        audit_transversality(Partition((26,)), F2)
 
 
 @pytest.mark.parametrize("field", [field_make(2, 2), field_make(2, 11)], ids=["q4", "q2048"])
@@ -174,12 +181,13 @@ def test_equivariance_small_exhaustive(field):
 
 
 def test_equivariance_sampled_larger(monkeypatch):
-    monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", 1)
+    # a limit below both sweeps samples them; it admits at most 200 samples
+    monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", 200)
     assert audit_equivariance(Partition((2, 2)), "L", F5, samples=200, seed=1)
     assert audit_equivariance(Partition((1, 1, 1)), "M", F3, samples=200, seed=2)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, slices.EQUIVARIANCE_EXHAUSTIVE_LIMIT + 1])
 def test_equivariance_rejects_samples_below_one(monkeypatch, samples):
     with pytest.raises(BadConfig, match="samples"):
         audit_equivariance(Partition((1, 1, 1, 1)), "L", F3, samples=samples)
@@ -214,16 +222,19 @@ def _off_by_one_weight(monkeypatch):
     monkeypatch.setattr(slices, "slice_basis", bad)
 
 
-@pytest.mark.parametrize("field,limit", [(F3, None), (F3, 1), (field_make(37), None)],
+@pytest.mark.parametrize("field,limit", [(F3, None), (F3, 400), (field_make(37), None)],
                          ids=["exhaustive-q3", "sampled-q3", "sampled-q37"])
 def test_equivariance_fails_on_a_wrong_weight(monkeypatch, field, limit):
+    # a limit of 400 < 2 * 3^5 samples the (2,1) sweeps at q = 3, with at most 400 samples
+    samples = 1000
     if limit is not None:
         monkeypatch.setattr(slices, "EQUIVARIANCE_EXHAUSTIVE_LIMIT", limit)
+        samples = limit
     for kind in ("L", "M"):
-        assert audit_equivariance(Partition((2, 1)), kind, field)
+        assert audit_equivariance(Partition((2, 1)), kind, field, samples)
     _off_by_one_weight(monkeypatch)
     for kind in ("L", "M"):
-        assert not audit_equivariance(Partition((2, 1)), kind, field)
+        assert not audit_equivariance(Partition((2, 1)), kind, field, samples)
 
 
 def test_equivariance_samples_past_one_block(monkeypatch):
@@ -246,17 +257,16 @@ def test_equivariance_samples_past_one_block(monkeypatch):
 
 def test_theorem_check_survives_python_O():
     script = textwrap.dedent("""
-        import sys
-        from chevalab import slices
-        from chevalab.errors import TheoremCheckFailed
+        import contextlib, io, json, sys
+        from chevalab import cli, slices
         assert False, "asserts must be stripped: run under python -O"
         formula = slices.exponent_sum_formula
         slices.exponent_sum_formula = lambda p: formula(p) + 1
-        try:
-            slices.exponent_sum(slices.Partition((2, 1)))
-        except TheoremCheckFailed:
-            sys.exit(0)
-        sys.exit(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["slice-audit", "--n", "3", "--partition", "2,1"])
+        verdict = json.loads(out.getvalue())["verdicts"]["exponent_sum_formula"]
+        sys.exit(0 if code == 1 and verdict is False else 1)
     """)
     src = str(Path(chevalab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -300,6 +310,7 @@ def test_exponent_positivity_random_partition(n, rnd):
     ps = all_partitions(n)
     p = ps[rnd.randrange(len(ps))]
     b = slice_basis(p, "M" if rnd.random() < 0.5 else "L")
+    w = weight_report(p, b.kind)
     assert len(b.exponents()) == b.dim
-    assert min(b.exponents()) >= 1
-    assert sum(b.exponents()) == exponent_sum(p, b.kind)
+    assert min(b.exponents()) >= 1 and w.all_positive
+    assert sum(b.exponents()) == w.total == w.formula_total

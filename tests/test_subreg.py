@@ -187,7 +187,8 @@ def test_m1_identity_exhaustive_detects_mismatch(monkeypatch):
 
 
 def test_m1_identity_sampled(monkeypatch):
-    monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", 1)
+    # a limit below the 5^4 sweep samples it; it admits at most 150 samples
+    monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", 150)
     assert m1_identity_check(3, F5, samples=150, seed=4)
 
 
@@ -202,14 +203,17 @@ def _alpha_in_wrong_slot(monkeypatch):
     monkeypatch.setattr(subreg, "_companion_entries", swapped)
 
 
-@pytest.mark.parametrize("field,limit", [(F2, None), (F5, 1), (field_make(13), None)],
+@pytest.mark.parametrize("field,limit", [(F2, None), (F5, 600), (field_make(13), None)],
                          ids=["exhaustive-q2", "sampled-q5", "sampled-q13"])
 def test_m1_identity_fails_on_alpha_in_wrong_slot(monkeypatch, field, limit):
+    # a limit of 600 < 5^4 samples the sweep at q = 5, with at most 600 samples
+    samples = 1000
     if limit is not None:
         monkeypatch.setattr(subreg, "M1_EXHAUSTIVE_LIMIT", limit)
-    assert m1_identity_check(3, field)
+        samples = limit
+    assert m1_identity_check(3, field, samples)
     _alpha_in_wrong_slot(monkeypatch)
-    assert not m1_identity_check(3, field)
+    assert not m1_identity_check(3, field, samples)
 
 
 def test_m1_identity_samples_past_one_block(monkeypatch):
@@ -276,7 +280,7 @@ def test_subreg_guards():
         subreg_slice_density(2, F2, 1)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, subreg.M1_EXHAUSTIVE_LIMIT + 1])
 def test_m1_identity_rejects_samples_below_one(monkeypatch, samples):
     with pytest.raises(BadConfig, match="samples"):
         m1_identity_check(2, F2, samples=samples)
