@@ -6,9 +6,16 @@ subtotals; to run shards in parallel, start one process per ``--shard-id``
 and add the subtotals they print.  ``count --threads`` is accepted only because
 the benchmark's job argvs pass it; it selects nothing.
 
-Each subparser declares its options and names the handler that reads them.
-The parser is built once per process, on the first ``main`` call
-(``build_parser`` is memoised), not at import; ``main`` only parses with it.
+``count`` and ``density`` report the engine that ran (``counting.count_engine``):
+``jordan`` for nilcone counts at n >= 2 and m in {1, 2}, ``n2-product`` for
+the n = 2 fiber table behind gi counts and densities, ``lift`` for the rest.
+
+Each subcommand declares its options and names the handler that reads them
+(``_SUBCOMMANDS``).  ``main`` builds only the parser of the subcommand its
+argv names (``_subcommand_parser``), and the full parser (``build_parser``)
+only for a missing or unknown subcommand, the top-level -h, or to report
+an argument no parser reads.  Each is built once per process (both are
+memoised), not at import.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ def _run_count(cfg: argparse.Namespace) -> Report:
     return Report("count", anchors[cfg.target],
                   inputs=query.target_dict() | {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "m": cfg.m},
                   outputs={"count": str(record.count),
-                           "engine": count_engine(cfg.n, cfg.target)})
+                           "engine": count_engine(cfg.n, cfg.target, cfg.m)})
 
 
 def _run_fit_dim(cfg: argparse.Namespace) -> Report:
@@ -98,7 +105,7 @@ def _run_density(cfg: argparse.Namespace) -> Report:
             measure.summary_to_json(summary, cfg.out)
     verdict = {"mass_is_one": profile.mass() == 1}
     return Report("density", "Thm E", {"n": cfg.n, "ell": cfg.ell, "k": cfg.k, "M": cfg.level},
-                  summary | {"engine": count_engine(cfg.n, "gi")}, verdict)
+                  summary | {"engine": count_engine(cfg.n, "gi", cfg.level - 1)}, verdict)
 
 
 def _run_anfrs(cfg: argparse.Namespace) -> Report:
@@ -211,70 +218,99 @@ _SHARED = {
 }
 
 
+# name: (handler, help, the _SHARED options its handler reads, its own options),
+# in the order the full parser lists them
+_SUBCOMMANDS = {
+    "count": (_run_count, "exact jet-scheme point counts", "--n --ell --k --out --format", [
+        ("--m", dict(type=int, required=True)),
+        ("--target", dict(choices=["nilcone", "fiber", "gi"], required=True)),
+        ("--x", dict(help="fiber coefficients, e.g. '0;1|1;0'")),
+        ("--i", dict(type=int, help="power for the gi target")),
+        ("--shards", dict(type=int, default=1)),
+        ("--shard-id", dict(type=int, dest="shard_id", default=None)),
+        ("--checkpoint", dict(default=None)),
+        ("--threads", dict(type=int, default=0,
+                           help="ignored; run one process per --shard-id to use more cores")),
+    ]),
+    "fit-dim": (_run_fit_dim, "Lang-Weil dimension fit from saved records", "--out", [
+        ("--in", dict(dest="inputs", required=True)),
+    ]),
+    "density": (_run_density, "pushforward density profile at resolution M",
+                "--n --ell --k --out --format", [
+        ("--M", dict(type=int, dest="level", required=True)),
+    ]),
+    "anfrs": (_run_anfrs, "shrinking-ellipsoid density ratio", "--n --ell --k", [
+        ("--a", dict(type=int, required=True)),
+    ]),
+    "slice-audit": (_run_slice_audit, "slice weight table and audits",
+                    "--n --ell --k --seed --samples --out", [
+        ("--partition", dict(required=True)),
+        ("--kind", dict(choices=["L", "M"], default="L")),
+    ]),
+    "subreg": (_run_subreg, "subregular slice density, dual-path checked",
+               "--n --ell --k --seed --samples", [
+        ("--M", dict(type=int, dest="level", default=2)),
+    ]),
+    "insep-probe": (_run_insep_probe, "char-2 inseparable-locus density trace", "--ell --k --out", [
+        ("--limit", dict(type=int, default=3)),
+    ]),
+    "hist-mult": (_run_hist_mult, "valuation histogram of a product of Haar variables", "--ell --k", [
+        ("--M", dict(type=int, dest="level", default=3)),
+    ]),
+    "val-int": (_run_val_int, "truncated valuation integral of a polynomial", "--ell --k", [
+        ("--M", dict(type=int, dest="level", default=2)),
+        ("--poly", dict(required=True, help="comma-separated field coefficients, low degree first")),
+    ]),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, shared, own = _SUBCOMMANDS[name]
+    parser.set_defaults(subcommand=name, handler=handler)
+    for flag in shared.split():
+        parser.add_argument(flag, **_SHARED[flag])
+    for flag, options in own:
+        parser.add_argument(flag, **options)
+    return parser
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="chevalab",
         description="Exact jet counts and pushforward densities of the "
                     "characteristic-polynomial map over truncated local rings.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, handler, text: str, shared: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(handler=handler)
-        for flag in shared.split():
-            p.add_argument(flag, **_SHARED[flag])
-        return p
-
-    p = add("count", _run_count, "exact jet-scheme point counts", "--n --ell --k --out --format")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--target", choices=["nilcone", "fiber", "gi"], required=True)
-    p.add_argument("--x", help="fiber coefficients, e.g. '0;1|1;0'")
-    p.add_argument("--i", type=int, help="power for the gi target")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--shard-id", type=int, dest="shard_id", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--threads", type=int, default=0,
-                   help="ignored; run one process per --shard-id to use more cores")
-
-    p = add("fit-dim", _run_fit_dim, "Lang-Weil dimension fit from saved records", "--out")
-    p.add_argument("--in", dest="inputs", required=True)
-
-    p = add("density", _run_density, "pushforward density profile at resolution M",
-            "--n --ell --k --out --format")
-    p.add_argument("--M", type=int, dest="level", required=True)
-
-    p = add("anfrs", _run_anfrs, "shrinking-ellipsoid density ratio", "--n --ell --k")
-    p.add_argument("--a", type=int, required=True)
-
-    p = add("slice-audit", _run_slice_audit, "slice weight table and audits",
-            "--n --ell --k --seed --samples --out")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--kind", choices=["L", "M"], default="L")
-
-    p = add("subreg", _run_subreg, "subregular slice density, dual-path checked",
-            "--n --ell --k --seed --samples")
-    p.add_argument("--M", type=int, dest="level", default=2)
-
-    p = add("insep-probe", _run_insep_probe, "char-2 inseparable-locus density trace", "--ell --k --out")
-    p.add_argument("--limit", type=int, default=3)
-
-    p = add("hist-mult", _run_hist_mult, "valuation histogram of a product of Haar variables", "--ell --k")
-    p.add_argument("--M", type=int, dest="level", default=3)
-
-    p = add("val-int", _run_val_int, "truncated valuation integral of a polynomial", "--ell --k")
-    p.add_argument("--M", type=int, dest="level", default=2)
-    p.add_argument("--poly", required=True,
-                   help="comma-separated field coefficients, low degree first")
-
+    for name, (_, text, _, _) in _SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return parser
 
 
+@functools.lru_cache(maxsize=len(_SUBCOMMANDS))
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that ``build_parser()`` hands the rest of ``name``'s argv
+    to, built alone: the same prog, options and defaults."""
+    return _add_options(argparse.ArgumentParser(prog=f"chevalab {name}"), name)
+
+
+def parse_args(argv: List[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, the same namespace, messages and
+    exit codes, building only the named subcommand's parser: it reads the
+    rest of argv, and what it leaves unrecognized the full parser reports,
+    under its own usage line."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    args, extra = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+    if extra:
+        build_parser().error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if getattr(args, "fmt", None) and args.out is None:
-        parser.error("unrecognized arguments: --format is read only with --out")
+        build_parser().error("unrecognized arguments: --format is read only with --out")
     try:
         report = run(args)
     except BadConfig as exc:

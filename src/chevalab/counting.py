@@ -11,12 +11,19 @@ strings.  ``count_engine`` names the engine that runs each count:
   U with c(A) = x form an empty set or a coset of ker Dc_B, found by one
   batched elimination over F_ell (``matrices.row_echelon``).  The columns
   of Dc_B are c(B + t^l g E_ij) - c(B) for l >= h and g in an F_ell-basis
-  of F_q, from the same kernel.  nilcone and fiber counts (_lift_space) and
-  the n >= 3 fiber table (_lift_counts) run this way.  At m = 0, h = 1 and
-  the top half is empty: B is A, and each A with c(A) = x adds 1.  The
-  kernel runs in the arithmetic ``matrices.charpoly_batch`` picks from the
-  ring, ``field.ring_ops`` when int64 is not exact, which works on every
-  ring, so the lift has no ring-size wall of its own.
+  of F_q, from the same kernel.  fiber counts, nilcone counts outside the
+  jordan engine (_lift_space) and the n >= 3 fiber table (_lift_counts) run
+  this way.  At m = 0, h = 1 and the top half is empty: B is A, and each A
+  with c(A) = x adds 1.  The kernel runs in the arithmetic
+  ``matrices.charpoly_batch`` picks from the ring, ``field.ring_ops`` when
+  int64 is not exact, which works on every ring, so the lift has no
+  ring-size wall of its own.
+* jordan: the nilcone at n >= 2 and m in {1, 2} as a sum over the nilpotent
+  orbits O_lambda of Mat_n(F_q) (``_jordan_space``).  The lift's top half is
+  one digit there, so what a jet B adds depends on its orbit mod t and, at
+  m = 2, on the class of its t digit mod [gl_n, J_lambda], one point of the
+  slice L of ``slices.slice_basis``.  No matrix is swept at m = 1, and at
+  m = 2 only the slice points.
 * n2-product: the n = 2 fiber table at every m is one integer matrix
   product (``_fiber_table_np``), grouping the matrices by (a, d) and (b, c),
   read from ``field.ring_ops`` on the P x P grid of index pairs.
@@ -28,22 +35,27 @@ counts one contiguous slice, so subtotals add up to the full count.  Under
 the lift engine nilcone and fiber index the bases B at level h-1 as jets
 of the m = 0 fiber of x mod t (_fiber_bases, _jet_entries), the nilcone
 being the fiber over 0; the m = 0 fiber alone indexes all of Mat_n(F_q).
-gi indexes the characteristic polynomials x, each adding N(x)^i read from
-the one fiber table.  Shards run one after another in one process;
-separate processes, one per shard id, run nilcone and fiber shards in
-parallel.  A shard's checkpoint is one JSON line holding its latest state,
-replaced atomically after every chunk; chunks end on page boundaries.
+Under the jordan engine the nilcone indexes the Jordan types, each followed
+at m = 2 by its slice points.  gi indexes the characteristic polynomials x,
+each adding N(x)^i read from the one fiber table.  Shards run one after
+another in one process; separate processes, one per shard id, run nilcone
+and fiber shards in parallel.  A shard's checkpoint is one JSON line
+holding its latest state, replaced atomically after every chunk; chunks end
+on page boundaries.
 
 Pages, not chunks, are what runs: subtotal(lo, hi) reads slices of the
-BLOCK-aligned pages covering lo..hi-1 from two memos, _charpoly_page (m = 0
-charpoly codes, read by the m = 0 fiber table too) and _lift_page (m >= 1).
-A process evaluates each page at most once, whatever chunks, shards and
-counts cut the index space, and under 2 BLOCK indices outside lo..hi-1.
+BLOCK-aligned pages covering lo..hi-1 from three memos, _charpoly_page
+(m = 0 charpoly codes, read by the m = 0 fiber table too), _lift_page
+(m >= 1) and _slice_page (the slice points of one Jordan type, paged from
+the type's first point).  A process evaluates each page at most once,
+whatever chunks, shards and counts cut the index space, and under 2 BLOCK
+indices per Jordan type outside lo..hi-1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -65,6 +77,8 @@ SWEEP_GUARD = 1 << 30  # single-process full-sweep guard
 BLOCK = 1 << 11  # matrices per charpoly_batch call; larger blocks add peak memory, not speed
 PAGE_CACHE = 1 << 7  # pages kept per memo: 2^7 pages of BLOCK int64 values are 2 MB
 TABLE_GUARD = 1 << 20  # codes of a dense fiber table, the most the n = 2 product reaches (P <= 2^10)
+PARTITION_GUARD = 1 << 16  # Jordan types of one jordan count, each weighed in Python ints
+DIGITS_GUARD = 4300  # decimal digits of a count record, Python's default int-string limit
 
 FiberKey = Tuple[tuple, ...]  # (c_1, ..., c_n), each a series tuple
 
@@ -240,17 +254,21 @@ def _fiber_bases(n: int, field: FieldCtx, x0: int) -> np.ndarray:
     return bases
 
 
-def count_engine(n: int, kind: str) -> str:
-    """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m),
-    the same at every m.
+def count_engine(n: int, kind: str, m: int) -> str:
+    """The engine that runs a count of kind nilcone, fiber or gi on Mat_n(R_m).
 
-    "n2-product": the n = 2 fiber table as one matrix product (gi only);
+    "jordan": the nilcone at n >= 2 and m in {1, 2}, summed over the Jordan
+    types of its residue (_jordan_space);
+    "n2-product": the n = 2 fiber table as one matrix product (gi only, at
+    every m);
     "lift": the low half B of each matrix swept, the top half solved over
     F_ell (_lift_space, _lift_counts), at every n and ring size: the kernel
-    runs on any ring; at m = 0 the top half is empty.
+    runs on any ring; at m = 0 the top half is empty.  Every other count.
     gi reads the fiber table, so its engine is the table's (_fiber_counts)."""
     if kind == "gi" and n == 2:
         return "n2-product"
+    if kind == "nilcone" and n >= 2 and m in (1, 2):
+        return "jordan"
     return "lift"
 
 
@@ -261,12 +279,16 @@ def _target_space(n: int, ctx: TruncCtx, kind: str, x=None, i: Optional[int] = N
     The index spaces fix shard boundaries and checkpoints:
     gi: the encoded characteristic polynomials x in _encode_key order, index x
     adding N(x)^i with N(x) read from _fiber_counts;
-    nilcone and fiber: the bases B of _lift_space (all matrices for the
-    m = 0 fiber).
+    nilcone under the jordan engine: the Jordan types, and at m = 2 their
+    slice points (_jordan_space);
+    nilcone otherwise, and fiber: the bases B of _lift_space (all matrices
+    for the m = 0 fiber).
     """
     if kind == "gi":
         counts = _fiber_counts(n, ctx)
         return len(counts), lambda lo, hi: sum(v ** i for v in counts[lo:hi].tolist())
+    if count_engine(n, kind, ctx.m) == "jordan":
+        return _jordan_space(n, ctx)
     return _lift_space(n, ctx, kind, x)
 
 
@@ -444,6 +466,117 @@ def _lift_counts(n: int, ctx: TruncCtx) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# the jordan engine: nilcone jets at m <= 2 over the nilpotent orbits
+# --------------------------------------------------------------------------
+
+def _partition_count(n: int) -> int:
+    """The number of partitions of n, without listing them."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for s in range(part, n + 1):
+            ways[s] += ways[s - part]
+    return ways[n]
+
+
+def _jordan_types(n: int, q: int) -> List[tuple]:
+    """(partition, |O_lambda|, d_lambda) for every Jordan type lambda of
+    Mat_n(F_q) in ``slices.all_partitions`` order, in exact Python ints.
+
+    d_lambda = dim C(J_lambda) = sum_i (2i - 1) lambda_i (parts decreasing,
+    i from 1), the dimension of ``slices.slice_basis(lambda, "L")``, and
+    |O_lambda| = |GL_n(q)| / |C(J_lambda)| with
+    |C(J_lambda)| = q^(d_lambda - sum_i m_i (m_i + 1) / 2) prod_i prod_(j <= m_i) (q^j - 1),
+    m_i the number of parts equal to i.  The guard runs before any
+    partition is listed."""
+    from .slices import all_partitions  # slices imports this module
+
+    count = _partition_count(n)
+    if count > PARTITION_GUARD:
+        raise TooLarge(f"{_size_text(count)} Jordan types of n = {n} exceed the partition guard 2^16")
+    gl = math.prod(q ** n - q ** i for i in range(n))
+    out = []
+    for lam in all_partitions(n):
+        dim = sum((2 * i + 1) * p for i, p in enumerate(lam.parts))
+        mults = [len(list(run)) for _, run in itertools.groupby(lam.parts)]
+        cent = q ** (dim - sum(mu * (mu + 1) // 2 for mu in mults))
+        cent *= math.prod(q ** j - 1 for mu in mults for j in range(1, mu + 1))
+        out.append((lam, gl // cent, dim))
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _jordan_space(n: int, ctx: TruncCtx):
+    """(index count, subtotal) of the nilcone count at n >= 2 and m in {1, 2},
+    built once per (n, ctx.key()), since every shard of a run reads it.
+
+    A jet A in J_m(N) has a nilpotent residue B_0 = A mod t, in one orbit
+    O_lambda, and conjugating by GL_n(F_q) moves every count below along
+    O_lambda.  At B_0 = J_lambda, Dc_(J_lambda)(U) = -sum_k tr(J^k U) z^(n-1-k)
+    for k < lambda_1, so the differential has rank lambda_1 and its image is
+    every c with c_i = 0 for i > lambda_1.
+
+    m = 1: the t digit U lifts exactly when Dc(U) = 0, so index lambda adds
+    |O_lambda| q^(n^2 - lambda_1).  The index space is the Jordan types.
+    m = 2: A = B + t^2 U with B = J_lambda + t B_1.  Conjugating by 1 + tX
+    moves B_1 by [X, J_lambda] and keeps the count, and gl_n is
+    [gl_n, J_lambda] + L, so each class of B_1 holds q^(n^2 - d_lambda)
+    points and one slice point s of L.  B = J_lambda + t L(s) lifts, in
+    q^(n^2 - lambda_1) ways, exactly when every c_i(B) is 0 mod t^2 and c_i(B)
+    = 0 for i > lambda_1 (_slice_page).  The index space is each lambda
+    followed by its q^(d_lambda) slice points in base-q order, a lifting point
+    adding |O_lambda| q^(n^2 - d_lambda) q^(n^2 - lambda_1).
+
+    The weights are Python ints, multiplied by the number of lifting points
+    of a slice, never summed in a float64 bincount.  A count is at most
+    q^((m+1) n^2 - n), q^(n^2 - n) nilpotent residues times any higher
+    digits, which must print within DIGITS_GUARD decimal digits."""
+    q, nn = ctx.field.q, n * n
+    bound = q ** ((ctx.m + 1) * nn - n)
+    if bound >= 10 ** DIGITS_GUARD:
+        raise TooLarge(f"q^((m+1)n^2-n) = {_size_text(bound)} bounds a count past "
+                       f"the {DIGITS_GUARD} decimal digits of a count record")
+    types = _jordan_types(n, q)
+    if ctx.m == 1:
+        powers = [q ** (nn - top) for top in range(n + 1)]
+        weights = [size * powers[lam.parts[0]] for lam, size, _ in types]
+        return len(weights), lambda lo, hi: sum(weights[lo:hi])
+    weights = [size * q ** (2 * nn - dim - lam.parts[0]) for lam, size, dim in types]
+    starts = list(itertools.accumulate((q ** dim for _, _, dim in types), initial=0))
+
+    def subtotal(lo: int, hi: int) -> int:
+        total = 0
+        for (lam, _, _), weight, start, end in zip(types, weights, starts, starts[1:]):
+            if max(lo, start) < min(hi, end):
+                pages = functools.partial(_slice_page, ctx, lam)
+                total += weight * sum(int(np.count_nonzero(ok)) for ok in
+                                      _pages(max(lo, start) - start, min(hi, end) - start, pages))
+        return total
+
+    return starts[-1], subtotal
+
+
+@functools.lru_cache(maxsize=PAGE_CACHE)
+def _slice_page(ctx: TruncCtx, partition, page: int) -> np.ndarray:
+    """Whether each slice point p BLOCK..(p+1) BLOCK-1 of ``partition`` lifts
+    (see _jordan_space): B = J_lambda + t L(s) over R_2, whose c_i(B) are all
+    ring indices below q (zero t^0 and t^1 digits), and 0 for i > lambda_1.
+    The slice entries sit in first columns of blocks, never on the ones of
+    J_lambda, so each is set, not added.  Read-only."""
+    from .slices import _jordan_codes, slice_basis  # slices imports this module
+
+    basis, q = slice_basis(partition, "L"), ctx.field.q
+    idx = np.arange(page * BLOCK, min((page + 1) * BLOCK, q ** basis.dim), dtype=np.int64)
+    entries = (_jordan_codes(partition) * q * q).tolist()  # 1 in R_2 is ring index q^2
+    for s, e in zip(_digits(q, basis.dim, idx), basis.entries):
+        entries[e.row][e.col] = s * q  # s t
+    top = partition.parts[0]
+    cs = charpoly_batch(partition.n, ctx, entries)
+    ok = np.logical_and.reduce([c < q if i < top else c == 0 for i, c in enumerate(cs)])
+    ok.flags.writeable = False
+    return ok
+
+
+# --------------------------------------------------------------------------
 # fiber tables
 # --------------------------------------------------------------------------
 
@@ -458,12 +591,12 @@ def _fiber_counts(n: int, ctx: TruncCtx) -> np.ndarray:
     P^n counts; cached per (n, ctx.key()) and read-only, since density levels
     and every gi shard of a run read the same table.
 
-    The engine is count_engine(n, "gi"): the n = 2 matrix product
+    The engine is count_engine(n, "gi", m): the n = 2 matrix product
     (_fiber_table_np) at every m, else lifting (_lift_counts) at every m,
     m = 0 included.  Each guard bounds the work that runs before it
     allocates: P^3 multiply-adds for the product, which keep its P^2 codes
     within TABLE_GUARD, and for lifting the bases B, then the P^n codes."""
-    if count_engine(n, "gi") == "n2-product":
+    if count_engine(n, "gi", ctx.m) == "n2-product":
         _check_sweep(ctx.size ** 3, "P^3 multiply-adds of the n = 2 product")
         counts = _fiber_table_np(ctx)
     else:
@@ -509,10 +642,11 @@ def _fiber_key(n: int, ctx: TruncCtx, x) -> FiberKey:
 
 
 def count_nilcone_jets(n: int, ctx: TruncCtx) -> int:
-    """#J_m(N)(F_q): the fiber over x = 0, counted as count_jet_fiber counts
-    any fiber.  J_m(N) lies over J_0(N), so only the jets B in R_(h-1) of
-    the m = 0 nilpotent matrices (_fiber_bases over 0) run, and at m = 0
-    those matrices themselves, 1 each."""
+    """#J_m(N)(F_q), the fiber over x = 0.  At n >= 2 and m in {1, 2} the
+    jordan engine sums over the nilpotent orbits (_jordan_space); else it is
+    counted as count_jet_fiber counts any fiber: J_m(N) lies over J_0(N), so
+    only the jets B in R_(h-1) of the m = 0 nilpotent matrices (_fiber_bases
+    over 0) run, and at m = 0 those matrices themselves, 1 each."""
     return _whole_count(n, ctx, "nilcone")()
 
 
@@ -593,12 +727,14 @@ def count_sharded(query: CountQuery, shards: int, shard_id: int,
 
 
 def _query_sig(query: CountQuery) -> dict:
-    # gi and lifted checkpoints name their index space; older ones counted
-    # i-tuples of matrices (gi), or matrices, all bases B or, at n = 1, ring
-    # elements (m >= 1).  At m = 0 the nilcone bases and the fiber's
-    # matrices are what they swept.
+    # gi, jordan and lifted checkpoints name their index space; older ones
+    # counted i-tuples of matrices (gi), or matrices, all bases B or, at
+    # n = 1, ring elements (m >= 1), and the jordan nilcone's lifting bases B.
+    # At m = 0 the nilcone bases and the fiber's matrices are what they swept.
     if query.kind == "gi":
         index = {"index": "charpoly codes"}
+    elif count_engine(query.n, query.kind, query.m) == "jordan":
+        index = {"index": "Jordan types" if query.m == 1 else "slice points of Jordan types"}
     elif query.m >= 1:
         index = {"index": "lifting bases B" if query.kind == "nilcone" else "jets of fiber bases B"}
     else:

@@ -21,7 +21,8 @@ coefficient is the top digit.  ``ring_add``, ``ring_neg``, ``ring_mul``
 and ``ring_val`` take ring indices, ints or broadcasting int64 arrays.
 ``ring_ops`` is the one entry point for callers that run many ops on one
 ring: it decides when a ring gets dense P x P add and mul tables, which it
-fills from the packed ops, and gathers from them.
+fills from the packed ops once the calls have run on P^2 elements, and
+gathers from them.
 
 Add, neg and mul share one packed layout per ring (``_layout``): the
 t^i g^j coefficient of an index sits in bit slot i(2k-1) + j of int64
@@ -554,20 +555,55 @@ def _row_blocks(P: int) -> list:
     return [slice(lo, lo + rows) for lo in range(0, P, rows)]
 
 
+class _TableOps:
+    """add, mul and neg on the ring indices of a ring of P <= RING_TABLE_LIMIT
+    elements, which fill dense P x P tables only once they pay for them: the
+    packed ops run until the calls have covered P^2 elements (broadcast
+    sizes), about what filling the tables costs, and every call from the one
+    that reaches it on gathers from the tables (the sum of x and y at
+    ``x * P + y``), filled from ``ring_add``, ``ring_mul`` and ``ring_neg``
+    in row blocks of about 2^14 pairs (``_row_blocks``).  A sampled run on a
+    large ring builds no table; an exhaustive sweep builds them at once."""
+
+    __slots__ = ("ctx", "P", "left", "tables")
+
+    def __init__(self, ctx: TruncCtx):
+        self.ctx, self.P, self.left, self.tables = ctx, ctx.size, ctx.size ** 2, None
+
+    def _tables(self, *args) -> Optional[tuple]:
+        """The tables once the calls, this one included, have covered P^2 elements, else None."""
+        self.left -= np.broadcast(*args).size
+        if self.left > 0:
+            return None
+        P, ctx = self.P, self.ctx
+        idx = np.arange(P, dtype=np.int64)
+        add, mul = np.empty((2, P, P), dtype=np.int64)
+        for rows in _row_blocks(P):
+            add[rows] = ring_add(ctx, idx[rows, None], idx)
+            mul[rows] = ring_mul(ctx, idx[rows, None], idx)
+        self.tables = add.ravel(), mul.ravel(), ring_neg(ctx, idx)
+        return self.tables
+
+    def add(self, x, y):
+        t = self.tables or self._tables(x, y)
+        return ring_add(self.ctx, x, y) if t is None else t[0][x * self.P + y]
+
+    def mul(self, x, y):
+        t = self.tables or self._tables(x, y)
+        return ring_mul(self.ctx, x, y) if t is None else t[1][x * self.P + y]
+
+    def neg(self, x):
+        t = self.tables or self._tables(x)
+        return ring_neg(self.ctx, x) if t is None else t[2][x]
+
+
 @functools.lru_cache(maxsize=4)
 def ring_ops(ctx: TruncCtx) -> tuple:
     """(add, mul, neg) on the ring indices of ``ctx``, built once per
-    ``ctx.key()``: while P = ctx.size <= RING_TABLE_LIMIT, gathers from dense
-    tables (the sum of x and y at ``x * P + y``), filled from ``ring_add``,
-    ``ring_mul`` and ``ring_neg`` in row blocks of about 2^14 pairs
-    (``_row_blocks``); past it, the packed ops themselves."""
-    P = ctx.size
-    if P > RING_TABLE_LIMIT:
+    ``ctx.key()``: while P = ctx.size <= RING_TABLE_LIMIT, the ops of a
+    ``_TableOps``, which gather from dense tables once the calls have run on
+    P^2 elements; past it, the packed ops themselves."""
+    if ctx.size > RING_TABLE_LIMIT:
         return tuple(functools.partial(op, ctx) for op in (ring_add, ring_mul, ring_neg))
-    idx = np.arange(P, dtype=np.int64)
-    add, mul = np.empty((2, P, P), dtype=np.int64)
-    for rows in _row_blocks(P):
-        add[rows] = ring_add(ctx, idx[rows, None], idx)
-        mul[rows] = ring_mul(ctx, idx[rows, None], idx)
-    add, mul, neg = add.ravel(), mul.ravel(), ring_neg(ctx, idx)
-    return lambda x, y: add[x * P + y], lambda x, y: mul[x * P + y], neg.__getitem__
+    ops = _TableOps(ctx)
+    return ops.add, ops.mul, ops.neg

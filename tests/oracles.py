@@ -23,7 +23,9 @@ lift engine of ``counting``.  The n = 2 closed forms (``nilcone_n2_oracle``,
 ``split_fiber_n2_oracle``) are the references for counts past the dense
 ring tables, where no sweep of every matrix runs, and the m = 1 closed form
 over Jordan types (``nilcone_m1_oracle``) the one for m = 1 nilcone counts
-at every n; no engine shares its formula.
+at every n; no engine shares its formula.  ``jordan_m2_values_oracle`` is
+the m = 2 Jordan-type sum index by index, each slice point's charpoly by
+cofactor expansion: the reference for the jordan engine's m = 2 index space.
 ``bracket_rank_oracle`` ranks ad_x by scalar Gaussian elimination over F_q
 in ``FieldCtx`` arithmetic, independent of ``row_echelon``: it is the
 reference for ``matrices.ad_ranks``, and ``orbit_jump_oracle``, which
@@ -271,6 +273,25 @@ def nilcone_m1_oracle(n, q):
     """#J_1(N) = Σ_λ |O_λ| q^(n² - λ_1): over B in O_λ the t-digit U lifts
     exactly when Dc_B(U) = 0, a kernel of dimension n² - rank Dc_B = n² - λ_1."""
     return sum(nilpotent_orbit_size(p, q) * q ** (n * n - p.parts[0]) for p in all_partitions(n))
+
+
+def jordan_m2_values_oracle(n, field):
+    """What each index of the m = 2 nilcone's Jordan-type index space adds: per
+    type λ in all_partitions order, its q^(d_λ) slice points s in base-q order,
+    each adding |O_λ| q^(n² - d_λ) q^(n² - λ_1) when B = J_λ + t L(s) over R_2
+    has every c_i(B) = 0 mod t² and c_i(B) = 0 for i > λ_1, else 0.  B is built
+    by ``slice_point`` and c(B) by cofactor expansion."""
+    q, ctx = field.q, trunc_make(field, 2)
+    out = []
+    for lam in all_partitions(n):
+        basis = slice_basis(lam, "L")
+        weight = nilpotent_orbit_size(lam, q) * q ** (2 * n * n - basis.dim - lam.parts[0])
+        for s in itertools.product(range(q), repeat=basis.dim):
+            B = slice_point(basis, field, [ctx.make((0, x)) for x in s], m=2)
+            c = charpoly_oracle(ctx, B.entries)
+            lifts = all(ci[:2] == (0, 0) for ci in c) and all(ci == ctx.zero for ci in c[lam.parts[0]:])
+            out.append(weight if lifts else 0)
+    return out
 
 
 # --------------------------------------------------------------------------

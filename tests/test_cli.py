@@ -59,10 +59,49 @@ def test_count_sharded_threads(capsys, tmp_path, monkeypatch):
 
 
 def test_count_reports_engine(capsys):
-    for m, engine in (("1", "lift"), ("0", "lift")):
+    # the nilcone at m = 1, 2 sums over Jordan types; m = 0 and m >= 3 lift
+    for m, engine in (("1", "jordan"), ("2", "jordan"), ("0", "lift"), ("3", "lift")):
         code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", m])
         assert code == 0
         assert doc["outputs"]["engine"] == engine
+    code, doc = _main_out(capsys, ["count", "--n", "1", "--target", "nilcone", "--m", "1"])
+    assert code == 0 and doc["outputs"]["engine"] == "lift"
+
+
+@pytest.mark.parametrize("n,ell,m,count", [
+    ("4", "2", "1", "25837568"),
+    ("3", "3", "2", "622317411"),  # the lift's value, 8 s on it
+    ("4", "2", "2", "141461291008"),  # the lift ran past 60 s
+    ("4", "3", "1", "392983081947"),  # the lift's value, 13 s on it
+    ("6", "2", "1", "2011493043399557120")])
+def test_count_jordan_reference_values(capsys, n, ell, m, count):
+    code, doc = _main_out(capsys, ["count", "--n", n, "--ell", ell, "--m", m, "--target", "nilcone"])
+    assert code == 0 and doc["outputs"] == {"count": count, "engine": "jordan"}
+    assert doc["wall_ms"] < 1000
+
+
+def test_count_jordan_guard_exit_2(capsys, monkeypatch):
+    # 2^4 + 2^6 + ... + 2^36 slice points at (6, 2, m = 2) pass the 2^30 guard before any runs
+    monkeypatch.setattr(counting, "charpoly_batch", None)
+    code = main(["count", "--n", "6", "--ell", "2", "--m", "2", "--target", "nilcone"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "nilcone index count = 68788184384 exceeds the sweep guard 2^30" in captured.err
+
+
+def test_count_lift_era_nilcone_checkpoint_exit_2(capsys, tmp_path):
+    # a checkpoint of the m = 1 nilcone over the lift's bases B, as older versions wrote it
+    path = tmp_path / "ck"
+    path.write_text(json.dumps({
+        "next_index": 64, "query": {"ell": 2, "index": "lifting bases B", "k": 1, "m": 1, "n": 3,
+                                    "target": {"kind": "nilcone"}},
+        "schema_version": 1, "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
+    code = main(["count", "--n", "3", "--target", "nilcone", "--m", "1", "--shards", "1",
+                 "--shard-id", "0", "--checkpoint", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and "does not match" in captured.err
 
 
 def test_density_reports_engine(capsys, tmp_path):
@@ -87,15 +126,15 @@ def test_n2_fiber_count_past_matrix_guard(capsys):
 
 def test_nilcone_shards_build_bases_once(capsys):
     # one build, read by the guard of all shards, by each of the 4 shards and by
-    # the one lift page of the 2^6 bases
+    # the 16 lift pages of the 2^6 bases' 2^15 jets B at m = 3
     counting._fiber_bases.cache_clear()
     counting._lift_page.cache_clear()
-    code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "1",
+    code, doc = _main_out(capsys, ["count", "--n", "3", "--target", "nilcone", "--m", "3",
                                    "--shards", "4"])
     assert code == 0
-    assert doc["outputs"]["count"] == "5632"
+    assert doc["outputs"]["count"] == "29655040"
     info = counting._fiber_bases.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+    assert (info.misses, info.hits) == (1, 4 + 16)
     assert not counting._fiber_bases(3, field_make(2), 0).flags.writeable
 
 
@@ -405,15 +444,17 @@ def test_count_n1_past_int64_hits_size_guard(capsys, shards, guard):
     assert len(captured.err.strip().splitlines()) == 1 and f"exceeds the {guard}" in captured.err
 
 
-@pytest.mark.parametrize("argv,count", [
-    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "nilcone"], "1923445"),
-    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "fiber", "--x", "1;5|3;7"], "1924814"),
-    (["count", "--n", "1", "--ell", "2", "--m", "31", "--target", "nilcone"], "1"),
+@pytest.mark.parametrize("argv,count,engine", [
+    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "nilcone"], "1923445", "jordan"),
+    (["count", "--n", "2", "--ell", "37", "--m", "1", "--target", "fiber", "--x", "1;5|3;7"], "1924814",
+     "lift"),
+    (["count", "--n", "1", "--ell", "2", "--m", "31", "--target", "nilcone"], "1", "lift"),
 ], ids=["nilcone-n2-q37", "fiber-n2-q37", "nilcone-n1-m31"])
-def test_count_past_table_limit(capsys, argv, count):
-    # rings of 1369 and 2^32 elements have no dense tables; the lift runs on the packed ring ops
+def test_count_past_table_limit(capsys, argv, count, engine):
+    # rings of 1369 and 2^32 elements have no dense tables; the lift runs on the packed ring
+    # ops, and the jordan engine at m = 1 runs no ring op
     code, doc = _main_out(capsys, argv)
-    assert code == 0 and doc["outputs"] == {"count": count, "engine": "lift"}
+    assert code == 0 and doc["outputs"] == {"count": count, "engine": engine}
 
 
 def test_m0_fiber_over_prime_field_builds_no_tables(capsys):
@@ -637,8 +678,38 @@ def test_cached_parser_matches_fresh_parser(capsys, tmp_path, monkeypatch):
     cached = [_outcome(capsys, argv, out) for argv in calls]
     assert [c[0] for c in cached] == [0, 0, 0, 2, 2]
     assert cached[1][4]["shards"] == 1 and cached[2][3]
+    # fresh parsers on every call, for main's subcommand parsers and the full parser
+    monkeypatch.setattr(cli, "_subcommand_parser", cli._subcommand_parser.__wrapped__)
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
     assert [_outcome(capsys, argv, out) for argv in calls] == cached
+
+
+def test_main_builds_only_the_named_parser(capsys, monkeypatch):
+    built, fresh = [], cli._subcommand_parser.__wrapped__
+    monkeypatch.setattr(cli, "_subcommand_parser", lambda name: built.append(name) or fresh(name))
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build_parser.__wrapped__())
+    assert main(["count", "--target", "nilcone", "--m", "0"]) == 0
+    assert main(["density", "--M", "1"]) == 0
+    assert built == ["count", "density"]
+    for argv in ([], ["-h"], ["frobnicate"], ["count", "--m", "0", "--target", "gi", "--bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == ["count", "density", None, None, None, "count", None]
+
+
+@pytest.mark.parametrize("rest", [["-h"], [], ["--bogus"], ["--n"], ["--seed", "1", "x"], ["--", "--n"]])
+def test_parse_args_matches_full_parser(capsys, rest):
+    # prog strings, usage lines, messages, exit codes and namespaces of every subcommand
+    for name in cli._SUBCOMMANDS:
+        outcomes = []
+        for parse in (cli.parse_args, build_parser().parse_args):
+            try:
+                parsed = vars(parse([name, *rest]))
+            except SystemExit as exc:
+                parsed = exc.code
+            outcomes.append((parsed, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], name
 
 
 def test_python_m_chevalab(tmp_path):

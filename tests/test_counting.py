@@ -38,10 +38,11 @@ from chevalab.errors import (
 from chevalab.field import RING_TABLE_LIMIT, field_make, trunc_make
 from chevalab.matrices import charpoly, row_echelon
 from chevalab.measure import refinement_check
-from chevalab.slices import all_partitions
+from chevalab.slices import all_partitions, slice_basis
 
 from oracles import (all_matrices, charpoly_oracle, fiber_counts_oracle, gauss_oracle,
-                     in_span_oracle, mat_make, nilcone_m1_oracle, nilcone_n2_oracle,
+                     in_span_oracle, jordan_m2_values_oracle, mat_make, nilcone_m1_oracle,
+                     nilcone_n2_oracle,
                      nilpotent_orbit_size, split_fiber_n2_oracle, sweep_count_oracle,
                      sweep_counts_oracle)
 
@@ -134,15 +135,72 @@ def test_nilcone_m0_fine_herstein(n, ell, k):
     (3, 2, 2, 20_709_376), (4, 2, 1, 25_837_568), (2, 2, 3, 4_544)])
 def test_nilcone_m1_closed_form_matches_lift(n, ell, k, count):
     # #J_1(N) = sum over Jordan types of |O_λ| q^(n² - λ_1), and the orbits of the
-    # nilpotent matrices add up to q^(n² - n) (Fine-Herstein)
+    # nilpotent matrices add up to q^(n² - n) (Fine-Herstein); the jordan engine against
+    # the closed form and against the lift of the fiber over 0
     q = ell ** k
+    ctx = trunc_make(field_make(ell, k), 1)
     assert sum(nilpotent_orbit_size(p, q) for p in all_partitions(n)) == q ** (n * n - n)
-    assert count_nilcone_jets(n, trunc_make(field_make(ell, k), 1)) == nilcone_m1_oracle(n, q) == count
+    assert count_engine(n, "nilcone", 1) == "jordan"
+    assert count_nilcone_jets(n, ctx) == nilcone_m1_oracle(n, q) == count
+    assert count_jet_fiber(n, ctx, (ctx.zero,) * n) == count
 
 
 def test_nilcone_m1_closed_form_n6():
-    # past every engine's reach; the value the Jordan-type sum gives
+    # past the lift's reach (its bases sweep 2^35 matrices); the jordan engine's value
     assert nilcone_m1_oracle(6, 2) == 2_011_493_043_399_557_120
+    assert count_nilcone_jets(6, trunc_make(F2, 1)) == 2_011_493_043_399_557_120
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("ell,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_jordan_matches_n2_recursion(ell, k, m):
+    # #J_m(N) = S_(m+1) at n = 2, with S_0 = 1, S_1 = q^2, S_k = (q^2 - 1) q^(2k-2) + q^3 S_(k-2)
+    assert count_engine(2, "nilcone", m) == "jordan"
+    assert count_nilcone_jets(2, trunc_make(field_make(ell, k), m)) == nilcone_n2_oracle(ell ** k, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_jordan_orbit_sizes(q):
+    # the engine's exact-int orbit sizes against the Fraction oracle, its d_λ against the
+    # slice dimension, and Fine-Herstein: the nilpotent orbits add up to q^(n^2 - n)
+    for n in range(1, 7):
+        parts = all_partitions(n)
+        types = counting._jordan_types(n, q)
+        assert len(types) == len(parts) == counting._partition_count(n)
+        assert [lam for lam, _, _ in types] == parts
+        assert [size for _, size, _ in types] == [nilpotent_orbit_size(lam, q) for lam in parts]
+        assert [dim for _, _, dim in types] == [slice_basis(lam, "L").dim for lam in parts]
+        assert sum(size for _, size, _ in types) == q ** (n * n - n)
+
+
+@pytest.mark.parametrize("n,ell,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 5, 1), (2, 2, 2)])
+def test_jordan_m2_matches_lift_and_oracle(n, ell, k):
+    # every slice point's value against the cofactor oracle, and the count against the
+    # lift of the fiber over 0
+    field = field_make(ell, k)
+    ctx = trunc_make(field, 2)
+    values = jordan_m2_values_oracle(n, field)
+    total, subtotal = counting._target_space(n, ctx, "nilcone")
+    assert total == len(values)
+    assert [subtotal(i, i + 1) for i in range(total)] == values
+    assert count_nilcone_jets(n, ctx) == sum(values) == count_jet_fiber(n, ctx, (ctx.zero,) * n)
+
+
+def test_jordan_guards_run_before_enumeration(monkeypatch):
+    # the m = 2 guard reads the slice points that run, 2^3 + 2^5 + 2^9 = 552 at (3, 2);
+    # the partition guard counts the Jordan types before listing them; an m = 1 count is at
+    # most q^(2n^2 - n): 251^1770 has 4,248 digits and runs, 251^1891 has 4,538
+    assert len(str(count_nilcone_jets(30, trunc_make(field_make(251), 1)))) == 4176
+    with pytest.raises(TooLarge, match="4300 decimal digits"):
+        count_nilcone_jets(31, trunc_make(field_make(251), 1))
+    monkeypatch.setattr(counting, "charpoly_batch", None)
+    monkeypatch.setattr(counting, "SWEEP_GUARD", 551)
+    with pytest.raises(TooLarge, match="nilcone index count = 552 exceeds the sweep guard"):
+        count_nilcone_jets(3, trunc_make(F2, 2))
+    monkeypatch.setattr(counting, "PARTITION_GUARD", 41)
+    with pytest.raises(TooLarge, match="42 Jordan types of n = 10 exceed the partition guard"):
+        count_nilcone_jets(10, trunc_make(F2, 1))
+    assert count_nilcone_jets(9, trunc_make(F2, 1)) == nilcone_m1_oracle(9, 2)
 
 
 def test_ring_past_table_limit_n1():
@@ -175,7 +233,8 @@ def test_charpoly_keys_past_table_limit_match_oracle():
                                            (37, 1, 1_923_445), (11, 2, 1_917_971)])
 def test_n2_closed_forms_match_lift(ell, m, nilcone):
     # the n = 2 nilcone recurrence and the split-residue fiber (q^2 + q) q^(2m); R_1 of F_37 and
-    # R_2 of F_11 (P = 1369, 1331) are past the dense-table limit, so the lift runs on packed ops
+    # R_2 of F_11 (P = 1369, 1331) are past the dense-table limit, so the lift, and the jordan
+    # engine's slice points at (11, 2), run on packed ops
     ctx = trunc_make(field_make(ell), m)
     assert count_nilcone_jets(2, ctx) == nilcone_n2_oracle(ell, m) == nilcone
     x = (ctx.make([ell - 1, 3, 4]), ctx.make([0, 5, 6]))  # x mod t = z (z - 1)
@@ -502,7 +561,7 @@ def test_checkpoint_resume(tmp_path):
     path = str(tmp_path / "resume.jsonl")
     full = count_sharded(q, 1, 0, path, chunk=1)
     (state,) = _checkpoint_lines(path)  # one line after many chunks
-    assert state["next_index"] == 4  # lifting indexes the 4 nilpotent bases B at h = 1
+    assert state["next_index"] == 2  # the jordan engine indexes the 2 Jordan types of n = 2
     assert int(state["subtotal"]) == full.count == 20
     assert count_sharded(q, 1, 0, path, chunk=1).count == 20
 
@@ -696,10 +755,12 @@ def test_row_echelon_matches_scalar_gauss(ell, kind):
 
 
 def test_count_engine():
-    assert count_engine(1, "nilcone") == count_engine(1, "fiber") == count_engine(1, "gi") == "lift"
-    assert count_engine(2, "gi") == "n2-product"
-    assert count_engine(2, "fiber") == count_engine(3, "gi") == "lift"
-    assert count_engine(2, "nilcone") == count_engine(3, "fiber") == "lift"
+    for m in range(4):
+        assert count_engine(1, "nilcone", m) == count_engine(1, "fiber", m) == count_engine(1, "gi", m) == "lift"
+        assert count_engine(2, "gi", m) == "n2-product"
+        assert count_engine(2, "fiber", m) == count_engine(3, "gi", m) == count_engine(3, "fiber", m) == "lift"
+        assert count_engine(2, "nilcone", m) == count_engine(5, "nilcone", m) == (
+            "jordan" if m in (1, 2) else "lift")
 
 
 @pytest.mark.parametrize("ell,k,m,sample", [(2, 1, 1, None), (2, 1, 3, None), (3, 1, 2, None),
@@ -761,13 +822,19 @@ def test_lift_shards_add_up(n, ell, k, m, kind):
     assert combine_records(parts).count == run_query(q).count > 0
 
 
+def _zero_fiber_n3_m2():
+    """The lifted fiber over 0 of (3, 2, m = 2): 2^6 nilpotent bases x 2^9 lifts = 2^15 B,
+    the index space the nilcone had under the lift."""
+    return CountQuery(3, 2, 1, 2, "fiber", x=(trunc_make(F2, 2).zero,) * 3)
+
+
 def test_lift_shard_resumes(tmp_path, monkeypatch):
-    q = CountQuery(3, 2, 1, 2, "nilcone")  # 2^15 bases B, 2^14 per shard
+    q = _zero_fiber_n3_m2()  # 2^15 bases B, 2^14 per shard
     full = count_sharded(q, 2, 1, chunk=1000).count
     path = str(tmp_path / "lift.jsonl")
     _interrupted(monkeypatch, q, path, 3, chunk=1000, shards=2)
     (state,) = _checkpoint_lines(path)
-    assert state["query"]["index"] == "lifting bases B"
+    assert state["query"]["index"] == "jets of fiber bases B"
     # each chunk of 1000 runs on to the end of its page of 2^11
     assert state["next_index"] == 2 ** 14 + 3 * 2 ** 11 == _chunk_ends(2 ** 14, 2 ** 15, 1000)[2]
     assert count_sharded(q, 2, 1, path, chunk=1000).count == full
@@ -787,7 +854,8 @@ def test_lift_fiber_checkpoint_of_older_layout_rejected(tmp_path):
 
 @pytest.mark.parametrize("n,m,kind,index", [
     (1, 0, "nilcone", None), (1, 1, "nilcone", "lifting bases B"), (2, 0, "nilcone", None),
-    (2, 1, "nilcone", "lifting bases B"),
+    (2, 1, "nilcone", "Jordan types"), (2, 2, "nilcone", "slice points of Jordan types"),
+    (2, 3, "nilcone", "lifting bases B"),
     (1, 0, "fiber", None), (1, 1, "fiber", "jets of fiber bases B"), (2, 0, "fiber", None),
     (2, 1, "fiber", "jets of fiber bases B"),
     (1, 0, "gi", "charpoly codes"), (1, 1, "gi", "charpoly codes"),
@@ -802,7 +870,7 @@ def test_query_sig_names_index_space(n, m, kind, index):
 
 def test_shard_guard_bounds_index_count(monkeypatch):
     # the guard reads the index count that runs: 2^6 nilpotent bases x 2^9 lifts at m = 2
-    q = CountQuery(3, 2, 1, 2, "nilcone")
+    q = _zero_fiber_n3_m2()
     monkeypatch.setattr(counting, "SHARD_GUARD", 2 ** 15)
     assert sum(count_sharded(q, 4, s).count for s in range(4)) == 460_800
     monkeypatch.setattr(counting, "SHARD_GUARD", 2 ** 15 - 1)
@@ -812,11 +880,43 @@ def test_shard_guard_bounds_index_count(monkeypatch):
 
 def test_shard_sweep_guard_bounds_its_range(monkeypatch):
     # each shard checks the indices it runs: 2^15 B in two shards of 2^14
-    q = CountQuery(3, 2, 1, 2, "nilcone")
+    q = _zero_fiber_n3_m2()
     monkeypatch.setattr(counting, "SWEEP_GUARD", 2 ** 14)
     assert sum(count_sharded(q, 2, s).count for s in range(2)) == 460_800
     with pytest.raises(TooLarge, match="--shard-id"):
         count_sharded(q, 1, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lift_era_nilcone_checkpoint_rejected(tmp_path, m):
+    # m = 1, 2 nilcone checkpoints of the lift counted its bases B; the jordan engine
+    # indexes Jordan types and slice points, so they are refused
+    q = CountQuery(3, 2, 1, m, "nilcone")
+    path = tmp_path / "lift-nilcone.jsonl"
+    path.write_text(json.dumps({
+        "next_index": 1, "query": dict(counting._query_sig(q), index="lifting bases B"),
+        "schema_version": 1, "shard_id": 0, "shards": 1, "subtotal": "0"}) + "\n")
+    with pytest.raises(CorruptCheckpoint):
+        count_sharded(q, 1, 0, str(path))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, counting.BLOCK - 1, counting.BLOCK + 1])
+def test_jordan_shards_resume_and_add_up(tmp_path, monkeypatch, chunk):
+    # the 3^3 + 3^5 + 3^9 = 19,953 slice points of (3, 3, m = 2) in 3 shards of several
+    # pages each: a shard killed after one chunk resumes to its uninterrupted subtotal,
+    # and the subtotals add up to the lift's count; the 5 Jordan types of (4, 2, m = 1) too
+    q = CountQuery(3, 3, 1, 2, "nilcone")
+    parts = []
+    for s in range(3):
+        parts.append(count_sharded(q, 3, s, chunk=chunk).count)
+        path = str(tmp_path / f"ck{s}-{chunk}.jsonl")
+        _interrupted(monkeypatch, q, path, 1, chunk=chunk, shards=3, shard=s)
+        (state,) = _checkpoint_lines(path)
+        assert state["next_index"] == _chunk_ends(*_shard_range(19_953, 3, s), chunk)[0]
+        assert count_sharded(q, 3, s, path, chunk=chunk).count == parts[-1]
+    assert sum(parts) == 622_317_411
+    q1 = CountQuery(4, 2, 1, 1, "nilcone")
+    assert sum(count_sharded(q1, 3, s, chunk=chunk).count for s in range(3)) == 25_837_568
 
 
 def test_lift_matrix_index_checkpoint_rejected(tmp_path):
@@ -832,16 +932,20 @@ def test_lift_matrix_index_checkpoint_rejected(tmp_path):
 def _clear_pages():
     counting._charpoly_page.cache_clear()
     counting._lift_page.cache_clear()
+    counting._slice_page.cache_clear()
 
 
 def _page_targets():
-    ctx0, ctx2 = trunc_make(F3, 0), trunc_make(F3, 2)
-    return [  # (query, shards, per-shard subtotals of the sweep before pages)
+    ctx0, ctx1, ctx2 = trunc_make(F3, 0), trunc_make(F2, 1), trunc_make(F3, 2)
+    values = jordan_m2_values_oracle(2, field_make(7))  # 7^2 + 7^4 = 2450 slice points
+    return [  # (query, shards, per-shard subtotals of the sweep before pages, or of the oracle)
         (CountQuery(3, 3, 1, 0, "fiber", x=charpoly(matrix_from_index(3, ctx0, 12345)).c), 4,
          [103, 103, 104, 122]),
-        (CountQuery(3, 2, 1, 1, "nilcone"), 3, [2240, 1664, 1728]),
+        (CountQuery(3, 2, 1, 1, "fiber", x=(ctx1.zero,) * 3), 3, [2240, 1664, 1728]),
         (CountQuery(2, 3, 1, 2, "fiber", x=charpoly(matrix_from_index(2, ctx2, 12345)).c), 2,
          [243, 243]),
+        (CountQuery(2, 7, 1, 2, "nilcone"), 3,
+         [sum(values[lo:hi]) for lo, hi in (_shard_range(len(values), 3, s) for s in range(3))]),
     ]
 
 
@@ -902,7 +1006,7 @@ def _record_pages(monkeypatch):
 def test_resume_after_kill_skips_finished_pages(tmp_path, monkeypatch, lifted, shard, chunk, kill):
     # a kill at the start of any chunk resumes to the uninterrupted count, and the
     # resumed run evaluates no page that the killed run had finished
-    q = CountQuery(3, 2, 1, 2, "nilcone") if lifted else _fiber_query_n3()
+    q = _zero_fiber_n3_m2() if lifted else _fiber_query_n3()
     total, _ = counting._target_space(q.n, q.ctx(), q.kind, q.x)
     lo, hi = _shard_range(total, 2, shard)
     kill %= len(_chunk_ends(lo, hi, chunk))
@@ -984,14 +1088,14 @@ def test_every_memo_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"counting._charpoly_page", "counting._lift_page", "field.ring_ops", "field._digit_sum",
-            "field._digit_product"} <= set(memos)
+    assert {"counting._charpoly_page", "counting._lift_page", "counting._slice_page", "field.ring_ops",
+            "field._digit_sum", "field._digit_product"} <= set(memos)
     assert [name for name, maxsize in memos.items() if maxsize is None] == []
 
 
 def test_page_memos_bounded():
-    # a page holds BLOCK int64 values; the two memos together hold at most 4 MB
-    for memo in (counting._charpoly_page, counting._lift_page):
+    # a page holds at most BLOCK int64 values; the three memos together hold at most 6 MB
+    for memo in (counting._charpoly_page, counting._lift_page, counting._slice_page):
         assert memo.cache_info().maxsize * counting.BLOCK * 8 <= 2 << 20
 
 

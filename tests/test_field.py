@@ -182,6 +182,26 @@ def test_ring_tables_match_ring_ops(ell, k, m, monkeypatch):
     ring_ops.cache_clear()
 
 
+def test_ring_ops_fill_tables_once_they_pay():
+    # R_1 of F_31, P = 961: calls on fewer than P^2 elements in all run the packed ops and
+    # fill no table; the call that reaches P^2 fills them, and gathers give the same indices
+    ctx = trunc_make(field_make(31), 1)
+    P = ctx.size
+    ring_ops.cache_clear()
+    add, mul, neg = ring_ops(ctx)
+    rng = random.Random(P)
+    x, y = (np.array([rng.randrange(P) for _ in range(1000)], dtype=np.int64) for _ in range(2))
+    packed = [add(x, y), mul(x, y), neg(x), add(3, 5)]
+    assert add.__self__.tables is None
+    idx = np.arange(P, dtype=np.int64)
+    assert np.array_equal(mul(idx[:, None], idx), ring_mul(ctx, idx[:, None], idx))
+    assert add.__self__.tables is not None
+    gathered = [add(x, y), mul(x, y), neg(x), add(3, 5)]
+    assert all(np.array_equal(a, b) for a, b in zip(packed, gathered))
+    assert np.array_equal(packed[0], ring_add(ctx, x, y)) and np.array_equal(packed[2], ring_neg(ctx, x))
+    ring_ops.cache_clear()
+
+
 @pytest.mark.parametrize("ell,k,m", [(2, 1, 3), (3, 1, 2), (2, 2, 1), (3, 2, 1), (2, 3, 1), (5, 1, 1)])
 def test_ring_functions_on_ints_match_ring_ops(ell, k, m):
     # Python-int ring indices, every element and a seeded sample of pairs
